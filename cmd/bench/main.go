@@ -53,8 +53,8 @@ import (
 	"time"
 
 	"memverify/internal/coherence"
-	"memverify/internal/obs"
 	"memverify/internal/memory"
+	"memverify/internal/obs"
 	"memverify/internal/reduction"
 	"memverify/internal/sat"
 	"memverify/internal/solver"
@@ -124,18 +124,19 @@ func benchFormula(seed int64, m, n int) *sat.Formula {
 	return f
 }
 
-// solveCase builds a benchCase around coherence.Solve on a single-address
-// instance.
+// solveCase builds a benchCase around the exact search on a
+// single-address instance.
 func solveCase(name string, quick bool, exec *memory.Execution, addr memory.Addr, opts *coherence.Options) benchCase {
+	v := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithOptions(opts))
 	return benchCase{
 		name:  name,
 		quick: quick,
 		op: func() error {
-			_, err := coherence.Solve(context.Background(), exec, addr, opts)
+			_, err := v.Solve(context.Background(), exec, addr)
 			return err
 		},
 		states: func() (int, error) {
-			r, err := coherence.Solve(context.Background(), exec, addr, opts)
+			r, err := v.Solve(context.Background(), exec, addr)
 			if err != nil {
 				return 0, err
 			}
@@ -207,13 +208,15 @@ func buildSuite(quick bool) ([]benchCase, error) {
 		exec, _ := workload.GenerateCoherent(rng, workload.GenConfig{
 			Processors: 4, OpsPerProc: 400, Addresses: 8, Values: 4, WriteFraction: 0.4,
 		})
+		serial := coherence.NewVerifier()
+		parallel := coherence.NewVerifier(solver.WithWorkers(runtime.NumCPU()))
 		cases = append(cases,
 			benchCase{name: "verify-parallel/serial", op: func() error {
-				_, err := coherence.VerifyExecution(context.Background(), exec, nil)
+				_, err := serial.Verify(context.Background(), exec)
 				return err
 			}},
 			benchCase{name: "verify-parallel/parallel", op: func() error {
-				_, err := coherence.VerifyExecutionParallel(context.Background(), exec, nil, 0)
+				_, err := parallel.Verify(context.Background(), exec)
 				return err
 			}},
 		)
@@ -510,8 +513,9 @@ func psearchHardCase(quick bool) (string, *memory.Execution, memory.Addr, error)
 
 // timedSolve runs one solve and reports its wall time.
 func timedSolve(exec *memory.Execution, addr memory.Addr, opts *solver.Options) (time.Duration, *coherence.Result, error) {
+	v := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithOptions(opts))
 	t0 := time.Now()
-	r, err := coherence.Solve(context.Background(), exec, addr, opts)
+	r, err := v.Solve(context.Background(), exec, addr)
 	return time.Since(t0), r, err
 }
 

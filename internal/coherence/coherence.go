@@ -46,6 +46,7 @@ package coherence
 
 import (
 	"context"
+	"sort"
 
 	"memverify/internal/memory"
 	"memverify/internal/obs"
@@ -102,11 +103,11 @@ func (r *Result) Certificate() memory.Schedule { return r.Schedule }
 type instance struct {
 	addr memory.Addr
 	hist []memory.History
-	back map[memory.Ref]memory.Ref
-	// backIdx is the slice-backed alternative to back used by the batch
-	// driver's grouped projection: backIdx[p][i] is the original ref of
-	// the i-th projected op of process p. At most one of back/backIdx is
-	// set; both nil means the identity projection.
+	// backIdx maps projection refs back to the original execution:
+	// backIdx[p][i] is the original ref of the i-th projected op of
+	// process p, so each row is sorted by Index. nil means the identity
+	// projection (the batch driver hands single-address executions over
+	// as they are).
 	backIdx [][]memory.Ref
 	init    *memory.Value
 	final   *memory.Value
@@ -117,10 +118,10 @@ type instance struct {
 func project(exec *memory.Execution, addr memory.Addr) *instance {
 	proj, back := exec.Project(addr)
 	inst := &instance{
-		addr: addr,
-		hist: proj.Histories,
-		back: back,
-		nops: proj.NumOps(),
+		addr:    addr,
+		hist:    proj.Histories,
+		backIdx: back,
+		nops:    proj.NumOps(),
 	}
 	if d, ok := proj.Initial[addr]; ok {
 		v := d
@@ -138,20 +139,48 @@ func project(exec *memory.Execution, addr memory.Addr) *instance {
 // batch driver's identity projection), so refs translate to themselves.
 func (in *instance) translate(s []memory.Ref) memory.Schedule {
 	out := make(memory.Schedule, len(s))
-	if in.backIdx != nil {
-		for i, r := range s {
-			out[i] = in.backIdx[r.Proc][r.Index]
-		}
-		return out
-	}
-	if in.back == nil {
+	if in.backIdx == nil {
 		copy(out, s)
 		return out
 	}
 	for i, r := range s {
-		out[i] = in.back[r]
+		out[i] = in.backIdx[r.Proc][r.Index]
 	}
 	return out
+}
+
+// projRef is the inverse of translate for one ref: the projection ref of
+// original ref r, found by binary search in r's back-map row. ok is false
+// when r is out of range or is not an operation of the instance.
+func (in *instance) projRef(r memory.Ref) (pr memory.Ref, ok bool) {
+	if r.Proc < 0 || r.Proc >= len(in.hist) || r.Index < 0 {
+		return memory.Ref{}, false
+	}
+	if in.backIdx == nil {
+		return r, r.Index < len(in.hist[r.Proc])
+	}
+	row := in.backIdx[r.Proc]
+	i := sort.Search(len(row), func(i int) bool { return row[i].Index >= r.Index })
+	if i == len(row) || row[i].Index != r.Index {
+		return memory.Ref{}, false
+	}
+	return memory.Ref{Proc: r.Proc, Index: i}, true
+}
+
+// perHistory returns one zeroed row per history of hist, carved from a
+// single backing array: the dense (proc, index) table the
+// single-address algorithms use instead of maps keyed by memory.Ref.
+func perHistory[T any](hist []memory.History) [][]T {
+	n := 0
+	for _, h := range hist {
+		n += len(h)
+	}
+	flat := make([]T, n)
+	rows := make([][]T, len(hist))
+	for p, h := range hist {
+		rows[p], flat = flat[:len(h):len(h)], flat[len(h):]
+	}
+	return rows
 }
 
 // hasWrites reports whether any operation in the instance writes.

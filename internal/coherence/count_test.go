@@ -28,7 +28,7 @@ func bruteForceCount(exec *memory.Execution, addr memory.Addr) int64 {
 		if done {
 			orig := make(memory.Schedule, len(sched))
 			for i, r := range sched {
-				orig[i] = back[r]
+				orig[i] = back[r.Proc][r.Index]
 			}
 			if memory.CheckCoherent(exec, addr, orig) == nil {
 				count++

@@ -50,7 +50,7 @@ func Diagnose(ctx context.Context, exec *memory.Execution, addr memory.Addr, opt
 	rows := make([][]row, len(inst.hist))
 	for p, h := range inst.hist {
 		for i, o := range h {
-			rows[p] = append(rows[p], row{op: o, ref: inst.back[memory.Ref{Proc: p, Index: i}]})
+			rows[p] = append(rows[p], row{op: o, ref: inst.backIdx[p][i]})
 		}
 	}
 	final := inst.final

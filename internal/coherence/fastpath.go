@@ -128,18 +128,19 @@ type fastChecker struct {
 	inst *instance
 	np   int // processes
 
-	nw      int            // writer blocks
-	wref    []memory.Ref   // block -> projection ref
-	wProc   []int32        // block -> history index
-	wOrd    []int32        // block -> ordinal among its history's writers
-	wVal    []memory.Value // block -> value written
-	blockAt [][]int32      // per history: op index -> block, -1 for pure reads
-	prevW   [][]int32      // per history: nearest writer block strictly before op
-	nextW   [][]int32      // per history: nearest writer block strictly after op
-	byVal   map[memory.Value][]int32
+	nw      int                    // writer blocks
+	wref    []memory.Ref           // block -> projection ref
+	wProc   []int32                // block -> history index
+	wOrd    []int32                // block -> ordinal among its history's writers
+	blockAt [][]int32              // per history: op index -> block, -1 for pure reads
+	prevW   [][]int32              // per history: nearest writer block strictly before op
+	nextW   [][]int32              // per history: nearest writer block strictly after op
+	valID   map[memory.Value]int32 // written value -> dense value id
+	byVal   [][]int32              // value id -> its writer blocks, ascending
 
 	reads    []fastRead
-	floating int // tracked floating reads
+	readAt   [][]int32 // per history: op index -> index into reads, -1 for plain writes
+	floating int       // tracked floating reads
 
 	// Initial-region bookkeeping: with no declared initial value, the
 	// first determined initial-region read binds it.
@@ -148,10 +149,10 @@ type fastChecker struct {
 	// b0rmw is the read index of the RMW pinned to the head of the write
 	// order (-1 none): at most one RMW can read the initial value.
 	b0rmw int32
-	// rmwClaim maps a block to the RMW read determined to read it
-	// directly: an RMW must immediately follow its source write, so two
+	// rmwClaim[b] is the RMW read determined to read block b directly
+	// (-1 none): an RMW must immediately follow its source write, so two
 	// claimants refute.
-	rmwClaim map[int32]int32
+	rmwClaim []int32
 
 	edges  [][2]int32 // necessary ordering edges between blocks
 	reject string     // first sound refutation ("" while none)
@@ -168,15 +169,39 @@ func (c *fastChecker) fail(detail string) {
 // per-history program-order chains (as necessary edges), and the
 // nearest-writer tables used by the candidate rules.
 func newFastChecker(inst *instance) *fastChecker {
-	c := &fastChecker{
-		inst:     inst,
-		np:       len(inst.hist),
-		b0rmw:    -1,
-		rmwClaim: make(map[int32]int32),
-		byVal:    make(map[memory.Value][]int32),
+	// A counting pass sizes the writer, read and edge tables up front (the
+	// edge list holds the program-order chains plus the at most two edges
+	// each read determines), so the indexing pass never grows a slice.
+	nw, nr := 0, 0
+	for _, hist := range inst.hist {
+		for _, o := range hist {
+			if _, ok := o.Reads(); ok {
+				nr++
+			}
+			if _, ok := o.Writes(); ok {
+				nw++
+			}
+		}
 	}
+	c := &fastChecker{
+		inst:    inst,
+		np:      len(inst.hist),
+		b0rmw:   -1,
+		wref:    make([]memory.Ref, 0, nw),
+		wProc:   make([]int32, 0, nw),
+		wOrd:    make([]int32, 0, nw),
+		blockAt: perHistory[int32](inst.hist),
+		prevW:   perHistory[int32](inst.hist),
+		nextW:   perHistory[int32](inst.hist),
+		valID:   make(map[memory.Value]int32),
+		reads:   make([]fastRead, 0, nr),
+		readAt:  perHistory[int32](inst.hist),
+		edges:   make([][2]int32, 0, nw+2*nr),
+	}
+	wValID := make([]int32, 0, nw) // block -> id of the value it writes
+	var perVal []int32             // value id -> writer count
 	for h, hist := range inst.hist {
-		ba := make([]int32, len(hist))
+		ba := c.blockAt[h]
 		ord := int32(0)
 		var last int32 = -1
 		for i, o := range hist {
@@ -184,11 +209,17 @@ func newFastChecker(inst *instance) *fastChecker {
 			if d, ok := o.Writes(); ok {
 				b := int32(c.nw)
 				c.nw++
+				id, seen := c.valID[d]
+				if !seen {
+					id = int32(len(perVal))
+					c.valID[d] = id
+					perVal = append(perVal, 0)
+				}
+				perVal[id]++
 				c.wref = append(c.wref, memory.Ref{Proc: h, Index: i})
 				c.wProc = append(c.wProc, int32(h))
 				c.wOrd = append(c.wOrd, ord)
-				c.wVal = append(c.wVal, d)
-				c.byVal[d] = append(c.byVal[d], b)
+				wValID = append(wValID, id)
 				ba[i] = b
 				ord++
 				if last >= 0 {
@@ -198,10 +229,7 @@ func newFastChecker(inst *instance) *fastChecker {
 				last = b
 			}
 		}
-		c.blockAt = append(c.blockAt, ba)
-
-		pw := make([]int32, len(hist))
-		nx := make([]int32, len(hist))
+		pw, nx := c.prevW[h], c.nextW[h]
 		run := int32(-1)
 		for i := range hist {
 			pw[i] = run
@@ -216,10 +244,30 @@ func newFastChecker(inst *instance) *fastChecker {
 				run = ba[i]
 			}
 		}
-		c.prevW = append(c.prevW, pw)
-		c.nextW = append(c.nextW, nx)
+	}
+	// Bucket the blocks by value, carving every list out of one array;
+	// blocks are visited in id order, so each list is ascending.
+	flat := make([]int32, nw)
+	c.byVal = make([][]int32, len(perVal))
+	for id, n := range perVal {
+		c.byVal[id], flat = flat[:0:n], flat[n:]
+	}
+	for b, id := range wValID {
+		c.byVal[id] = append(c.byVal[id], int32(b))
+	}
+	c.rmwClaim = make([]int32, c.nw)
+	for b := range c.rmwClaim {
+		c.rmwClaim[b] = -1
 	}
 	return c
+}
+
+// writersOf returns the writer blocks of value d in ascending order.
+func (c *fastChecker) writersOf(d memory.Value) []int32 {
+	if id, ok := c.valID[d]; ok {
+		return c.byVal[id]
+	}
+	return nil
 }
 
 // collectReads builds the candidate source set of every read and
@@ -239,8 +287,10 @@ func (c *fastChecker) collectReads() {
 		for i, o := range hist {
 			d, ok := o.Reads()
 			if !ok {
+				c.readAt[h][i] = -1
 				continue
 			}
+			c.readAt[h][i] = int32(len(c.reads))
 			r := fastRead{proc: h, idx: i, val: d, rmw: o.Kind == memory.ReadModifyWrite, src: -1}
 			pw := c.prevW[h][i]
 			r.canB0 = pw < 0 && (c.inst.init == nil || *c.inst.init == d)
@@ -248,7 +298,7 @@ func (c *fastChecker) collectReads() {
 			if r.rmw {
 				own = c.blockAt[h][i]
 			}
-			writers := c.byVal[d]
+			writers := c.writersOf(d)
 			var cands []int32
 			for _, w := range writers {
 				if w == own {
@@ -341,7 +391,7 @@ func (c *fastChecker) determine(ri int, src int32) {
 	}
 	if r.rmw {
 		own := c.blockAt[h][i]
-		if prev, claimed := c.rmwClaim[src]; claimed && prev != int32(ri) {
+		if prev := c.rmwClaim[src]; prev >= 0 && prev != int32(ri) {
 			c.fail("two read-modify-writes directly read the same write")
 			return
 		}
@@ -503,14 +553,9 @@ func (c *fastChecker) pruneRound() (changed bool) {
 	}
 	vc := c.clocks(order, start, dst)
 
-	// Reads of one history, indexed for the neighbor scans.
-	readAt := make(map[[2]int]int, len(c.reads))
-	for ri := range c.reads {
-		readAt[[2]int{c.reads[ri].proc, c.reads[ri].idx}] = ri
-	}
-
 	const none = int32(-3) // pd/nd encoding: -3 no determined neighbor, -1 initial region, ≥0 block
 	for h, hist := range c.inst.hist {
+		readAt := c.readAt[h]
 		// nd[i]: the nearest determined operation at index > i — a writer
 		// pins region(read) ≤ position(writer), a determined read pins
 		// region(read) ≤ position(its source).
@@ -522,13 +567,14 @@ func (c *fastChecker) pruneRound() (changed bool) {
 				run = b
 				continue
 			}
-			if ri, ok := readAt[[2]int{h, i}]; ok && c.reads[ri].det {
+			if ri := readAt[i]; ri >= 0 && c.reads[ri].det {
 				run = c.reads[ri].src
 			}
 		}
 		pd := none
 		for i := range hist {
-			ri, isRead := readAt[[2]int{h, i}]
+			ri := int(readAt[i])
+			isRead := ri >= 0
 			if isRead && c.reads[ri].floating {
 				if c.pruneRead(ri, pd, nd[i], vc) {
 					changed = true
@@ -649,7 +695,7 @@ func fastInstance(ctx context.Context, inst *instance, opts *Options) (*fastOutc
 		}
 		return finish(fastReject, r, "no coherent placement without writes")
 	}
-	if inst.final != nil && len(c.byVal[*inst.final]) == 0 {
+	if inst.final != nil && len(c.writersOf(*inst.final)) == 0 {
 		return finish(fastReject, fastRejectResult(), fmt.Sprintf("declared final value %d is never written", *inst.final))
 	}
 	if e := interrupted(); e != nil {
@@ -689,7 +735,7 @@ func fastInstance(ctx context.Context, inst *instance, opts *Options) (*fastOutc
 		for _, e := range c.edges {
 			outdeg[e[0]]++
 		}
-		for _, b := range c.byVal[*inst.final] {
+		for _, b := range c.writersOf(*inst.final) {
 			if outdeg[b] == 0 {
 				holdBack = b
 				break

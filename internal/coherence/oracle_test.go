@@ -25,7 +25,7 @@ func bruteForceCoherent(exec *memory.Execution, addr memory.Addr) (bool, memory.
 		if done {
 			orig := make(memory.Schedule, len(sched))
 			for i, r := range sched {
-				orig[i] = back[r]
+				orig[i] = back[r.Proc][r.Index]
 			}
 			if memory.CheckCoherent(exec, addr, orig) == nil {
 				return true, orig

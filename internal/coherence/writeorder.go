@@ -57,13 +57,9 @@ func SolveWithWriteOrder(ctx context.Context, exec *memory.Execution, addr memor
 
 // toProjectionRefs translates original execution refs to projection refs.
 func (in *instance) toProjectionRefs(refs []memory.Ref, addr memory.Addr) ([]memory.Ref, error) {
-	fwd := make(map[memory.Ref]memory.Ref, len(in.back))
-	for projRef, origRef := range in.back {
-		fwd[origRef] = projRef
-	}
 	out := make([]memory.Ref, len(refs))
 	for i, r := range refs {
-		pr, ok := fwd[r]
+		pr, ok := in.projRef(r)
 		if !ok {
 			return nil, fmt.Errorf("coherence: write order entry %s is not an operation of address %d", r, addr)
 		}
@@ -73,8 +69,10 @@ func (in *instance) toProjectionRefs(refs []memory.Ref, addr memory.Addr) ([]mem
 }
 
 // validateWriteOrder checks that order lists every writing op of the
-// instance exactly once, respecting program order.
-func (in *instance) validateWriteOrder(order []memory.Ref) error {
+// instance exactly once, respecting program order. It returns the region
+// table of the order: regionOf[p][i] is b+1 for the writer at order[b],
+// and 0 for every op that does not write.
+func (in *instance) validateWriteOrder(order []memory.Ref) (regionOf [][]int32, err error) {
 	writers := 0
 	for _, h := range in.hist {
 		for _, o := range h {
@@ -83,96 +81,87 @@ func (in *instance) validateWriteOrder(order []memory.Ref) error {
 			}
 		}
 	}
-	seen := make(map[memory.Ref]bool, len(order))
-	lastIdx := make(map[int]int)
-	for _, r := range order {
+	regionOf = perHistory[int32](in.hist)
+	last := make([]int, len(in.hist)) // history -> last listed index
+	for p := range last {
+		last[p] = -1
+	}
+	for b, r := range order {
 		if r.Proc < 0 || r.Proc >= len(in.hist) || r.Index < 0 || r.Index >= len(in.hist[r.Proc]) {
-			return fmt.Errorf("coherence: write order reference %s out of range", r)
+			return nil, fmt.Errorf("coherence: write order reference %s out of range", r)
 		}
 		o := in.hist[r.Proc][r.Index]
 		if _, ok := o.Writes(); !ok {
-			return fmt.Errorf("coherence: write order entry %s (%s) does not write", r, o)
+			return nil, fmt.Errorf("coherence: write order entry %s (%s) does not write", r, o)
 		}
-		if seen[r] {
-			return fmt.Errorf("coherence: write order lists %s twice", r)
+		if regionOf[r.Proc][r.Index] != 0 {
+			return nil, fmt.Errorf("coherence: write order lists %s twice", r)
 		}
-		seen[r] = true
-		if last, ok := lastIdx[r.Proc]; ok && r.Index <= last {
-			return fmt.Errorf("coherence: write order violates program order at %s", r)
+		regionOf[r.Proc][r.Index] = int32(b + 1)
+		if r.Index <= last[r.Proc] {
+			return nil, fmt.Errorf("coherence: write order violates program order at %s", r)
 		}
-		lastIdx[r.Proc] = r.Index
+		last[r.Proc] = r.Index
 	}
 	if len(order) != writers {
-		return fmt.Errorf("coherence: write order lists %d operations, instance has %d writing operations",
+		return nil, fmt.Errorf("coherence: write order lists %d operations, instance has %d writing operations",
 			len(order), writers)
 	}
-	return nil
+	return regionOf, nil
 }
 
 // writeOrderInstance runs the §5.2 algorithm over a projected instance.
 // order holds projection refs of the writing operations.
 func writeOrderInstance(inst *instance, order []memory.Ref) (r *Result, err error) {
 	defer func() { stampOps(r, inst) }()
-	if err := inst.validateWriteOrder(order); err != nil {
+	regionOf, err := inst.validateWriteOrder(order)
+	if err != nil {
 		return nil, err
 	}
-	incoherent := &Result{Coherent: false, Decided: true, Algorithm: "write-order"}
 
-	// Determine the pre-write-region value. It may be forced by a
-	// declared initial value or by a read-modify-write standing first in
-	// the write order; otherwise it is unknown and we try each candidate
-	// (the first-read value of each history whose window reaches the
-	// pre-write region).
-	var init *memory.Value
-	if inst.init != nil {
-		v := *inst.init
-		init = &v
-	}
-	if init == nil && len(order) > 0 {
-		if first := inst.hist[order[0].Proc][order[0].Index]; first.Kind == memory.ReadModifyWrite {
-			v := first.Data
-			init = &v
-		}
-	}
-	if init != nil {
-		sched, ok := placeReads(inst, order, init)
-		if !ok {
-			return incoherent, nil
-		}
-		return &Result{Coherent: true, Decided: true, Schedule: inst.translate(sched), Algorithm: "write-order"}, nil
-	}
-	// Unknown pre-write value: candidates are the values of reads that
-	// may land in the pre-write region (the first reads of each history
-	// that precede the history's first write).
-	candidates := make(map[memory.Value]bool)
-	for _, h := range inst.hist {
-		for _, o := range h {
-			if _, isWrite := o.Writes(); isWrite {
-				break
+	// The pre-write region's value may be forced by a declared initial
+	// value or by a read-modify-write standing first in the write order.
+	// Otherwise it is unknown and each candidate is tried: the values of
+	// the reads that may land in the pre-write region (those preceding
+	// their history's first write), in first-seen order so the
+	// certificate is deterministic. With no candidate the region matches
+	// no read (nil).
+	var candidates []*memory.Value
+	switch {
+	case inst.init != nil:
+		candidates = []*memory.Value{inst.init}
+	case len(order) > 0 && inst.hist[order[0].Proc][order[0].Index].Kind == memory.ReadModifyWrite:
+		candidates = []*memory.Value{&inst.hist[order[0].Proc][order[0].Index].Data}
+	default:
+		isCandidate := make(map[memory.Value]bool)
+		for _, h := range inst.hist {
+			for i, o := range h {
+				if _, isWrite := o.Writes(); isWrite {
+					break
+				}
+				if !isCandidate[o.Data] {
+					isCandidate[o.Data] = true
+					candidates = append(candidates, &h[i].Data)
+				}
 			}
-			candidates[o.Data] = true
+		}
+		if len(candidates) == 0 {
+			candidates = []*memory.Value{nil}
 		}
 	}
-	if len(candidates) == 0 {
-		sched, ok := placeReads(inst, order, nil)
-		if !ok {
-			return incoherent, nil
-		}
-		return &Result{Coherent: true, Decided: true, Schedule: inst.translate(sched), Algorithm: "write-order"}, nil
-	}
-	for v := range candidates {
-		v := v
-		if sched, ok := placeReads(inst, order, &v); ok {
+	for _, init := range candidates {
+		if sched, ok := placeReads(inst, order, regionOf, init); ok {
 			return &Result{Coherent: true, Decided: true, Schedule: inst.translate(sched), Algorithm: "write-order"}, nil
 		}
 	}
-	return incoherent, nil
+	return &Result{Coherent: false, Decided: true, Algorithm: "write-order"}, nil
 }
 
 // placeReads attempts to extend the write order into a full coherent
 // schedule with the pre-write region bound to init (nil means the region
-// matches no read). It returns the schedule in projection refs.
-func placeReads(inst *instance, order []memory.Ref, init *memory.Value) ([]memory.Ref, bool) {
+// matches no read). regionOf is the order's region table from
+// validateWriteOrder. It returns the schedule in projection refs.
+func placeReads(inst *instance, order []memory.Ref, regionOf [][]int32, init *memory.Value) ([]memory.Ref, bool) {
 	nw := len(order)
 	// value[b] is the memory value in force in region b: region 0
 	// precedes all writes; region b (1-based) follows the b-th write.
@@ -181,7 +170,6 @@ func placeReads(inst *instance, order []memory.Ref, init *memory.Value) ([]memor
 	if init != nil {
 		value[0], valueBound[0] = *init, true
 	}
-	regionOf := make(map[memory.Ref]int, nw)
 	for b, r := range order {
 		o := inst.hist[r.Proc][r.Index]
 		// A read-modify-write embedded in the write order must read the
@@ -193,7 +181,6 @@ func placeReads(inst *instance, order []memory.Ref, init *memory.Value) ([]memor
 		}
 		dw, _ := o.Writes()
 		value[b+1], valueBound[b+1] = dw, true
-		regionOf[r] = b + 1
 	}
 
 	// Final value: the last write must store it; with no writes, a bound
@@ -207,37 +194,35 @@ func placeReads(inst *instance, order []memory.Ref, init *memory.Value) ([]memor
 		}
 	}
 
-	// Insert reads. reads[b] accumulates the reads assigned to region b.
-	// Appending preserves per-history program order within a region
-	// because each history is traversed in program order.
-	reads := make([][]memory.Ref, nw+1)
-	for h := range inst.hist {
-		hist := inst.hist[h]
-		// nextWriteRegion[i]: region index of the first writing op of
-		// this history at or after op i (nw+1 if none). A read at i must
-		// be placed in a region strictly below nextWriteRegion[i+1].
-		nextWriteRegion := make([]int, len(hist)+1)
-		nextWriteRegion[len(hist)] = nw + 1
-		for i := len(hist) - 1; i >= 0; i-- {
-			if _, ok := hist[i].Writes(); ok {
-				nextWriteRegion[i] = regionOf[memory.Ref{Proc: h, Index: i}]
-			} else {
-				nextWriteRegion[i] = nextWriteRegion[i+1]
-			}
-		}
-		curRegion := 0
+	// Insert reads: regionAt[h][i] is the region read (h, i) lands in,
+	// and size[b] counts the reads of region b.
+	regionAt := perHistory[int32](inst.hist)
+	size := make([]int, nw+1)
+	for h, hist := range inst.hist {
+		regions := regionOf[h]
+		// A read at i must be placed in a region strictly below limit, the
+		// region of the first writer of its history after i (nw+1 if
+		// none); nextW is that writer's index.
+		curRegion, limit, nextW := 0, 0, -1
 		for i, o := range hist {
-			ref := memory.Ref{Proc: h, Index: i}
-			if _, ok := o.Writes(); ok {
-				curRegion = regionOf[ref]
+			if rg := regions[i]; rg > 0 {
+				curRegion = int(rg)
 				continue
 			}
+			if nextW <= i {
+				for nextW = i + 1; nextW < len(hist) && regions[nextW] == 0; nextW++ {
+				}
+				limit = nw + 1
+				if nextW < len(hist) {
+					limit = int(regions[nextW])
+				}
+			}
 			d := o.Data
-			limit := nextWriteRegion[i+1]
 			placed := false
 			for b := curRegion; b < limit && b <= nw; b++ {
 				if valueBound[b] && value[b] == d {
-					reads[b] = append(reads[b], ref)
+					regionAt[h][i] = int32(b)
+					size[b]++
 					curRegion = b
 					placed = true
 					break
@@ -250,12 +235,26 @@ func placeReads(inst *instance, order []memory.Ref, init *memory.Value) ([]memor
 	}
 
 	// Emit the schedule: region 0 reads, then each write followed by its
-	// region's reads.
-	sched := make([]memory.Ref, 0, inst.nops)
-	sched = append(sched, reads[0]...)
-	for b, r := range order {
-		sched = append(sched, r)
-		sched = append(sched, reads[b+1]...)
+	// region's reads. next[b] is the slot of region b's next read; filling
+	// the slots in (history, program order) keeps every history's reads
+	// in program order within a region.
+	sched := make([]memory.Ref, inst.nops)
+	next, pos := size, 0
+	for b := 0; b <= nw; b++ {
+		if b > 0 {
+			sched[pos] = order[b-1]
+			pos++
+		}
+		next[b], pos = pos, pos+size[b]
+	}
+	for h, hist := range inst.hist {
+		for i := range hist {
+			if regionOf[h][i] == 0 {
+				b := regionAt[h][i]
+				sched[next[b]] = memory.Ref{Proc: h, Index: i}
+				next[b]++
+			}
+		}
 	}
 	return sched, true
 }
@@ -286,7 +285,7 @@ func CheckRMWWriteOrder(ctx context.Context, exec *memory.Execution, addr memory
 	if err != nil {
 		return nil, err
 	}
-	if err := inst.validateWriteOrder(order); err != nil {
+	if _, err := inst.validateWriteOrder(order); err != nil {
 		return nil, err
 	}
 	incoherent := &Result{Coherent: false, Decided: true, Algorithm: "rmw-write-order"}

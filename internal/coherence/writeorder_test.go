@@ -3,6 +3,7 @@ package coherence
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"memverify/internal/memory"
@@ -75,6 +76,62 @@ func TestWriteOrderValidatesInput(t *testing.T) {
 	)
 	if _, err := SolveWithWriteOrder(context.Background(), other, 0, []memory.Ref{{Proc: 0, Index: 0}, {Proc: 0, Index: 1}}, nil); err == nil {
 		t.Error("write to another address accepted in the write order")
+	}
+
+	// Out-of-range refs, as a trace's order lines or a memverifyd
+	// use_order request may carry them: an error from both write-order
+	// entry points, never a panic.
+	rmw := memory.NewExecution( // the same shape as exec: one history of two writers
+		memory.History{memory.RW(0, 0, 1), memory.RW(0, 1, 2)},
+	)
+	for _, bad := range []memory.Ref{
+		{Proc: -1, Index: 0},
+		{Proc: len(exec.Histories), Index: 0},
+		{Proc: 0, Index: -1},
+		{Proc: 0, Index: len(exec.Histories[0])},
+		{Proc: 0, Index: 1 << 40},
+	} {
+		if _, err := SolveWithWriteOrder(context.Background(), exec, 0, []memory.Ref{w0, bad}, nil); err == nil {
+			t.Errorf("SolveWithWriteOrder accepted out-of-range entry %s", bad)
+		}
+		if _, err := CheckRMWWriteOrder(context.Background(), rmw, 0, []memory.Ref{{Proc: 0, Index: 0}, bad}); err == nil {
+			t.Errorf("CheckRMWWriteOrder accepted out-of-range entry %s", bad)
+		}
+	}
+}
+
+// With no declared initial value, the pre-write value candidates are
+// tried in first-seen history order, so repeated solves of one instance
+// return one certificate. Both candidates (1 and 2) are coherent here.
+func TestWriteOrderDeterministicCertificate(t *testing.T) {
+	exec := memory.NewExecution(
+		memory.History{memory.R(0, 1)},
+		memory.History{memory.W(0, 1)},
+		memory.History{memory.R(0, 2)},
+		memory.History{memory.W(0, 2)},
+	)
+	order := []memory.Ref{{Proc: 1, Index: 0}, {Proc: 3, Index: 0}}
+	var first memory.Schedule
+	for i := 0; i < 50; i++ {
+		res, err := SolveWithWriteOrder(context.Background(), exec, 0, order, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Coherent {
+			t.Fatal("coherent instance rejected")
+		}
+		if err := memory.CheckCoherent(exec, 0, res.Schedule); err != nil {
+			t.Fatalf("invalid certificate: %v", err)
+		}
+		if i == 0 {
+			first = res.Schedule
+		} else if !reflect.DeepEqual(res.Schedule, first) {
+			t.Fatalf("solve %d returned certificate %v, solve 0 returned %v", i, res.Schedule, first)
+		}
+	}
+	// The first-seen candidate is P0's read of 1.
+	if want := (memory.Schedule{{Proc: 0, Index: 0}, {Proc: 1, Index: 0}, {Proc: 3, Index: 0}, {Proc: 2, Index: 0}}); !reflect.DeepEqual(first, want) {
+		t.Errorf("certificate %v, want %v", first, want)
 	}
 }
 

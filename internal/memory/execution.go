@@ -135,29 +135,48 @@ func (e *Execution) Validate() error {
 
 // Project extracts the single-address sub-execution for address a: each
 // history keeps only its data-memory operations to a, preserving program
-// order. The returned mapping translates a Ref in the projection back to
-// the Ref of the same operation in e (indexed the same way as the
-// projection's histories). Synchronization operations are dropped; they
-// carry no data and the coherence problem (Definition 4.1) is stated over
-// reads and writes of one address.
-func (e *Execution) Project(a Addr) (*Execution, map[Ref]Ref) {
-	proj := &Execution{}
-	back := make(map[Ref]Ref)
+// order. The returned back-mapping translates projection refs to refs of
+// e: back[p][i] is the original ref of operation i of projected history
+// p, so each back[p] is sorted by Index. Synchronization operations are
+// dropped; they carry no data and the coherence problem (Definition 4.1)
+// is stated over reads and writes of one address.
+//
+// A counting pass sizes every projected history, so the projection and
+// its back-mapping live in two flat arrays of exactly the projected size.
+func (e *Execution) Project(a Addr) (*Execution, [][]Ref) {
+	proj := &Execution{Histories: make([]History, len(e.Histories))}
+	back := make([][]Ref, len(e.Histories))
 	if d, ok := e.Initial[a]; ok {
 		proj.SetInitial(a, d)
 	}
 	if d, ok := e.Final[a]; ok {
 		proj.SetFinal(a, d)
 	}
+	counts := make([]int, len(e.Histories))
+	total := 0
 	for p, h := range e.Histories {
-		var sub History
-		for i, o := range h {
+		for _, o := range h {
 			if o.IsMemory() && o.Addr == a {
-				back[Ref{Proc: p, Index: len(sub)}] = Ref{Proc: p, Index: i}
-				sub = append(sub, o)
+				counts[p]++
 			}
 		}
-		proj.Histories = append(proj.Histories, sub)
+		total += counts[p]
+	}
+	ops := make([]Op, 0, total)
+	refs := make([]Ref, 0, total)
+	for p, h := range e.Histories {
+		if counts[p] == 0 {
+			continue
+		}
+		start := len(ops)
+		for i, o := range h {
+			if o.IsMemory() && o.Addr == a {
+				ops = append(ops, o)
+				refs = append(refs, Ref{Proc: p, Index: i})
+			}
+		}
+		proj.Histories[p] = ops[start:len(ops):len(ops)]
+		back[p] = refs[start:len(refs):len(refs)]
 	}
 	return proj, back
 }

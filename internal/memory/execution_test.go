@@ -92,10 +92,10 @@ func TestExecutionProject(t *testing.T) {
 	}
 	// Back-mapping: the read in the projection (P0[1]) is P0[2] in the
 	// original, and P1[0] in the projection is P1[1].
-	if got := back[Ref{Proc: 0, Index: 1}]; got != (Ref{Proc: 0, Index: 2}) {
+	if got := back[0][1]; got != (Ref{Proc: 0, Index: 2}) {
 		t.Errorf("back[P0[1]] = %v, want P0[2]", got)
 	}
-	if got := back[Ref{Proc: 1, Index: 0}]; got != (Ref{Proc: 1, Index: 1}) {
+	if got := back[1][0]; got != (Ref{Proc: 1, Index: 1}) {
 		t.Errorf("back[P1[0]] = %v, want P1[1]", got)
 	}
 	// Initial/final carried over for address 0 only.

@@ -23,34 +23,47 @@ func (s Schedule) Format(exec *Execution) string {
 	return b.String()
 }
 
-// checkCoverage verifies that s contains only operations from the allowed
-// set, each at most once and in program order per process, and that every
-// operation in the required set appears. It is shared by the coherent- and
-// SC-schedule checkers.
-func checkCoverage(exec *Execution, s Schedule, allowed, required map[Ref]bool) error {
-	seen := make(map[Ref]bool, len(s))
-	lastIndex := make(map[int]int) // proc -> last scheduled history index
+// checkCoverage verifies that s contains only operations for which
+// allowed holds, each at most once and in program order per process, and
+// that every operation for which required holds appears. It is shared by
+// the coherent- and SC-schedule checkers. All state is dense, indexed by
+// (proc, index): a seen flag per operation of exec and the last scheduled
+// index per process, so the check is O(len(s) + Σ|history|) worst case.
+func checkCoverage(exec *Execution, s Schedule, allowed, required func(Op) bool) error {
+	off := make([]int, len(exec.Histories)+1) // proc -> first slot in seen
+	for p, h := range exec.Histories {
+		off[p+1] = off[p] + len(h)
+	}
+	seen := make([]bool, off[len(exec.Histories)])
+	last := make([]int, len(exec.Histories)) // proc -> last scheduled history index
+	for p := range last {
+		last[p] = -1
+	}
 	for pos, r := range s {
 		if r.Proc < 0 || r.Proc >= len(exec.Histories) ||
 			r.Index < 0 || r.Index >= len(exec.Histories[r.Proc]) {
 			return fmt.Errorf("memory: schedule[%d]: reference %s out of range", pos, r)
 		}
-		if !allowed[r] {
+		if !allowed(exec.Histories[r.Proc][r.Index]) {
 			return fmt.Errorf("memory: schedule[%d]: operation %s does not belong to this instance", pos, r)
 		}
-		if seen[r] {
+		k := off[r.Proc] + r.Index
+		if seen[k] {
 			return fmt.Errorf("memory: schedule[%d]: operation %s scheduled twice", pos, r)
 		}
-		seen[r] = true
-		if last, ok := lastIndex[r.Proc]; ok && r.Index <= last {
+		seen[k] = true
+		if prev := last[r.Proc]; r.Index <= prev {
 			return fmt.Errorf("memory: schedule[%d]: %s violates program order (P%d[%d] already scheduled)",
-				pos, r, r.Proc, last)
+				pos, r, r.Proc, prev)
 		}
-		lastIndex[r.Proc] = r.Index
+		last[r.Proc] = r.Index
 	}
-	for r := range required {
-		if !seen[r] {
-			return fmt.Errorf("memory: schedule is missing operation %s (%s)", r, exec.Op(r))
+	for p, h := range exec.Histories {
+		for i, o := range h {
+			if required(o) && !seen[off[p]+i] {
+				r := Ref{Proc: p, Index: i}
+				return fmt.Errorf("memory: schedule is missing operation %s (%s)", r, o)
+			}
 		}
 	}
 	return nil
@@ -64,19 +77,12 @@ func checkCoverage(exec *Execution, s Schedule, allowed, required map[Ref]bool) 
 // initial value, if one is recorded); and if a final value is recorded,
 // the last write must store it.
 //
-// The check runs in O(n) time for n scheduled operations (expected-case
-// map operations), implementing the NP-membership argument of
-// Theorem 4.2.
+// The check runs in worst-case O(n + Σ|history|) time for n scheduled
+// operations over an execution with the given histories, implementing the
+// NP-membership argument of Theorem 4.2.
 func CheckCoherent(exec *Execution, a Addr, s Schedule) error {
-	want := make(map[Ref]bool)
-	for p, h := range exec.Histories {
-		for i, o := range h {
-			if o.IsMemory() && o.Addr == a {
-				want[Ref{Proc: p, Index: i}] = true
-			}
-		}
-	}
-	if err := checkCoverage(exec, s, want, want); err != nil {
+	atAddr := func(o Op) bool { return o.IsMemory() && o.Addr == a }
+	if err := checkCoverage(exec, s, atAddr, atAddr); err != nil {
 		return err
 	}
 
@@ -131,18 +137,8 @@ func CheckCoherent(exec *Execution, a Addr, s Schedule) error {
 // The check runs in O(n) time, matching the "legal schedule" validation of
 // Gibbons & Korach.
 func CheckSC(exec *Execution, s Schedule) error {
-	allowed := make(map[Ref]bool)
-	required := make(map[Ref]bool)
-	for p, h := range exec.Histories {
-		for i := range h {
-			r := Ref{Proc: p, Index: i}
-			allowed[r] = true
-			if h[i].IsMemory() {
-				required[r] = true
-			}
-		}
-	}
-	if err := checkCoverage(exec, s, allowed, required); err != nil {
+	anyOp := func(Op) bool { return true }
+	if err := checkCoverage(exec, s, anyOp, Op.IsMemory); err != nil {
 		return err
 	}
 
