@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"memverify/internal/coherence"
@@ -60,7 +61,7 @@ func BenchmarkFig41SATToVMC(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil); err != nil {
+				if _, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst.Exec, inst.Addr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -76,7 +77,7 @@ func BenchmarkFig42Example(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+		res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst.Exec, inst.Addr)
 		if err != nil || !res.Coherent {
 			b.Fatal("Figure 4.2 instance must be coherent")
 		}
@@ -97,7 +98,7 @@ func BenchmarkFig51Restricted(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil); err != nil {
+				if _, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst.Exec, inst.Addr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -117,7 +118,7 @@ func BenchmarkFig52RMW(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil); err != nil {
+				if _, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst.Exec, inst.Addr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -211,7 +212,7 @@ func BenchmarkFig53ConstantProcesses(b *testing.B) {
 			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, err := coherence.Solve(context.Background(), exec, 0, &coherence.Options{MaxStates: 5_000_000})
+				_, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithBudget(solver.WithMaxStates(5_000_000))).Solve(context.Background(), exec, 0)
 				if err != nil {
 					if _, ok := solver.AsBudgetError(err); ok {
 						b.Skip("state budget exhausted on this trace")
@@ -267,7 +268,7 @@ func BenchmarkFig61LRC(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := consistency.VerifyLRC(context.Background(), inst.Exec, nil); err != nil {
+		if _, err := consistency.NewVerifier(consistency.LRC).Verify(context.Background(), inst.Exec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -285,7 +286,7 @@ func BenchmarkFig62VSCC(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := consistency.SolveVSC(context.Background(), inst.Exec, nil); err != nil {
+				if _, err := consistency.NewVerifier(consistency.SC).Verify(context.Background(), inst.Exec); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -301,8 +302,8 @@ func BenchmarkFig63CoherencePromise(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ok, _, err := coherence.Coherent(context.Background(), inst.Exec, nil)
-		if err != nil || !ok {
+		rep, err := coherence.NewVerifier().Verify(context.Background(), inst.Exec)
+		if err != nil || !rep.Coherent() {
 			b.Fatal("VSCC instances are coherent by construction")
 		}
 	}
@@ -346,7 +347,7 @@ func BenchmarkFaultDetection(b *testing.B) {
 		})
 		prog := mesi.RandomProgram(rng, 3, 10, 2, 0.45, 0.1)
 		exec := mesi.Run(sys, prog, rng)
-		if _, _, err := coherence.Coherent(context.Background(), exec, nil); err != nil {
+		if _, err := coherence.NewVerifier().Verify(context.Background(), exec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -370,7 +371,7 @@ func BenchmarkAblationMemoization(b *testing.B) {
 	} {
 		b.Run(variant.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, variant.opts); err != nil {
+				if _, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithOptions(variant.opts)).Solve(context.Background(), inst.Exec, inst.Addr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -416,7 +417,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	}
 	solve := func(b *testing.B, ctx context.Context) {
 		for i := 0; i < b.N; i++ {
-			if _, err := coherence.Solve(ctx, inst.Exec, inst.Addr, nil); err != nil {
+			if _, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(ctx, inst.Exec, inst.Addr); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -511,14 +512,15 @@ func BenchmarkVerifyParallel(b *testing.B) {
 	})
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := coherence.VerifyExecution(context.Background(), exec, nil); err != nil {
+			if _, err := coherence.NewVerifier().Verify(context.Background(), exec); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
+		v := coherence.NewVerifier(solver.WithWorkers(runtime.NumCPU()))
 		for i := 0; i < b.N; i++ {
-			if _, err := coherence.VerifyExecutionParallel(context.Background(), exec, nil, 0); err != nil {
+			if _, err := v.Verify(context.Background(), exec); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -532,7 +534,7 @@ func BenchmarkVSCWithWriteOrders(b *testing.B) {
 	})
 	b.Run("unconstrained", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := consistency.SolveVSC(context.Background(), exec, nil)
+			res, err := consistency.NewVerifier(consistency.SC).Verify(context.Background(), exec)
 			if err != nil || !res.Consistent {
 				b.Fatal("generated trace must be SC")
 			}
@@ -540,7 +542,7 @@ func BenchmarkVSCWithWriteOrders(b *testing.B) {
 	})
 	b.Run("with-orders", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := consistency.SolveVSCWithWriteOrders(context.Background(), exec, orders, nil)
+			res, err := consistency.NewVerifier(consistency.SC, solver.WithWriteOrders(orders)).Verify(context.Background(), exec)
 			if err != nil || !res.Consistent {
 				b.Fatal("generated trace must be SC under its own orders")
 			}

@@ -58,6 +58,24 @@ func hardFig41Instance(t testing.TB) *reduction.VMCInstance {
 	return inst
 }
 
+// The subtests of the two tests below keep the names of the entry points
+// the Verifier facades replaced (coherence.Solve, coherence.Coherent,
+// consistency.SolveVSC, ...); each now runs the Verifier configuration
+// that entry point became, so the contract stays pinned call shape by
+// call shape. coherence.Verifier.* subtests cover facade methods with no
+// older counterpart.
+
+// portfolioSpelling is the coherence Verifier configured with the
+// retired "portfolio" strategy spelling, which parses to StrategyFast.
+func portfolioSpelling(t testing.TB) *coherence.Verifier {
+	t.Helper()
+	s, err := solver.ParseStrategy("portfolio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return coherence.NewVerifier(solver.WithStrategy(s))
+}
+
 // TestDeadlineStrikesMidSearch drives the acceptance criterion: on a
 // hard Figure 4.1 instance, a 50ms deadline must abort every
 // search-based entry point with a budget error carrying partial stats,
@@ -72,59 +90,63 @@ func TestDeadlineStrikesMidSearch(t *testing.T) {
 		call func(ctx context.Context) error
 	}{
 		{"coherence.Solve", func(ctx context.Context) error {
-			_, err := coherence.Solve(ctx, inst.Exec, inst.Addr, nil)
+			_, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(ctx, inst.Exec, inst.Addr)
 			return err
 		}},
 		{"coherence.SolveAuto", func(ctx context.Context) error {
-			_, err := coherence.SolveAuto(ctx, inst.Exec, inst.Addr, nil)
+			_, err := coherence.NewVerifier().Solve(ctx, inst.Exec, inst.Addr)
 			return err
 		}},
 		{"coherence.SolvePortfolio", func(ctx context.Context) error {
-			_, err := coherence.SolvePortfolio(ctx, inst.Exec, inst.Addr, nil)
+			_, err := portfolioSpelling(t).Solve(ctx, inst.Exec, inst.Addr)
 			return err
 		}},
 		{"coherence.Coherent", func(ctx context.Context) error {
-			_, _, err := coherence.Coherent(ctx, inst.Exec, nil)
+			_, err := coherence.NewVerifier().Verify(ctx, inst.Exec)
 			return err
 		}},
 		{"coherence.VerifyExecution", func(ctx context.Context) error {
-			_, err := coherence.VerifyExecution(ctx, inst.Exec, nil)
+			_, err := coherence.NewVerifier().Verify(ctx, inst.Exec)
 			return err
 		}},
 		{"coherence.VerifyExecutionParallel", func(ctx context.Context) error {
-			_, err := coherence.VerifyExecutionParallel(ctx, inst.Exec, nil, 4)
+			_, err := coherence.NewVerifier(solver.WithWorkers(4)).Verify(ctx, inst.Exec)
 			return err
 		}},
 		{"coherence.VerifyExecutionPortfolio", func(ctx context.Context) error {
-			_, err := coherence.VerifyExecutionPortfolio(ctx, inst.Exec, nil)
+			_, err := portfolioSpelling(t).Verify(ctx, inst.Exec)
 			return err
+		}},
+		{"coherence.Verifier.SolveBatch", func(ctx context.Context) error {
+			res := coherence.NewVerifier().SolveBatch(ctx, []coherence.BatchJob{{Exec: inst.Exec, Addr: inst.Addr}})
+			return res[0].Err
 		}},
 		{"coherence.Count", func(ctx context.Context) error {
 			_, err := coherence.Count(ctx, inst.Exec, inst.Addr)
 			return err
 		}},
 		{"consistency.SolveVSC", func(ctx context.Context) error {
-			_, err := consistency.SolveVSC(ctx, inst.Exec, nil)
+			_, err := consistency.NewVerifier(consistency.SC).Verify(ctx, inst.Exec)
 			return err
 		}},
 		{"consistency.Verify(SC)", func(ctx context.Context) error {
-			_, err := consistency.Verify(ctx, consistency.SC, inst.Exec, nil)
+			_, err := consistency.NewVerifier(consistency.SC).Verify(ctx, inst.Exec)
 			return err
 		}},
 		{"consistency.Verify(CoherenceOnly)", func(ctx context.Context) error {
-			_, err := consistency.Verify(ctx, consistency.CoherenceOnly, inst.Exec, nil)
+			_, err := consistency.NewVerifier(consistency.CoherenceOnly).Verify(ctx, inst.Exec)
 			return err
 		}},
 		{"consistency.SolveVSCC", func(ctx context.Context) error {
-			_, err := consistency.SolveVSCC(ctx, inst.Exec, nil)
+			_, err := consistency.NewVerifier(consistency.VSCC).Verify(ctx, inst.Exec)
 			return err
 		}},
 		{"consistency.VerifyTSO", func(ctx context.Context) error {
-			_, err := consistency.VerifyTSO(ctx, inst.Exec, nil)
+			_, err := consistency.NewVerifier(consistency.TSO).Verify(ctx, inst.Exec)
 			return err
 		}},
 		{"consistency.VerifyPSO", func(ctx context.Context) error {
-			_, err := consistency.VerifyPSO(ctx, inst.Exec, nil)
+			_, err := consistency.NewVerifier(consistency.PSO).Verify(ctx, inst.Exec)
 			return err
 		}},
 	}
@@ -192,9 +214,12 @@ func TestCancellationEveryEntryPoint(t *testing.T) {
 		name string
 		call func() error
 	}{
-		{"coherence.Solve", func() error { _, err := coherence.Solve(ctx, simple, 0, nil); return err }},
-		{"coherence.SolveAuto", func() error { _, err := coherence.SolveAuto(ctx, simple, 0, nil); return err }},
-		{"coherence.SolvePortfolio", func() error { _, err := coherence.SolvePortfolio(ctx, simple, 0, nil); return err }},
+		{"coherence.Solve", func() error {
+			_, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(ctx, simple, 0)
+			return err
+		}},
+		{"coherence.SolveAuto", func() error { _, err := coherence.NewVerifier().Solve(ctx, simple, 0); return err }},
+		{"coherence.SolvePortfolio", func() error { _, err := portfolioSpelling(t).Solve(ctx, simple, 0); return err }},
 		{"coherence.SolveReadMap", func() error { _, err := coherence.SolveReadMap(ctx, simple, 0); return err }},
 		{"coherence.SolveSingleOp", func() error { _, err := coherence.SolveSingleOp(ctx, simple, 0); return err }},
 		{"coherence.SolveSingleOpRMW", func() error { _, err := coherence.SolveSingleOpRMW(ctx, rmw, 0); return err }},
@@ -208,33 +233,41 @@ func TestCancellationEveryEntryPoint(t *testing.T) {
 		}},
 		{"coherence.Count", func() error { _, err := coherence.Count(ctx, simple, 0); return err }},
 		{"coherence.Diagnose", func() error { _, err := coherence.Diagnose(ctx, incoherent, 0, nil); return err }},
-		{"coherence.Coherent", func() error { _, _, err := coherence.Coherent(ctx, simple, nil); return err }},
-		{"coherence.VerifyExecution", func() error { _, err := coherence.VerifyExecution(ctx, simple, nil); return err }},
+		{"coherence.Coherent", func() error { _, err := coherence.NewVerifier().Verify(ctx, simple); return err }},
+		{"coherence.VerifyExecution", func() error { _, err := coherence.NewVerifier().Verify(ctx, simple); return err }},
 		{"coherence.VerifyExecutionParallel", func() error {
-			_, err := coherence.VerifyExecutionParallel(ctx, simple, nil, 2)
+			_, err := coherence.NewVerifier(solver.WithWorkers(2)).Verify(ctx, simple)
 			return err
 		}},
-		{"coherence.VerifyExecutionPortfolio", func() error {
-			_, err := coherence.VerifyExecutionPortfolio(ctx, simple, nil)
+		{"coherence.VerifyExecutionPortfolio", func() error { _, err := portfolioSpelling(t).Verify(ctx, simple); return err }},
+		{"coherence.Verifier.SolveAddr(resilient)", func() error {
+			_, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyResilient)).SolveAddr(ctx, simple, 0)
 			return err
 		}},
-		{"consistency.SolveVSC", func() error { _, err := consistency.SolveVSC(ctx, simple, nil); return err }},
-		{"consistency.SolveVSCC", func() error { _, err := consistency.SolveVSCC(ctx, simple, nil); return err }},
+		{"coherence.Verifier.VerifyCheckpoint", func() error {
+			_, err := coherence.NewVerifier().VerifyCheckpoint(ctx, simple, nil)
+			return err
+		}},
+		{"coherence.Verifier.SolveBatch", func() error {
+			return coherence.NewVerifier().SolveBatch(ctx, []coherence.BatchJob{{Exec: simple, Addr: 0}})[0].Err
+		}},
+		{"consistency.SolveVSC", func() error { _, err := consistency.NewVerifier(consistency.SC).Verify(ctx, simple); return err }},
+		{"consistency.SolveVSCC", func() error { _, err := consistency.NewVerifier(consistency.VSCC).Verify(ctx, simple); return err }},
 		{"consistency.SolveVSCWithWriteOrders", func() error {
-			_, err := consistency.SolveVSCWithWriteOrders(ctx, simple, map[memory.Addr][]memory.Ref{0: simpleOrder}, nil)
+			_, err := consistency.NewVerifier(consistency.SC, solver.WithWriteOrders(map[memory.Addr][]memory.Ref{0: simpleOrder})).Verify(ctx, simple)
 			return err
 		}},
-		{"consistency.VerifyTSO", func() error { _, err := consistency.VerifyTSO(ctx, simple, nil); return err }},
-		{"consistency.VerifyPSO", func() error { _, err := consistency.VerifyPSO(ctx, simple, nil); return err }},
-		{"consistency.VerifyLRC", func() error { _, err := consistency.VerifyLRC(ctx, synced, nil); return err }},
-		{"consistency.Verify(SC)", func() error { _, err := consistency.Verify(ctx, consistency.SC, simple, nil); return err }},
-		{"consistency.Verify(TSO)", func() error { _, err := consistency.Verify(ctx, consistency.TSO, simple, nil); return err }},
-		{"consistency.Verify(PSO)", func() error { _, err := consistency.Verify(ctx, consistency.PSO, simple, nil); return err }},
+		{"consistency.VerifyTSO", func() error { _, err := consistency.NewVerifier(consistency.TSO).Verify(ctx, simple); return err }},
+		{"consistency.VerifyPSO", func() error { _, err := consistency.NewVerifier(consistency.PSO).Verify(ctx, simple); return err }},
+		{"consistency.VerifyLRC", func() error { _, err := consistency.NewVerifier(consistency.LRC).Verify(ctx, synced); return err }},
+		{"consistency.Verify(SC)", func() error { _, err := consistency.NewVerifier(consistency.SC).Verify(ctx, simple); return err }},
+		{"consistency.Verify(TSO)", func() error { _, err := consistency.NewVerifier(consistency.TSO).Verify(ctx, simple); return err }},
+		{"consistency.Verify(PSO)", func() error { _, err := consistency.NewVerifier(consistency.PSO).Verify(ctx, simple); return err }},
 		{"consistency.Verify(CoherenceOnly)", func() error {
-			_, err := consistency.Verify(ctx, consistency.CoherenceOnly, simple, nil)
+			_, err := consistency.NewVerifier(consistency.CoherenceOnly).Verify(ctx, simple)
 			return err
 		}},
-		{"consistency.Verify(LRC)", func() error { _, err := consistency.Verify(ctx, consistency.LRC, synced, nil); return err }},
+		{"consistency.Verify(LRC)", func() error { _, err := consistency.NewVerifier(consistency.LRC).Verify(ctx, synced); return err }},
 	}
 
 	for _, ep := range entryPoints {

@@ -31,8 +31,9 @@ type VerifyRequest struct {
 	// Model picks the consistency model: sc, tso, pso, coherence
 	// (default), lrc or vscc.
 	Model string `json:"model,omitempty"`
-	// Strategy picks the decision-procedure family: auto (default),
-	// portfolio, resilient, exact or fast.
+	// Strategy picks the escalation-ladder preset: auto (default), fast,
+	// exact or resilient ("portfolio" is accepted as fast; responses
+	// and cache keys name the canonical strategy).
 	Strategy string `json:"strategy,omitempty"`
 	// MaxStates bounds the states explored per solve (0 = server
 	// default; always clamped to the server's ceiling).

@@ -495,22 +495,22 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"workers_busy": s.workersBusy.Load(),
 		"workers":      s.cfg.workers,
 
-		"shed":                s.stats.Shed.Value(),
-		"deadline_expired":    s.stats.DeadlineExpired.Value(),
-		"expired_drops":       s.stats.ExpiredDrops.Value(),
-		"degraded":            s.stats.Degraded.Value(),
-		"panics":              s.stats.Panics.Value(),
-		"worker_panics":       s.stats.WorkerPanics.Value(),
-		"solves":              s.stats.Solves.Value(),
-		"batched_solves":      s.stats.BatchedSolves.Value(),
+		"shed":             s.stats.Shed.Value(),
+		"deadline_expired": s.stats.DeadlineExpired.Value(),
+		"expired_drops":    s.stats.ExpiredDrops.Value(),
+		"degraded":         s.stats.Degraded.Value(),
+		"panics":           s.stats.Panics.Value(),
+		"worker_panics":    s.stats.WorkerPanics.Value(),
+		"solves":           s.stats.Solves.Value(),
+		"batched_solves":   s.stats.BatchedSolves.Value(),
 
 		"search_workers":           s.cfg.psearch,
 		"search_workers_effective": s.searchWorkersEff.Load(),
-		"brownout_state":      bstate.String(),
-		"brownout_opens":      opens,
-		"queue_delay_ewma_ms": float64(ewma) / float64(time.Millisecond),
-		"drain_warm":          warm,
-		"drain_rate":          rate,
+		"brownout_state":           bstate.String(),
+		"brownout_opens":           opens,
+		"queue_delay_ewma_ms":      float64(ewma) / float64(time.Millisecond),
+		"drain_warm":               warm,
+		"drain_rate":               rate,
 	}
 	if s.chaosInj != nil {
 		stats["chaos"] = s.chaosInj.Counts()
@@ -888,16 +888,10 @@ const (
 )
 
 // planBatch marks which hardness-ordered addresses ride the pooled batch
-// driver. Only the always-deciding pooled strategies without write
-// orders qualify — coherence.SolveBatch's fast path mirrors their
-// dispatch exactly, so the verdicts are identical either way.
-func (s *Server) planBatch(v *coherence.Verifier, exec *memory.Execution, addrs []memory.Addr) []bool {
+// driver. coherence.SolveBatch climbs the same escalation ladder as
+// SolveAddr under every strategy, so only an address's size decides.
+func (s *Server) planBatch(exec *memory.Execution, addrs []memory.Addr) []bool {
 	inBatch := make([]bool, len(addrs))
-	cfg := v.Config()
-	if (cfg.Strategy != solver.StrategyAuto && cfg.Strategy != solver.StrategyExact) ||
-		len(cfg.WriteOrders) != 0 {
-		return inBatch
-	}
 	sizes := make(map[memory.Addr]int, len(addrs))
 	for _, h := range exec.Histories {
 		for _, o := range h {
@@ -932,7 +926,7 @@ func (s *Server) verifyCoherenceSharded(ctx context.Context, tr *trace.Trace, cf
 	addrs := coherence.AddressesByHardness(tr.Exec)
 	reports := make([]*coherence.AddrReport, len(addrs))
 	errs := make([]error, len(addrs))
-	inBatch := s.planBatch(v, tr.Exec, addrs)
+	inBatch := s.planBatch(tr.Exec, addrs)
 
 	// The team verifier is used for the hardest shard only (addrs[0], the
 	// LPT head): giving every shard a team would multiply the request's
@@ -960,7 +954,7 @@ func (s *Server) verifyCoherenceSharded(ctx context.Context, tr *trace.Trace, cf
 					if res[j].Err != nil {
 						errs[i] = res[j].Err
 					} else {
-						reports[i] = res[j].Report(jobs[j].Addr)
+						reports[i] = &res[j].AddrReport
 					}
 				}
 				s.stats.BatchedSolves.Add(int64(len(jobs)))

@@ -239,6 +239,16 @@ func TestCacheKeyCanonicalSpellings(t *testing.T) {
 	if n := s.cache.len(); n != 1 {
 		t.Errorf("cache fragmented into %d entries, want 1", n)
 	}
+	// The retired "portfolio" spelling is the fast preset: it answers
+	// as "fast" and shares fast's cache entry.
+	postTrace(t, ts, "?strategy=fast", coherentTrace)
+	_, alias := postTrace(t, ts, "?strategy=portfolio", coherentTrace)
+	if !alias.Cached || alias.Strategy != "fast" {
+		t.Errorf("portfolio spelling: cached=%v strategy=%q, want a cached fast answer", alias.Cached, alias.Strategy)
+	}
+	if n := s.cache.len(); n != 2 {
+		t.Errorf("cache holds %d entries, want 2 (auto, fast)", n)
+	}
 }
 
 // TestNegativeBudgetsRejected proves negative budgets are rejected in

@@ -8,6 +8,7 @@ import (
 
 	"memverify/internal/coherence"
 	"memverify/internal/consistency"
+	"memverify/internal/solver"
 	"memverify/internal/trace"
 )
 
@@ -33,7 +34,7 @@ func TestReduceVMCPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := coherence.Solve(context.Background(), tr.Exec, 0, nil)
+			res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), tr.Exec, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,7 +50,7 @@ func TestReduceVMCPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err = coherence.Solve(context.Background(), tr.Exec, 0, nil)
+			res, err = coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), tr.Exec, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +71,7 @@ func TestReduceWideClauseConversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coherence.Solve(context.Background(), tr.Exec, 0, nil)
+	res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), tr.Exec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestReduceVSCC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := consistency.SolveVSCC(context.Background(), tr.Exec, nil)
+	res, err := consistency.NewVerifier(consistency.VSCC).Verify(context.Background(), tr.Exec)
 	if err != nil {
 		t.Fatal(err)
 	}

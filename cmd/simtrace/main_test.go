@@ -27,11 +27,11 @@ func TestMESITraceIsCoherent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, bad, err := coherence.Coherent(context.Background(), tr.Exec, nil)
+	rep, err := coherence.NewVerifier().Verify(context.Background(), tr.Exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
+	if bad, violated := rep.FirstViolation(); violated {
 		t.Errorf("fault-free MESI trace incoherent at address %d", bad)
 	}
 }
@@ -45,7 +45,7 @@ func TestTSOTracePassesTSOChecker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := consistency.VerifyTSO(context.Background(), tr.Exec, nil)
+	res, err := consistency.NewVerifier(consistency.TSO).Verify(context.Background(), tr.Exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestFaultInjectionEventuallyDetectable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ok, _, err := coherence.Coherent(context.Background(), tr.Exec, nil)
+		rep, err := coherence.NewVerifier().Verify(context.Background(), tr.Exec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if !rep.Coherent() {
 			return // detected
 		}
 	}
@@ -117,11 +117,11 @@ func TestDirectoryMachineTraceIsCoherent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, bad, err := coherence.Coherent(context.Background(), tr.Exec, nil)
+	rep, err := coherence.NewVerifier().Verify(context.Background(), tr.Exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
+	if bad, violated := rep.FirstViolation(); violated {
 		t.Errorf("fault-free directory trace incoherent at address %d", bad)
 	}
 }
@@ -136,11 +136,11 @@ func TestDirectoryFaultInjection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ok, _, err := coherence.Coherent(context.Background(), tr.Exec, nil)
+		rep, err := coherence.NewVerifier().Verify(context.Background(), tr.Exec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if !rep.Coherent() {
 			return // detected
 		}
 	}

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	vmcheck [-model coherence|sc|tso|pso|lrc|vscc] [-use-order]
-//	        [-strategy auto|portfolio|resilient|exact|fast] [-portfolio]
+//	        [-strategy auto|fast|exact|resilient]
 //	        [-no-fastpath] [-psearch N] [-max-states N] [-timeout D] [-stats] [-cert]
 //	        [-diagnose] [-explain] [-trace FILE] [-progress]
 //	        [-progress-interval D] [-debug-addr HOST:PORT] [-online]
@@ -18,15 +18,13 @@
 //
 // With -use-order, per-address "order" lines in the trace are used to
 // run the polynomial write-order algorithms of §5.2 for coherence.
-// -strategy picks the decision-procedure family with the same
-// vocabulary the memverifyd service and the Verifier facades use;
-// -portfolio and -resilient are shorthands for -strategy portfolio and
-// -strategy resilient. With the portfolio strategy, every applicable
-// coherence algorithm races on a shared worker pool and the first
-// verdict wins. The polynomial constraint-propagation frontline opens
-// the auto, portfolio and resilient strategies by default (and is the
-// whole of -strategy fast, escalating only on an explicit
-// inconclusive); -no-fastpath ablates it for A/B comparisons.
+// -strategy picks which rungs of the per-address escalation ladder run,
+// with the same vocabulary the memverifyd service and the Verifier
+// facades use (the retired spelling portfolio is accepted as fast);
+// -resilient is shorthand for -strategy resilient. The polynomial
+// constraint-propagation frontline opens the fast and resilient
+// strategies, escalating only on an explicit inconclusive; -no-fastpath
+// ablates it for A/B comparisons.
 // -max-states and -timeout bound the search; a blown budget reports
 // UNDECIDED. -stats prints the solver's per-solve search statistics.
 // -psearch N splits each exact search across N workers sharing one memo
@@ -47,9 +45,9 @@
 //
 // Observability (see internal/obs and the README "Observability"
 // section): -trace writes a JSONL event trace of the search (spans,
-// state enters, backtracks, memo hits, portfolio stages, race
-// outcomes); -explain renders a per-address summary of the search tree
-// and names the conflicting operations for incoherent verdicts
+// state enters, backtracks, memo hits, ladder rungs entered); -explain
+// renders a per-address summary of the search tree and names the
+// conflicting operations for incoherent verdicts
 // (coherence model only); -progress samples live solver throughput to
 // stderr; -debug-addr serves expvar counters and net/http/pprof
 // profiles over HTTP for the lifetime of the check.
@@ -84,8 +82,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	model := fs.String("model", "coherence", "model to verify: coherence, sc, tso, pso, lrc or vscc")
 	useOrder := fs.Bool("use-order", false, "use the trace's per-address write orders (polynomial algorithms of §5.2)")
-	strategy := fs.String("strategy", "auto", "decision strategy: auto, portfolio, resilient, exact or fast (same vocabulary as memverifyd)")
-	portfolio := fs.Bool("portfolio", false, "shorthand for -strategy portfolio")
+	strategy := fs.String("strategy", "auto", "escalation-ladder preset: auto, fast, exact or resilient (same vocabulary as memverifyd)")
 	noFastPath := fs.Bool("no-fastpath", false, "disable the polynomial fast-path frontline (ablation baseline; the verdict never changes, only the time to reach it)")
 	maxStates := fs.Int("max-states", 0, "abort search after N states (0 = unlimited)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole check, e.g. 500ms (0 = none)")
@@ -110,14 +107,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "vmcheck: %v\n", err)
 		return 2
 	}
-	if *portfolio {
-		strat = solver.StrategyPortfolio
-	}
 	if *resilient {
 		strat = solver.StrategyResilient
 	}
 	useResilient := strat == solver.StrategyResilient
-	usePortfolio := strat == solver.StrategyPortfolio
 	if *ckPath != "" || *resumePath != "" || useResilient {
 		if *model != "coherence" || *online {
 			fmt.Fprintln(stderr, "vmcheck: -checkpoint, -resume and the resilient strategy require -model coherence (and not -online)")
@@ -129,10 +122,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		if *useOrder && useResilient {
 			fmt.Fprintln(stderr, "vmcheck: the resilient strategy uses the trace's write orders as ladder hints automatically; drop -use-order")
-			return 2
-		}
-		if usePortfolio && (*ckPath != "" || *resumePath != "") {
-			fmt.Fprintln(stderr, "vmcheck: -checkpoint/-resume need the sequential search, not the portfolio strategy")
 			return 2
 		}
 	}
@@ -415,9 +404,8 @@ func (c *coherenceCheck) run(ctx context.Context, tr *trace.Trace, stdout, stder
 				}
 				continue
 			}
-			rr := ar.Resilient()
-			reportResilient(stdout, tr.Name(a), rr, tr.Exec, c.stats, c.cert)
-			if rr.Verdict != coherence.VerdictCoherent {
+			reportResilient(stdout, tr.Name(a), ar, tr.Exec, c.stats, c.cert)
+			if ar.Verdict != coherence.VerdictCoherent {
 				bad++
 			}
 			continue
@@ -517,27 +505,27 @@ func (c *coherenceCheck) handleSolveErr(tr *trace.Trace, a memory.Addr, err erro
 // reportResilient renders a degradation-ladder verdict in the shared
 // report shape, naming the rung that decided, and — for an Unknown
 // verdict — the necessary-condition evidence.
-func reportResilient(w io.Writer, subject string, rr *coherence.ResilientResult, exec *memory.Execution, stats, cert bool) {
+func reportResilient(w io.Writer, subject string, ar *coherence.AddrReport, exec *memory.Execution, stats, cert bool) {
 	verdict := map[coherence.ResilientVerdict]string{
 		coherence.VerdictCoherent:   "OK",
 		coherence.VerdictIncoherent: "VIOLATION",
 		coherence.VerdictUnknown:    "UNKNOWN",
-	}[rr.Verdict]
+	}[ar.Verdict]
 	alg := "ladder-exhausted"
-	if rr.Result != nil {
-		alg = rr.Result.Algorithm
+	if ar.Result != nil {
+		alg = ar.Result.Algorithm
 	}
-	fmt.Fprintf(w, "%s: %s (%s, rung=%s)\n", subject, verdict, alg, rr.Rung)
+	fmt.Fprintf(w, "%s: %s (%s, rung=%s)\n", subject, verdict, alg, ar.Rung)
 	if stats {
-		fmt.Fprintf(w, "  stats: %s\n", rr.Stats)
+		fmt.Fprintf(w, "  stats: %s\n", ar.Stats)
 	}
-	if rr.Verdict == coherence.VerdictUnknown {
-		for _, ch := range rr.Checks {
+	if ar.Verdict == coherence.VerdictUnknown {
+		for _, ch := range ar.Checks {
 			fmt.Fprintf(w, "  check: %s\n", ch)
 		}
 	}
-	if cert && rr.Result != nil && rr.Result.Coherent {
-		if s := rr.Result.Schedule; len(s) > 0 {
+	if cert && ar.Result != nil && ar.Result.Coherent {
+		if s := ar.Result.Schedule; len(s) > 0 {
 			fmt.Fprintln(w, "  ", s.Format(exec))
 		}
 	}

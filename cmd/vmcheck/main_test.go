@@ -521,7 +521,6 @@ func TestRobustnessFlagValidation(t *testing.T) {
 		{"-checkpoint", "x", "-online"},
 		{"-checkpoint", "x", "-use-order"},
 		{"-resilient", "-use-order"},
-		{"-checkpoint", "x", "-portfolio"},
 		{"-resume", "/nonexistent/ck.json"},
 	} {
 		if code, _, _ := runCheck(t, args, coherentTrace); code != 2 {

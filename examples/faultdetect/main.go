@@ -23,10 +23,11 @@ func main() {
 	healthy := mesi.New(mesi.Config{Processors: 4})
 	prog := mesi.RandomProgram(rng, 4, 12, 3, 0.4, 0.1)
 	exec := mesi.Run(healthy, prog, rng)
-	ok, _, err := coherence.Coherent(context.Background(), exec, nil)
+	rep, err := coherence.NewVerifier().Verify(context.Background(), exec)
 	if err != nil {
 		log.Fatal(err)
 	}
+	ok := rep.Coherent()
 	fmt.Printf("healthy system: %d ops, coherent = %v\n", exec.NumOps(), ok)
 	fmt.Printf("  cache stats: %+v\n\n", healthy.Stats())
 
@@ -50,11 +51,11 @@ func main() {
 			if sys.Stats().FaultsFired == 0 {
 				continue
 			}
-			ok, addr, err := coherence.Coherent(context.Background(), ex, nil)
+			rep, err := coherence.NewVerifier().Verify(context.Background(), ex)
 			if err != nil {
 				log.Fatal(err)
 			}
-			if !ok {
+			if addr, violated := rep.FirstViolation(); violated {
 				fmt.Printf("%-16s: DETECTED at address %d (seed %d)\n", kind, addr, seed)
 				break
 			}

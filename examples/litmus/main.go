@@ -20,19 +20,19 @@ func main() {
 	fmt.Printf("%-26s %-10s %-6s %-6s %-6s\n", "litmus outcome", "coherent", "SC", "TSO", "PSO")
 	fmt.Printf("%-26s %-10s %-6s %-6s %-6s\n", "--------------", "--------", "--", "---", "---")
 	for _, l := range tests {
-		coh, err := consistency.Verify(context.Background(), consistency.CoherenceOnly, l.Exec, nil)
+		coh, err := consistency.NewVerifier(consistency.CoherenceOnly).Verify(context.Background(), l.Exec)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sc, err := consistency.Verify(context.Background(), consistency.SC, l.Exec, nil)
+		sc, err := consistency.NewVerifier(consistency.SC).Verify(context.Background(), l.Exec)
 		if err != nil {
 			log.Fatal(err)
 		}
-		tso, err := consistency.Verify(context.Background(), consistency.TSO, l.Exec, nil)
+		tso, err := consistency.NewVerifier(consistency.TSO).Verify(context.Background(), l.Exec)
 		if err != nil {
 			log.Fatal(err)
 		}
-		pso, err := consistency.Verify(context.Background(), consistency.PSO, l.Exec, nil)
+		pso, err := consistency.NewVerifier(consistency.PSO).Verify(context.Background(), l.Exec)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func main() {
 
 	fmt.Println("\nwitness for the store-buffering outcome under TSO (issue/commit events):")
 	sb := workload.Dekker()
-	res, err := consistency.VerifyTSO(context.Background(), sb.Exec, nil)
+	res, err := consistency.NewVerifier(consistency.TSO).Verify(context.Background(), sb.Exec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"memverify/internal/coherence"
 	"memverify/internal/reduction"
 	"memverify/internal/sat"
+	"memverify/internal/solver"
 )
 
 func main() {
@@ -34,7 +35,7 @@ func main() {
 		len(inst.Exec.Histories), inst.Exec.NumOps())
 
 	// Decide SAT by deciding coherence.
-	res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+	res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst.Exec, inst.Addr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res2, err := coherence.Solve(context.Background(), inst2.Exec, inst2.Addr, nil)
+	res2, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst2.Exec, inst2.Addr)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func main() {
 		})
 
 		start := time.Now()
-		_, err := coherence.Solve(context.Background(), exec, 0, &coherence.Options{MaxStates: budget})
+		_, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithBudget(solver.WithMaxStates(budget))).Solve(context.Background(), exec, 0)
 		general := time.Since(start)
 		generalNote := fmt.Sprintf("%v", general)
 		if err != nil {

@@ -16,6 +16,7 @@ import (
 	"memverify/internal/mesi"
 	"memverify/internal/reduction"
 	"memverify/internal/sat"
+	"memverify/internal/solver"
 	"memverify/internal/trace"
 	"memverify/internal/tsomachine"
 	"memverify/internal/workload"
@@ -38,11 +39,11 @@ func TestPipelineSimulatorToVerifier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ok, bad, err := coherence.Coherent(context.Background(), tr.Exec, nil)
+		rep, err := coherence.NewVerifier().Verify(context.Background(), tr.Exec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if bad, violated := rep.FirstViolation(); violated {
 			t.Fatalf("run %d: healthy trace flagged at address %d after round trip", i, bad)
 		}
 	}
@@ -74,7 +75,7 @@ func TestPipelineFormulaRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+				res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst.Exec, inst.Addr)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -116,7 +117,7 @@ func TestPipelineRelaxedMachineToCheckers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := consistency.VerifyTSO(context.Background(), tr.Exec, nil)
+		res, err := consistency.NewVerifier(consistency.TSO).Verify(context.Background(), tr.Exec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,10 +140,12 @@ func TestPipelineViolationStability(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		before, _, err := coherence.Coherent(context.Background(), mut, nil)
+		v := coherence.NewVerifier()
+		rep, err := v.Verify(context.Background(), mut)
 		if err != nil {
 			t.Fatal(err)
 		}
+		before := rep.Coherent()
 		var buf bytes.Buffer
 		if err := trace.Write(&buf, trace.New(mut)); err != nil {
 			t.Fatal(err)
@@ -151,10 +154,11 @@ func TestPipelineViolationStability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		after, _, err := coherence.Coherent(context.Background(), tr.Exec, nil)
+		rep, err = v.Verify(context.Background(), tr.Exec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		after := rep.Coherent()
 		if before != after {
 			t.Fatalf("run %d (%v): verdict changed across serialization: %v -> %v", i, kind, before, after)
 		}
@@ -179,7 +183,7 @@ func TestPipelineVSCC(t *testing.T) {
 	}
 	// Addresses may be renumbered by the parser; the verdicts must hold
 	// regardless.
-	res, err := consistency.SolveVSCC(context.Background(), tr.Exec, nil)
+	res, err := consistency.NewVerifier(consistency.VSCC).Verify(context.Background(), tr.Exec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,52 +4,34 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"memverify/internal/memory"
-	"memverify/internal/obs"
-	"memverify/internal/solver"
 )
 
-// SolveBatch is the vectorized multi-instance driver: thousands of
-// small single-address VMC instances solved with pooled scratch and
-// (near) zero cross-instance allocation. It exists for workloads shaped
-// like memverifyd's cache-miss bursts — many independent litmus-sized
-// traces, each cheap to solve, where a loop over Verifier.Solve spends
-// more time on per-call ceremony (double validation, projection maps,
-// budget and layout construction, span bookkeeping) than on the solves
-// themselves.
+// SolveBatch runs the escalation ladder over many single-address VMC
+// instances with pooled state. It exists for workloads shaped like
+// memverifyd's cache-miss bursts — many independent litmus-sized jobs,
+// each cheap to solve, where a loop over Verifier.SolveAddr spends more
+// time on per-call ceremony (validation, projection, allocation) than
+// on the solves themselves.
 //
-// What the batch path pools or avoids, per job, relative to a looped
-// Verifier.Solve:
+// What the batch path shares, per job, relative to a looped SolveAddr:
 //
-//   - Validate runs once per distinct *Execution, not twice per call;
-//   - jobs over one execution are grouped, and ALL of the group's
+//   - Validate runs once per distinct *Execution, not once per job;
+//   - jobs over one execution are grouped, and all of the group's
 //     addresses are projected in a single pass over the histories into
-//     pooled backing arrays with slice back-maps — a loop re-scans the
-//     whole execution (validate + Project + a Ref map) once per
-//     address, so an A-address burst does ~2A full scans where the
+//     pooled backing arrays — a loop re-scans the whole execution once
+//     per address, so an A-address burst does ~2A full scans where the
 //     batch does ~2;
-//   - single-address executions skip Project entirely (identity
-//     projection: the instance aliases the execution's histories and
-//     translates refs to themselves);
-//   - the write-count specialist probe reuses one cleared map;
-//   - the packed memo layout and table, the budget, and every searcher
-//     buffer live in a per-worker batchScratch, reset — not
-//     reallocated — between jobs, with the memo table sized to the
-//     instance instead of the global minimum;
-//   - results are written into one preallocated slice; the only
-//     per-job allocation left is the certificate schedule of a
-//     coherent verdict (and whatever the polynomial specialists
-//     allocate internally).
+//   - the exact rung's layout, memo table, budget and searcher buffers
+//     come from the same pooled searchScratch every search uses, with
+//     the memo sized to the instance.
 //
-// Verdict parity with the looped path is exact: the same dispatch
-// (Figure 5.3 specialists, then the memoized search) runs on the same
-// instances under the same Options budget. Each instance is solved
-// sequentially — batch throughput comes from eliminating overhead and
-// from fanning jobs across Config.Workers, not from Options.
-// ParallelSearch, which is ignored here (litmus-sized instances are
-// below any useful frontier split).
+// Each job climbs exactly the ladder SolveAddr climbs, so verdicts,
+// rungs, algorithms and evidence agree. Batch throughput comes from
+// shared setup and from fanning execution groups across Config.Workers,
+// not from Options.ParallelSearch, which is cleared for batch jobs
+// (litmus-sized instances are below any useful frontier split).
 
 // BatchJob names one single-address VMC instance of a batch: decide
 // coherence of Exec's operations at Addr.
@@ -58,54 +40,25 @@ type BatchJob struct {
 	Addr memory.Addr
 }
 
-// BatchResult is the outcome of one BatchJob. Result is embedded by
-// value so a batch of N jobs costs one slice allocation, not N.
+// BatchResult is the outcome of one BatchJob. The report is embedded
+// by value so a batch of N jobs costs one slice allocation, not N.
 type BatchResult struct {
-	// Result is the solver outcome; meaningful only when Err is nil.
-	Result Result
+	// AddrReport is the ladder's report for the job, the one SolveAddr
+	// returns; meaningful only when Err is nil.
+	AddrReport
 	// Err is the per-job error: validation failure or budget trip. One
 	// job's error never aborts its siblings.
 	Err error
 }
 
-// Report converts a successful batch outcome to the strategy-neutral
-// AddrReport shape SolveAddr returns, so batched and individually
-// sharded addresses merge through one code path (memverifyd does this).
-// Call only when Err is nil.
-func (br *BatchResult) Report(addr memory.Addr) *AddrReport {
-	r := br.Result
-	ar := &AddrReport{Addr: addr, Verdict: VerdictCoherent, Rung: RungExact, Result: &r, Stats: r.Stats}
-	switch {
-	case !r.Decided:
-		ar.Verdict, ar.Result = VerdictUnknown, nil
-	case !r.Coherent:
-		ar.Verdict = VerdictIncoherent
-	}
-	return ar
-}
-
-// batchScratch is one worker's reusable solve state.
+// batchScratch is one worker's grouped-projection state: one pass over
+// an execution's histories fills instances for every address its group
+// requests. All slices are carved from the g* backing arrays, which
+// grow to the largest group seen and are then reused verbatim.
 type batchScratch struct {
-	inst     instance
-	initVal  memory.Value
-	finalVal memory.Value
-	layout   packedLayout
-	counts   map[memory.Value]int
-	budget   solver.Budget
-	s        searcher
-	packed   packedSet
-	pos      []int
-	schedule []memory.Ref
-	candBuf  []int
-	needed   []memory.Value
-	keyBuf   []byte
-
-	// Grouped-projection state: one pass over an execution's histories
-	// fills instances for every address its group requests. All slices
-	// are carved from the g* backing arrays, which grow to the largest
-	// group seen and are then reused verbatim.
 	gAddrIdx map[memory.Addr]int
-	gSlot    []int32          // dense addr -> index+1 table (0 = untracked)
+	gAddrs   []memory.Addr // index -> addr, the inverse of gAddrIdx
+	gSlot    []int32       // dense addr -> index+1 table (0 = untracked)
 	gInsts   []instance
 	gInit    []memory.Value
 	gFinal   []memory.Value
@@ -123,21 +76,13 @@ type batchScratch struct {
 const batchSlotMax = 1 << 14
 
 var batchScratchPool = sync.Pool{New: func() any {
-	return &batchScratch{
-		counts:   make(map[memory.Value]int),
-		gAddrIdx: make(map[memory.Addr]int),
-	}
+	return &batchScratch{gAddrIdx: make(map[memory.Addr]int)}
 }}
 
-// SolveBatch solves every job under the verifier's configured budget,
-// fanning jobs across Config.Workers pooled workers, and returns one
-// BatchResult per job in job order. The context is polled between jobs:
-// cancellation marks the remaining jobs' Err and returns.
-//
-// The pooled fast path covers StrategyAuto and StrategyExact (Exact
-// skips the specialist dispatch, as everywhere). Other strategies and
-// write-order-augmented configurations fall back to SolveAddr per job —
-// correct, just without the pooling.
+// SolveBatch solves every job under the verifier's configured strategy
+// and budget, fanning execution groups across Config.Workers pooled
+// workers, and returns one BatchResult per job in job order. A
+// cancelled context marks the remaining jobs' Err.
 func (v *Verifier) SolveBatch(ctx context.Context, jobs []BatchJob) []BatchResult {
 	out := make([]BatchResult, len(jobs))
 	if len(jobs) == 0 {
@@ -159,33 +104,36 @@ func (v *Verifier) SolveBatch(ctx context.Context, jobs []BatchJob) []BatchResul
 		groups[g].jobIdx = append(groups[g].jobIdx, i)
 	}
 
-	exactOnly := v.cfg.Strategy == solver.StrategyExact
-	pooled := (v.cfg.Strategy == solver.StrategyAuto || exactOnly) && v.cfg.WriteOrders == nil
-
-	workers := v.cfg.Workers
-	if workers > len(groups) {
-		workers = len(groups)
+	opts := v.cfg.Options
+	if opts.ParallelSearch != 0 {
+		opts = opts.Clone()
+		opts.ParallelSearch = 0
 	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	var nextGroup atomic.Int64
+	drain := func() {
+		bs := batchScratchPool.Get().(*batchScratch)
+		defer batchScratchPool.Put(bs)
+		for {
+			gi := int(nextGroup.Add(1)) - 1
+			if gi >= len(groups) {
+				return
+			}
+			v.solveGroup(ctx, bs, jobs, &groups[gi], opts, out)
+		}
+	}
+	workers := min(max(v.cfg.Workers, 1), len(groups))
+	if workers == 1 {
+		// On the caller's goroutine: its stack has already grown to what
+		// the exact search recurses through, a fresh goroutine's has not.
+		drain()
+		return out
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			bs := batchScratchPool.Get().(*batchScratch)
-			defer batchScratchPool.Put(bs)
-			met := obs.MetricsFrom(ctx)
-			for {
-				gi := int(nextGroup.Add(1)) - 1
-				if gi >= len(groups) {
-					return
-				}
-				v.solveGroup(ctx, met, bs, jobs, &groups[gi], pooled, exactOnly, out)
-			}
+			drain()
 		}()
 	}
 	wg.Wait()
@@ -198,76 +146,48 @@ type batchGroup struct {
 	jobIdx []int
 }
 
-// solveGroup validates the group's execution once, then answers each of
-// its jobs, using the grouped single-pass projection when more than one
-// pooled job shares the execution.
-func (v *Verifier) solveGroup(ctx context.Context, met *obs.Metrics, bs *batchScratch, jobs []BatchJob, g *batchGroup, pooled, exactOnly bool, out []BatchResult) {
+// solveGroup validates the group's execution once, projects all of its
+// addresses in one pass, and climbs the ladder for each job.
+func (v *Verifier) solveGroup(ctx context.Context, bs *batchScratch, jobs []BatchJob, g *batchGroup, opts *Options, out []BatchResult) {
 	if err := g.exec.Validate(); err != nil {
 		for _, i := range g.jobIdx {
 			out[i].Err = err
 		}
 		return
 	}
-	grouped := pooled && len(g.jobIdx) > 1
-	if grouped {
-		bs.groupProject(g.exec, jobs, g.jobIdx)
-	}
+	bs.groupProject(g.exec, jobs, g.jobIdx)
 	for _, i := range g.jobIdx {
-		job, br := jobs[i], &out[i]
-		if e := solver.Interrupted(ctx); e != nil {
-			br.Err = withAddr(e, job.Addr)
-			continue
-		}
-		switch {
-		case grouped:
-			bs.solveInst(ctx, met, &bs.gInsts[bs.gAddrIdx[job.Addr]], exactOnly, v.cfg.Options, br)
-		case pooled:
-			bs.loadInstance(job)
-			bs.solveInst(ctx, met, &bs.inst, exactOnly, v.cfg.Options, br)
-		default:
-			ar, err := v.solveAddrOpts(ctx, job.Exec, job.Addr, v.cfg.Options)
-			if err != nil {
-				br.Err = err
-				continue
-			}
-			if ar.Result != nil {
-				br.Result = *ar.Result
-			} else {
-				br.Result = Result{Algorithm: "resilient-unknown", Stats: ar.Stats}
-			}
+		br := &out[i]
+		inst := &bs.gInsts[bs.gAddrIdx[jobs[i].Addr]]
+		if err := v.decide(ctx, g.exec, inst, opts, &br.AddrReport); err != nil {
+			br.Err = err
 		}
 	}
-}
-
-// growSlice returns s resized to n, reusing its backing array when the
-// capacity allows.
-func growSlice[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]T, n)
 }
 
 // groupProject fills bs.gInsts with one instance per distinct address
 // in the group, projecting all of them in a single pass over the
 // execution's histories. Two counting+filling passes replace the
-// len(addrs) full Project scans (and their per-op Ref map inserts) a
-// loop would do; every slice is carved out of reusable backing arrays,
-// so a group costs O(1) allocations once the pool is warm.
+// len(addrs) full Project scans a loop would do; every slice is carved
+// out of reusable backing arrays, so a group costs O(1) allocations once
+// the pool is warm. An execution whose every operation is a memory
+// operation at the one requested address is its own projection: the
+// instance aliases its histories and the fill pass is skipped.
 func (bs *batchScratch) groupProject(exec *memory.Execution, jobs []BatchJob, jobIdx []int) {
 	clear(bs.gAddrIdx)
-	na := 0
+	bs.gAddrs = bs.gAddrs[:0]
 	dense := true
 	for _, i := range jobIdx {
 		addr := jobs[i].Addr
 		if _, ok := bs.gAddrIdx[addr]; !ok {
-			bs.gAddrIdx[addr] = na
-			na++
+			bs.gAddrIdx[addr] = len(bs.gAddrs)
+			bs.gAddrs = append(bs.gAddrs, addr)
 			if addr < 0 || addr >= batchSlotMax {
 				dense = false
 			}
 		}
 	}
+	na := len(bs.gAddrs)
 	// The dense table turns the per-op address lookup of both passes
 	// into a slice index. Slots are set for the group's addresses only
 	// and cleared the same way, so a group costs O(addresses) table
@@ -276,11 +196,11 @@ func (bs *batchScratch) groupProject(exec *memory.Execution, jobs []BatchJob, jo
 		if bs.gSlot == nil {
 			bs.gSlot = make([]int32, batchSlotMax)
 		}
-		for addr, idx := range bs.gAddrIdx {
+		for idx, addr := range bs.gAddrs {
 			bs.gSlot[addr] = int32(idx) + 1
 		}
 		defer func() {
-			for addr := range bs.gAddrIdx {
+			for _, addr := range bs.gAddrs {
 				bs.gSlot[addr] = 0
 			}
 		}()
@@ -291,8 +211,9 @@ func (bs *batchScratch) groupProject(exec *memory.Execution, jobs []BatchJob, jo
 	bs.gCount = growSlice(bs.gCount, 2*na*np)
 	counts, cursors := bs.gCount[:na*np], bs.gCount[na*np:]
 	clear(counts)
-	total := 0
+	total, all := 0, 0
 	for p, h := range exec.Histories {
+		all += len(h)
 		if dense {
 			slot := bs.gSlot
 			for _, o := range h {
@@ -315,6 +236,14 @@ func (bs *batchScratch) groupProject(exec *memory.Execution, jobs []BatchJob, jo
 				total++
 			}
 		}
+	}
+
+	bs.gInsts = growSlice(bs.gInsts, na)
+	bs.gInit = growSlice(bs.gInit, na)
+	bs.gFinal = growSlice(bs.gFinal, na)
+	if na == 1 && total == all {
+		bs.assemble(exec, 0, exec.Histories, nil, total)
+		return
 	}
 
 	// Carve the per-(address, process) sub-histories and back-maps out
@@ -368,168 +297,27 @@ func (bs *batchScratch) groupProject(exec *memory.Execution, jobs []BatchJob, jo
 		}
 	}
 
-	// Assemble the instances. gInit/gFinal are sized before any pointer
-	// into them is taken, so the pointers stay valid for the group.
-	bs.gInsts = growSlice(bs.gInsts, na)
-	bs.gInit = growSlice(bs.gInit, na)
-	bs.gFinal = growSlice(bs.gFinal, na)
-	for addr, a := range bs.gAddrIdx {
+	for a := range bs.gAddrs {
 		nops := 0
 		for s := a * np; s < (a+1)*np; s++ {
 			nops += counts[s]
 		}
-		bs.gInsts[a] = instance{
-			addr:    addr,
-			hist:    bs.gHist[a*np : (a+1)*np],
-			backIdx: bs.gBackHdr[a*np : (a+1)*np],
-			nops:    nops,
-		}
-		if d, ok := exec.Initial[addr]; ok {
-			bs.gInit[a] = d
-			bs.gInsts[a].init = &bs.gInit[a]
-		}
-		if d, ok := exec.Final[addr]; ok {
-			bs.gFinal[a] = d
-			bs.gInsts[a].final = &bs.gFinal[a]
-		}
+		bs.assemble(exec, a, bs.gHist[a*np:(a+1)*np], bs.gBackHdr[a*np:(a+1)*np], nops)
 	}
 }
 
-// loadInstance points bs.inst at the job, using the identity projection
-// when the execution touches only this address (no copies, no back-map)
-// and falling back to a real projection otherwise.
-func (bs *batchScratch) loadInstance(job BatchJob) {
-	exec := job.Exec
-	identity := true
-	nops := 0
-	for _, h := range exec.Histories {
-		for _, o := range h {
-			if !o.IsMemory() || o.Addr != job.Addr {
-				identity = false
-				break
-			}
-			nops++
-		}
-		if !identity {
-			break
-		}
+// assemble fills instance a of the group. gInit/gFinal are sized before
+// any pointer into them is taken, so the pointers stay valid for the
+// group.
+func (bs *batchScratch) assemble(exec *memory.Execution, a int, hist []memory.History, back [][]memory.Ref, nops int) {
+	addr := bs.gAddrs[a]
+	bs.gInsts[a] = instance{addr: addr, hist: hist, backIdx: back, nops: nops}
+	if d, ok := exec.Initial[addr]; ok {
+		bs.gInit[a] = d
+		bs.gInsts[a].init = &bs.gInit[a]
 	}
-	if identity {
-		bs.inst = instance{addr: job.Addr, hist: exec.Histories, nops: nops}
-		if d, ok := exec.Initial[job.Addr]; ok {
-			bs.initVal = d
-			bs.inst.init = &bs.initVal
-		}
-		if d, ok := exec.Final[job.Addr]; ok {
-			bs.finalVal = d
-			bs.inst.final = &bs.finalVal
-		}
-		return
-	}
-	bs.inst = *project(exec, job.Addr)
-}
-
-// maxWritesPerValue is instance.maxWritesPerValue with a pooled map.
-func (bs *batchScratch) maxWritesPerValue(inst *instance) int {
-	clear(bs.counts)
-	max := 0
-	for _, h := range inst.hist {
-		for _, o := range h {
-			if d, ok := o.Writes(); ok {
-				bs.counts[d]++
-				if bs.counts[d] > max {
-					max = bs.counts[d]
-				}
-			}
-		}
-	}
-	return max
-}
-
-// solveInst runs the lean auto dispatch on one prepared instance: the
-// same algorithm selection as solveAutoInstance, on pooled state.
-func (bs *batchScratch) solveInst(ctx context.Context, met *obs.Metrics, inst *instance, exactOnly bool, opts *Options, br *BatchResult) {
-	if !exactOnly {
-		if bs.maxWritesPerValue(inst) <= 1 {
-			if r, ok := readMapInstance(inst); ok {
-				br.Result = *r
-				return
-			}
-		}
-		if inst.maxOpsPerProcess() <= 1 {
-			if inst.allRMW() {
-				br.Result = *eulerInstance(inst)
-				return
-			}
-			if r, ok := singleOpInstance(inst); ok {
-				br.Result = *r
-				return
-			}
-		}
-	}
-	bs.search(ctx, met, inst, opts, br)
-}
-
-// search is searchInstance on pooled state: same exploration, same
-// budget semantics, none of the per-call construction.
-func (bs *batchScratch) search(ctx context.Context, met *obs.Metrics, inst *instance, opts *Options, br *BatchResult) {
-	start := time.Now()
-	bs.budget.Reset(ctx, opts)
-	defer bs.budget.Stop()
-	s := &bs.s
-	*s = searcher{
-		inst:     inst,
-		opts:     opts,
-		budget:   &bs.budget,
-		schedule: bs.schedule[:0],
-		candBuf:  bs.candBuf[:0],
-		needed:   bs.needed[:0],
-		keyBuf:   bs.keyBuf[:0],
-		met:      met,
-	}
-	s.obsOn = met != nil
-	if cap(bs.pos) >= len(inst.hist) {
-		s.pos = bs.pos[:len(inst.hist)]
-		clear(s.pos)
-	} else {
-		s.pos = make([]int, len(inst.hist))
-	}
-	if opts.Memoize() {
-		if opts.PackedMemo() && bs.layout.build(inst) {
-			s.layout = &bs.layout
-			s.packed = &bs.packed
-			// Size the table to the instance: litmus-sized solves touch
-			// tens of states, not the global 1024-slot minimum.
-			bs.packed.resetSized(4 * inst.nops)
-		} else {
-			s.memo = make(map[string]struct{})
-		}
-	}
-	if inst.init != nil {
-		s.cur, s.bound = *inst.init, true
-	}
-	found := s.dfs()
-	s.stats.Duration = time.Since(start)
-	if s.obsOn {
-		s.pollObs()
-	}
-	bs.pos = s.pos
-	bs.schedule = s.schedule[:0]
-	bs.candBuf = s.candBuf[:0]
-	bs.needed = s.needed[:0]
-	bs.keyBuf = s.keyBuf[:0]
-	if s.abort != nil {
-		s.abort.Stats = s.stats
-		br.Err = withAddr(s.abort, inst.addr)
-		return
-	}
-	br.Result = Result{
-		Coherent:  found,
-		Decided:   true,
-		Algorithm: "general-search",
-		Stats:     s.stats,
-	}
-	if found {
-		br.Result.Schedule = inst.translate(s.schedule)
+	if d, ok := exec.Final[addr]; ok {
+		bs.gFinal[a] = d
+		bs.gInsts[a].final = &bs.gFinal[a]
 	}
 }

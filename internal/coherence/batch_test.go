@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -89,27 +90,57 @@ func TestSolveBatchExactStrategy(t *testing.T) {
 	}
 }
 
-// TestSolveBatchFallbackStrategies: the non-pooled strategies fall back
-// to per-job SolveAddr and still return correct verdicts.
-func TestSolveBatchFallbackStrategies(t *testing.T) {
+// TestSolveBatchMatchesSolveAddr: every job climbs the same ladder as
+// SolveAddr, so under every strategy spelling the two agree on verdict,
+// deciding rung, Stats.Rung, algorithm and evidence — including the
+// degradation rungs a tight budget forces and the fast rung.
+func TestSolveBatchMatchesSolveAddr(t *testing.T) {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(41))
 	jobs := batchJobs(rng, 60)
-	for _, strat := range []solver.Strategy{solver.StrategyPortfolio, solver.StrategyResilient, solver.StrategyFast} {
-		v := NewVerifier(solver.WithStrategy(strat))
-		auto := NewVerifier()
-		for i, br := range v.SolveBatch(context.Background(), jobs) {
-			if br.Err != nil {
-				t.Fatalf("%v job %d: %v", strat, i, br.Err)
-			}
-			want, err := auto.Solve(context.Background(), jobs[i].Exec, jobs[i].Addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if br.Result.Decided && br.Result.Coherent != want.Coherent {
-				t.Fatalf("%v job %d: verdict mismatch: %v vs %v", strat, i, br.Result.Coherent, want.Coherent)
+	jobs = append(jobs,
+		BatchJob{Exec: manyWriteExecution(), Addr: 0},
+		BatchJob{Exec: hardExecution(), Addr: 0},
+		BatchJob{Exec: memory.NewExecution(
+			memory.History{memory.W(0, 1), memory.W(0, 2)},
+			memory.History{memory.R(0, 1), memory.R(0, 2)},
+		), Addr: 0},
+	)
+	for _, spelling := range []string{"auto", "fast", "portfolio", "exact", "resilient"} {
+		strat, err := solver.ParseStrategy(spelling)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []int{0, 10} {
+			v := NewVerifier(solver.WithStrategy(strat), solver.WithWorkers(2),
+				solver.WithBudget(solver.WithMaxStates(budget)))
+			for i, br := range v.SolveBatch(ctx, jobs) {
+				label := fmt.Sprintf("%s max-states=%d job %d", spelling, budget, i)
+				want, err := v.SolveAddr(ctx, jobs[i].Exec, jobs[i].Addr)
+				if (err == nil) != (br.Err == nil) {
+					t.Fatalf("%s: error mismatch: batch %v, SolveAddr %v", label, br.Err, err)
+				}
+				if err != nil {
+					continue
+				}
+				got := &br.AddrReport
+				if got.Verdict != want.Verdict || got.Rung != want.Rung || got.Stats.Rung != want.Stats.Rung ||
+					len(got.Checks) != len(want.Checks) || algorithm(got) != algorithm(want) {
+					t.Fatalf("%s: batch (%s, rung=%s, Stats.Rung=%d, %s, %d checks) != SolveAddr (%s, rung=%s, Stats.Rung=%d, %s, %d checks)",
+						label, got.Verdict, got.Rung, got.Stats.Rung, algorithm(got), len(got.Checks),
+						want.Verdict, want.Rung, want.Stats.Rung, algorithm(want), len(want.Checks))
+				}
 			}
 		}
 	}
+}
+
+// algorithm names the deciding algorithm of a report ("" for Unknown).
+func algorithm(ar *AddrReport) string {
+	if ar.Result == nil {
+		return ""
+	}
+	return ar.Result.Algorithm
 }
 
 // TestSolveBatchValidationError: one invalid execution fails its own
@@ -171,9 +202,9 @@ func TestSolveBatchBudget(t *testing.T) {
 	}
 }
 
-// TestSolveBatchIdentityProjection: single-address executions take the
-// zero-copy identity path; refs in the certificate must still be valid
-// refs into the original execution.
+// TestSolveBatchIdentityProjection: a single-address execution projects
+// onto itself; refs in the certificate must be valid refs into the
+// original execution.
 func TestSolveBatchIdentityProjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 50; trial++ {
@@ -191,17 +222,22 @@ func TestSolveBatchIdentityProjection(t *testing.T) {
 	}
 }
 
-// TestSolveBatchReport: the AddrReport conversion preserves verdicts.
+// TestSolveBatchReport: the embedded AddrReport carries the job's
+// address and the three-valued verdict, Unknown and its evidence
+// included.
 func TestSolveBatchReport(t *testing.T) {
+	ctx := context.Background()
 	exec, _ := randomCoherentTrace(rand.New(rand.NewSource(53)), 2, 4, 2)
-	res := NewVerifier().SolveBatch(context.Background(), []BatchJob{{Exec: exec, Addr: 0}})
-	ar := res[0].Report(0)
-	if ar.Verdict != VerdictCoherent || ar.Result == nil || !ar.Result.Coherent {
-		t.Fatalf("bad report: %+v", ar)
+	res := NewVerifier().SolveBatch(ctx, []BatchJob{{Exec: exec, Addr: 0}})
+	if ar := res[0].AddrReport; res[0].Err != nil || ar.Addr != 0 || ar.Verdict != VerdictCoherent ||
+		ar.Result == nil || !ar.Result.Coherent {
+		t.Fatalf("bad report: %+v (err %v)", ar, res[0].Err)
 	}
-	undecided := BatchResult{Result: Result{Decided: false, Algorithm: "resilient-unknown"}}
-	if ar := undecided.Report(3); ar.Verdict != VerdictUnknown || ar.Result != nil {
-		t.Fatalf("undecided report: %+v", ar)
+	v := NewVerifier(solver.WithStrategy(solver.StrategyResilient), solver.WithBudget(solver.WithMaxStates(10)))
+	res = v.SolveBatch(ctx, []BatchJob{{Exec: manyWriteExecution(), Addr: 0}})
+	if ar := res[0].AddrReport; res[0].Err != nil || ar.Verdict != VerdictUnknown || ar.Result != nil ||
+		ar.Rung != RungNecessary || len(ar.Checks) == 0 {
+		t.Fatalf("undecided report: %+v (err %v)", ar, res[0].Err)
 	}
 }
 

@@ -31,7 +31,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	exec := hardExecution()
 
-	fresh, err := SolveAuto(ctx, exec, 0, nil)
+	fresh, err := NewVerifier().Solve(ctx, exec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +41,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 	// Interrupted run: the budget trips mid-search, after the memo table
 	// has real entries.
-	_, ck, err := VerifyExecutionCheckpoint(ctx, exec, solver.New(solver.WithMaxStates(20)), nil)
+	rep, err := NewVerifier(solver.WithBudget(solver.WithMaxStates(20))).VerifyCheckpoint(ctx, exec, nil)
 	if _, ok := solver.AsBudgetError(err); !ok {
 		t.Fatalf("err = %v, want budget error", err)
 	}
+	ck := rep.Checkpoint
 	if ck == nil || ck.Pending == nil {
 		t.Fatalf("no pending search in checkpoint: %+v", ck)
 	}
@@ -66,14 +67,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// Resume without a budget: same verdict, strictly fewer states.
-	results, ck2, err := VerifyExecutionCheckpoint(ctx, exec, nil, loaded)
+	rep, err = NewVerifier().VerifyCheckpoint(ctx, exec, loaded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck2 != nil {
-		t.Errorf("completed resume still returned a checkpoint: %+v", ck2)
+	if rep.Checkpoint != nil {
+		t.Errorf("completed resume still returned a checkpoint: %+v", rep.Checkpoint)
 	}
-	res := results[0]
+	res := rep.Results()[0]
 	if res == nil || res.Coherent != fresh.Coherent {
 		t.Fatalf("resumed verdict %+v != fresh verdict %+v", res, fresh)
 	}
@@ -91,7 +92,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // instance being identical.
 func TestCheckpointFingerprintMismatch(t *testing.T) {
 	ctx := context.Background()
-	_, ck, err := VerifyExecutionCheckpoint(ctx, hardExecution(), solver.New(solver.WithMaxStates(5)), nil)
+	rep, err := NewVerifier(solver.WithBudget(solver.WithMaxStates(5))).VerifyCheckpoint(ctx, hardExecution(), nil)
 	if _, ok := solver.AsBudgetError(err); !ok {
 		t.Fatalf("err = %v, want budget error", err)
 	}
@@ -99,7 +100,7 @@ func TestCheckpointFingerprintMismatch(t *testing.T) {
 		memory.History{memory.W(0, 7)},
 		memory.History{memory.R(0, 7)},
 	).SetInitial(0, 0)
-	if _, _, err := VerifyExecutionCheckpoint(ctx, other, nil, ck); err == nil {
+	if _, err := NewVerifier().VerifyCheckpoint(ctx, other, rep.Checkpoint); err == nil {
 		t.Fatal("checkpoint from a different execution accepted")
 	}
 }
@@ -118,17 +119,19 @@ func TestCheckpointReplaysCompletedAddresses(t *testing.T) {
 		memory.History{memory.W(1, 3)},
 	).SetInitial(0, 0).SetInitial(1, 0)
 
-	_, ck, err := VerifyExecutionCheckpoint(ctx, exec, solver.New(solver.WithMaxStates(20)), nil)
+	rep, err := NewVerifier(solver.WithBudget(solver.WithMaxStates(20))).VerifyCheckpoint(ctx, exec, nil)
 	if _, ok := solver.AsBudgetError(err); !ok {
 		t.Fatalf("err = %v, want budget error", err)
 	}
+	ck := rep.Checkpoint
 	if len(ck.Done) != 1 || ck.Done[0].Addr != 0 {
 		t.Fatalf("done list = %+v, want address 0 completed", ck.Done)
 	}
-	results, _, err := VerifyExecutionCheckpoint(ctx, exec, nil, ck)
+	rep, err = NewVerifier().VerifyCheckpoint(ctx, exec, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := rep.Results()
 	if alg := results[0].Algorithm; len(alg) < 11 || alg[:11] != "checkpoint:" {
 		t.Errorf("address 0 algorithm = %q, want checkpoint: replay", alg)
 	}
@@ -154,7 +157,7 @@ func TestPeriodicSnapshots(t *testing.T) {
 		CheckpointSink:  func(snap solver.SearchSnapshot) { calls++ },
 		CheckpointEvery: 64,
 	}
-	if _, err := Solve(context.Background(), exec, 0, opts); err != nil {
+	if _, err := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithOptions(opts)).Solve(context.Background(), exec, 0); err != nil {
 		t.Fatal(err)
 	}
 	if calls == 0 {
@@ -172,7 +175,7 @@ func BenchmarkCheckpointOverhead(b *testing.B) {
 	ctx := context.Background()
 	b.Run("off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Solve(ctx, exec, 0, nil); err != nil {
+			if _, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(ctx, exec, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -180,7 +183,7 @@ func BenchmarkCheckpointOverhead(b *testing.B) {
 	b.Run("on", func(b *testing.B) {
 		opts := &Options{CheckpointSink: func(solver.SearchSnapshot) {}, CheckpointEvery: 64}
 		for i := 0; i < b.N; i++ {
-			if _, err := Solve(ctx, exec, 0, opts); err != nil {
+			if _, err := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithOptions(opts)).Solve(ctx, exec, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -197,7 +200,7 @@ func BenchmarkCheckpointOverhead(b *testing.B) {
 func TestCheckpointMemoFormatCompat(t *testing.T) {
 	ctx := context.Background()
 	exec := hardExecution()
-	fresh, err := SolveAuto(ctx, exec, 0, nil)
+	fresh, err := NewVerifier().Solve(ctx, exec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,10 +214,11 @@ func TestCheckpointMemoFormatCompat(t *testing.T) {
 		t.Run(dir.name, func(t *testing.T) {
 			wopts := dir.writer.Clone()
 			wopts.MaxStates = 20
-			_, ck, err := VerifyExecutionCheckpoint(ctx, exec, wopts, nil)
+			rep, err := NewVerifier(solver.WithOptions(wopts)).VerifyCheckpoint(ctx, exec, nil)
 			if _, ok := solver.AsBudgetError(err); !ok {
 				t.Fatalf("err = %v, want budget error", err)
 			}
+			ck := rep.Checkpoint
 			if ck == nil || ck.Pending == nil || len(ck.Pending.Memo) == 0 {
 				t.Fatalf("no resumable memo in checkpoint: %+v", ck)
 			}
@@ -226,11 +230,11 @@ func TestCheckpointMemoFormatCompat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			results, _, err := VerifyExecutionCheckpoint(ctx, exec, dir.reader, loaded)
+			rep, err = NewVerifier(solver.WithOptions(dir.reader)).VerifyCheckpoint(ctx, exec, loaded)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := results[0]
+			res := rep.Results()[0]
 			if res == nil || res.Coherent != fresh.Coherent {
 				t.Fatalf("resumed verdict %+v != fresh verdict %+v", res, fresh)
 			}

@@ -3,37 +3,38 @@
 // given a set of process histories of reads and writes to one address, is
 // there a coherent schedule?
 //
-// VMC is NP-Complete in general (Theorem 4.2), so the package provides
-// one unified facade — Verifier, constructed with the functional
-// options of internal/solver — over
+// VMC is NP-Complete in general (Theorem 4.2). The package answers it
+// per address with one escalation ladder (ladder.go), reached through
+// one facade — Verifier, constructed with the functional options of
+// internal/solver. The ladder's rungs, cheapest first:
 //
-//   - a complete exponential search (solver.StrategyExact) that
-//     realizes the paper's O(n^k) bound for k process histories via
-//     memoization and an eager read-scheduling rule;
-//   - the polynomial algorithms for every tractable row of the paper's
-//     complexity-summary table (Figure 5.3): write-order supplied (§5.2),
-//     read-map known (at most one write per value), one operation per
-//     process, and read-modify-write chains — dispatched automatically
-//     by solver.StrategyAuto;
-//   - per-execution verification (Verifier.Verify), which checks each
-//     address independently, per the paper's definition of a coherent
-//     multiprocessor execution, optionally fanned out across workers
-//     (solver.WithWorkers) in largest-projection-first order;
-//   - a portfolio racer (solver.StrategyPortfolio) that stages the
-//     applicable algorithms on a shared bounded pool and keeps the
-//     first finisher;
-//   - a graceful-degradation ladder (solver.StrategyResilient) ending
-//     in an explicit Unknown verdict instead of an error;
-//   - a polynomial constraint-propagation frontline
-//     (solver.StrategyFast, fastpath.go) that decides structured
-//     instances of any size in near-linear time — sound in both
-//     directions, escalating to the exact solvers only on an explicit
-//     INCONCLUSIVE — and also opens the portfolio and resilient
-//     strategies (disable with solver.WithoutFastPath).
+//   - a polynomial constraint-propagation frontline (fastpath.go) that
+//     decides structured instances of any size in near-linear time —
+//     sound in both directions, escalating only on an explicit
+//     INCONCLUSIVE;
+//   - the polynomial algorithms for the tractable rows of the paper's
+//     complexity-summary table (Figure 5.3): read-map known (at most one
+//     write per value), one operation per process, and read-modify-write
+//     chains;
+//   - a complete exponential search that realizes the paper's O(n^k)
+//     bound for k process histories via memoization and an eager
+//     read-scheduling rule, sequential or split across a worker team
+//     (solver.WithParallelSearch);
+//   - graceful degradation, when that search trips its budget: write-order
+//     hints (§5.2), write-order enumeration, and sound necessary
+//     conditions, ending in an explicit Unknown verdict instead of an
+//     error.
 //
-// The pre-facade entry points (Solve, SolveAuto, SolvePortfolio,
-// SolveResilient, VerifyExecution and friends) remain as deprecated
-// one-line wrappers in deprecated.go.
+// A strategy (solver.WithStrategy) is a preset of which rungs run:
+// StrategyAuto (specialists, exact), StrategyFast (fast, specialists,
+// exact), StrategyExact (exact only) and StrategyResilient (all of them).
+// Verifier.Verify checks each address independently, per the paper's
+// definition of a coherent multiprocessor execution, optionally fanned
+// out across workers (solver.WithWorkers) in largest-projection-first
+// order; Verifier.SolveBatch runs the same ladder over many small jobs
+// with pooled state. The §5.2 write-order algorithm and the Figure 5.3
+// specialists are also exported on their own (SolveWithWriteOrder,
+// SolveReadMap, SolveSingleOp, SolveSingleOpRMW, CheckRMWWriteOrder).
 //
 // Every entry point takes a context.Context and honors the unified
 // resource budget of internal/solver: cancellation, the per-solve
@@ -68,10 +69,11 @@ type Stats = solver.Stats
 type Result struct {
 	// Coherent reports whether a coherent schedule exists.
 	Coherent bool
-	// Decided is retained for legacy callers: solvers now report budget
-	// exhaustion as a *solver.ErrBudgetExceeded instead of returning an
-	// undecided result, so any Result returned without error has
-	// Decided == true.
+	// Decided reports whether Coherent is an answer. Budget exhaustion
+	// is an error (*solver.ErrBudgetExceeded), not an undecided Result,
+	// so every solver's Result is decided; the one exception is
+	// Verifier.Solve under StrategyResilient, which reports an Unknown
+	// verdict as Decided == false.
 	Decided bool
 	// Schedule is a certificate coherent schedule when Coherent is true,
 	// with references into the execution the solver was given.
@@ -278,82 +280,4 @@ func withAddr(e *solver.ErrBudgetExceeded, addr memory.Addr) *solver.ErrBudgetEx
 		e.Addr, e.HasAddr = addr, true
 	}
 	return e
-}
-
-// solveExact decides VMC for the operations of exec at address addr
-// using the general memoized search. It is complete: absent a budget it
-// always returns a decided result (at worst in exponential time — VMC
-// is NP-Complete). With k histories and n operations the memoized
-// search visits O(n^k · |D|) states, matching the constant-process
-// polynomial bound of Figure 5.3. A tripped budget (states, deadline,
-// or cancellation) yields a nil Result and a *solver.ErrBudgetExceeded.
-func solveExact(ctx context.Context, exec *memory.Execution, addr memory.Addr, opts *Options) (*Result, error) {
-	if err := exec.Validate(); err != nil {
-		return nil, err
-	}
-	sp, ctx := beginSolve(ctx, "solve", addr)
-	inst := project(exec, addr)
-	r, e := searchInstance(ctx, inst, opts)
-	if e != nil {
-		err := withAddr(e, addr)
-		endSolve(ctx, sp, nil, err)
-		return nil, err
-	}
-	endSolve(ctx, sp, r, nil)
-	return r, nil
-}
-
-// solveAutoAddr decides VMC for one address, dispatching to the fastest
-// algorithm whose preconditions hold (Figure 5.3 rows):
-//
-//  1. at most one write per value  -> read-map algorithm (linear);
-//  2. one operation per process    -> grouping / Eulerian-path algorithm;
-//  3. otherwise                    -> general memoized search.
-//
-// The write-order algorithms require extra input and are exposed
-// separately (SolveWithWriteOrder); solver.StrategyPortfolio instead
-// races the applicable algorithms concurrently.
-func solveAutoAddr(ctx context.Context, exec *memory.Execution, addr memory.Addr, opts *Options) (*Result, error) {
-	if err := exec.Validate(); err != nil {
-		return nil, err
-	}
-	sp, ctx := beginSolve(ctx, "solve-auto", addr)
-	inst := project(exec, addr)
-	r, err := solveAutoInstance(ctx, inst, opts)
-	if err != nil {
-		if be, ok := solver.AsBudgetError(err); ok {
-			err = withAddr(be, addr)
-		}
-		endSolve(ctx, sp, nil, err)
-		return nil, err
-	}
-	endSolve(ctx, sp, r, nil)
-	return r, nil
-}
-
-// solveAutoInstance is SolveAuto on a projected instance.
-func solveAutoInstance(ctx context.Context, inst *instance, opts *Options) (*Result, error) {
-	if e := solver.Interrupted(ctx); e != nil {
-		return nil, e
-	}
-	if inst.maxWritesPerValue() <= 1 {
-		if r, ok := readMapInstance(inst); ok {
-			return r, nil
-		}
-		// Ambiguous corner (initial value collides with a written value):
-		// fall through to the general search.
-	}
-	if inst.maxOpsPerProcess() <= 1 {
-		if inst.allRMW() {
-			return eulerInstance(inst), nil
-		}
-		if r, ok := singleOpInstance(inst); ok {
-			return r, nil
-		}
-	}
-	r, e := searchInstance(ctx, inst, opts)
-	if e != nil {
-		return nil, e
-	}
-	return r, nil
 }

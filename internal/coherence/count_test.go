@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"memverify/internal/memory"
+	"memverify/internal/solver"
 )
 
 // bruteForceCount enumerates all interleavings and counts the coherent
@@ -77,7 +78,7 @@ func TestCountZeroIffIncoherent(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for i := 0; i < 200; i++ {
 		exec := randomInstance(rng)
-		res, err := Solve(context.Background(), exec, 0, nil)
+		res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), exec, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"memverify/internal/memory"
+	"memverify/internal/solver"
 )
 
 func TestDiagnoseRejectsCoherent(t *testing.T) {
@@ -62,7 +63,7 @@ func TestDiagnoseMinimality(t *testing.T) {
 	diagnosed := 0
 	for i := 0; i < 200 && diagnosed < 40; i++ {
 		exec := randomInstance(rng)
-		res, err := Solve(context.Background(), exec, 0, nil)
+		res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), exec, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func TestDiagnoseMinimality(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Core is incoherent.
-		coreRes, err := Solve(context.Background(), d.Core, 0, nil)
+		coreRes, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), d.Core, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +100,7 @@ func TestDiagnoseMinimality(t *testing.T) {
 				shrunk := d.Core.Clone()
 				h := shrunk.Histories[p]
 				shrunk.Histories[p] = append(append(memory.History{}, h[:idx]...), h[idx+1:]...)
-				r, err := Solve(context.Background(), shrunk, 0, nil)
+				r, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), shrunk, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -9,12 +9,12 @@ import (
 )
 
 // The basic workflow: build an execution, ask for a coherent schedule.
-func ExampleSolveAuto() {
+func ExampleVerifier_Solve() {
 	exec := memory.NewExecution(
 		memory.History{memory.W(0, 1)},
 		memory.History{memory.R(0, 1)},
 	).SetInitial(0, 0)
-	res, err := coherence.SolveAuto(context.Background(), exec, 0, nil)
+	res, err := coherence.NewVerifier().Solve(context.Background(), exec, 0)
 	if err != nil {
 		panic(err)
 	}

@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"memverify/internal/memory"
-	"memverify/internal/obs"
 	"memverify/internal/solver"
 )
 
@@ -773,21 +772,18 @@ func fastInstance(ctx context.Context, inst *instance, opts *Options) (*fastOutc
 	return finish(fastInconclusive, nil, "write order not forced; placement of the candidate order failed")
 }
 
-// fastPathExec runs the frontline for one address of an execution
-// without opening a solve span of its own — the resilient ladder and
-// the portfolio call it as a stage inside their existing span, so the
-// live solve counter still moves once per address. Accept certificates
-// are re-validated with memory.CheckCoherent; a certificate that fails
-// validation demotes the outcome to inconclusive rather than ever
-// reporting an unvalidated accept.
-func fastPathExec(ctx context.Context, exec *memory.Execution, addr memory.Addr, opts *Options) (*fastOutcome, *solver.ErrBudgetExceeded) {
-	inst := project(exec, addr)
+// fastPath is the ladder's fast rung: the frontline over the projected
+// instance. Accept certificates are re-validated against exec with
+// memory.CheckCoherent; a certificate that fails validation demotes the
+// outcome to inconclusive rather than ever reporting an unvalidated
+// accept.
+func fastPath(ctx context.Context, exec *memory.Execution, inst *instance, opts *Options) (*fastOutcome, *solver.ErrBudgetExceeded) {
 	out, e := fastInstance(ctx, inst, opts)
 	if e != nil {
-		return nil, withAddr(e, addr)
+		return nil, e
 	}
 	if out.verdict == fastAccept {
-		if err := memory.CheckCoherent(exec, addr, out.result.Schedule); err != nil {
+		if err := memory.CheckCoherent(exec, inst.addr, out.result.Schedule); err != nil {
 			out = &fastOutcome{
 				verdict: fastInconclusive,
 				stats:   out.stats,
@@ -796,49 +792,4 @@ func fastPathExec(ctx context.Context, exec *memory.Execution, addr memory.Addr,
 		}
 	}
 	return out, nil
-}
-
-// fastPathAddr wraps fastPathExec in its own obs span ("fastpath") for
-// the top-level StrategyFast entry point.
-func fastPathAddr(ctx context.Context, exec *memory.Execution, addr memory.Addr, opts *Options) (*fastOutcome, *solver.ErrBudgetExceeded) {
-	sp, ctx := beginSolve(ctx, "fastpath", addr)
-	out, e := fastPathExec(ctx, exec, addr, opts)
-	obs.MetricsFrom(ctx).SolveEnd()
-	if e != nil {
-		sp.End("budget: "+e.Reason.String(), int64(e.Stats.States))
-		return nil, e
-	}
-	switch out.verdict {
-	case fastAccept:
-		sp.End("coherent (fastpath)", int64(out.stats.States))
-	case fastReject:
-		sp.End("incoherent (fastpath: "+out.detail+")", int64(out.stats.States))
-	default:
-		sp.End("inconclusive: "+out.detail, int64(out.stats.States))
-	}
-	return out, nil
-}
-
-// solveFastAddr implements solver.StrategyFast for one address: the
-// polynomial frontline first, escalating to the auto dispatch (the
-// Figure 5.3 specialists, then the exact search) only when the
-// frontline is inconclusive. With solver.WithoutFastPath the strategy
-// degrades to plain auto — the ablation baseline.
-func solveFastAddr(ctx context.Context, exec *memory.Execution, addr memory.Addr, opts *Options) (*Result, error) {
-	if err := exec.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.FastPath() {
-		out, e := fastPathAddr(ctx, exec, addr, opts)
-		if e != nil {
-			// The frontline is polynomial: if even it blew the deadline (or
-			// the caller cancelled), escalating to an exponential search
-			// under the same budget is pointless.
-			return nil, e
-		}
-		if out.verdict != fastInconclusive {
-			return out.result, nil
-		}
-	}
-	return solveAutoAddr(ctx, exec, addr, opts)
 }

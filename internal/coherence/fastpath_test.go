@@ -15,7 +15,7 @@ import (
 // error (the tests here never set budgets).
 func fastOn(t *testing.T, exec *memory.Execution) *fastOutcome {
 	t.Helper()
-	out, e := fastPathExec(context.Background(), exec, 0, nil)
+	out, e := fastPath(context.Background(), exec, project(exec, 0), nil)
 	if e != nil {
 		t.Fatalf("fast path budget error without a budget: %v", e)
 	}
@@ -76,7 +76,7 @@ func TestFastPathOracleWorkload(t *testing.T) {
 				exec = mut
 			}
 		}
-		want, err := SolveAuto(context.Background(), exec, 0, exact)
+		want, err := NewVerifier(solver.WithOptions(exact)).Solve(context.Background(), exec, 0)
 		if err != nil {
 			t.Fatalf("instance %d: oracle: %v", i, err)
 		}
@@ -236,8 +236,8 @@ func TestFastPathAcceptByPruning(t *testing.T) {
 // TestFastPathInconclusiveEscalates: an instance whose write order is
 // not forced (no necessary edges relate the two writers) and whose
 // candidate order fails placement must be INCONCLUSIVE — never a guess
-// — and SolveResilient must escalate past it to the exact search for
-// the real verdict.
+// — and the resilient preset must escalate past it to the exact search
+// for the real verdict.
 func TestFastPathInconclusiveEscalates(t *testing.T) {
 	exec := memory.NewExecution(
 		memory.History{memory.W(0, 1)},
@@ -249,7 +249,7 @@ func TestFastPathInconclusiveEscalates(t *testing.T) {
 		t.Fatalf("verdict = %s (%s), want inconclusive", out.verdict, out.detail)
 	}
 
-	rr, err := SolveResilient(context.Background(), exec, 0, nil, nil)
+	rr, err := solveResilient(context.Background(), exec, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestResilientFastRung(t *testing.T) {
 		memory.History{memory.W(0, 1)},
 		memory.History{memory.R(0, 1)},
 	).SetInitial(0, 0)
-	rr, err := SolveResilient(context.Background(), exec, 0, nil, nil)
+	rr, err := solveResilient(context.Background(), exec, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestResilientFastRung(t *testing.T) {
 		memory.History{memory.W(0, 1)},
 		memory.History{memory.R(0, 9)},
 	).SetInitial(0, 0)
-	rr, err = SolveResilient(context.Background(), bad, 0, nil, nil)
+	rr, err = solveResilient(context.Background(), bad, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,9 +298,9 @@ func TestResilientFastRung(t *testing.T) {
 }
 
 // TestStrategyFastFacade: solver.StrategyFast through the Verifier
-// facade reports the fast rung when the frontline decides, falls back
-// to the auto dispatch when it is inconclusive, and degrades to plain
-// auto under the WithoutFastPath ablation.
+// facade reports the fast rung when the frontline decides, climbs to the
+// specialists and the exact search when it is inconclusive, and runs
+// like plain auto under the WithoutFastPath ablation.
 func TestStrategyFastFacade(t *testing.T) {
 	easy := memory.NewExecution(
 		memory.History{memory.W(0, 1)},
@@ -347,34 +347,6 @@ func TestStrategyFastFacade(t *testing.T) {
 	}
 }
 
-// TestPortfolioFastPathOpens: on a large structured instance the
-// portfolio's opening stage decides without racing, and the ablation
-// knob restores the staged behavior.
-func TestPortfolioFastPathOpens(t *testing.T) {
-	exec := workload.GenerateRelay(workload.RelayConfig{Processors: 3, Rounds: 16, Decoys: 1})
-	r, err := SolvePortfolio(context.Background(), exec, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Algorithm != "fastpath" {
-		t.Errorf("algorithm = %q, want fastpath to open the portfolio", r.Algorithm)
-	}
-	if err := memory.CheckCoherent(exec, 0, r.Schedule); err != nil {
-		t.Errorf("invalid certificate: %v", err)
-	}
-
-	r, err = SolvePortfolio(context.Background(), exec, 0, solver.New(solver.WithoutFastPath()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Algorithm == "fastpath" {
-		t.Error("WithoutFastPath still ran the opening stage")
-	}
-	if !r.Coherent {
-		t.Error("ablated portfolio verdict changed")
-	}
-}
-
 // TestFastPathRelayFamily pins the benchmark family's semantics at test
 // scale: the coherent relay is accepted with a valid certificate, the
 // phantom variant is rejected, and both verdicts match the exact solver
@@ -384,7 +356,7 @@ func TestFastPathRelayFamily(t *testing.T) {
 	for _, phantom := range []bool{false, true} {
 		exec := workload.GenerateRelay(workload.RelayConfig{Processors: 4, Rounds: 12, Decoys: 4, Phantom: phantom})
 		out := fastOn(t, exec)
-		want, err := SolveAuto(context.Background(), exec, 0, exact)
+		want, err := NewVerifier(solver.WithOptions(exact)).Solve(context.Background(), exec, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,44 +1,57 @@
 package coherence
 
+// The escalation ladder: the one procedure that decides an address.
+//
+// The paper poses one problem per address (Definition 4.1) and prices
+// it with a cost ladder: the polynomial rows of Figure 5.3, then the
+// NP-complete general search of Theorem 4.2. decide climbs the same
+// ladder, cheapest rung first, and stops at the first rung that answers:
+//
+//	fast        constraint propagation (fastpath.go); sound both ways,
+//	            INCONCLUSIVE climbs on
+//	specialist  the Figure 5.3 rows whose preconditions hold: read-map,
+//	            one op per process, read-modify-write chains
+//	exact       the complete memoized search, sequential or ∥n
+//	degrade     only after exact trips its state or deadline budget:
+//	            supplied write order → write-order enumeration (≤ 8
+//	            writes) → necessary conditions, which refute or answer
+//	            Unknown
+//
+// A strategy is nothing more than a preset of which rungs run (see
+// presetFor). Cancellation never degrades: the caller asked to stop.
+
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"memverify/internal/memory"
 	"memverify/internal/obs"
 	"memverify/internal/solver"
 )
 
-// Rung indexes the graceful-degradation ladder of SolveResilient. The
-// ladder mirrors Figure 5.3 of the paper: when the general (NP-hard)
-// problem is out of reach, step down to the restricted variants the
-// paper proves tractable, and finally to sound necessary conditions
-// that can still refute.
+// Rung names the ladder rung that produced a verdict. The numbering is
+// part of reports (Stats.Rung): the exact search is 0, the fast path
+// below it, the degradation rungs above it, so Stats.Merge's max-rung
+// aggregation reports the weakest rung an execution fell to.
 type Rung int
 
-// RungFast is the rung above the exact search: the polynomial
-// constraint-propagation frontline (fastpath.go) decided outright. It
-// is numbered -1 so the long-standing RungExact == 0 stays pinned and
-// Stats.Merge's max-rung aggregation still reports the weakest rung an
-// execution fell to.
+// RungFast is the polynomial constraint-propagation frontline
+// (fastpath.go), which decided outright.
 const RungFast Rung = -1
 
 const (
-	// RungExact is the normal case: the exact search (SolveAuto)
-	// decided within budget.
+	// RungExact is the normal case: a Figure 5.3 specialist or the
+	// exact search decided within budget.
 	RungExact Rung = iota
 	// RungWriteOrder is the §5.2 write-order-augmented check, used when
 	// the caller supplied an observed write order. It is trusted only
-	// in the positive direction here: a coherent schedule extending the
+	// in the positive direction: a coherent schedule extending the
 	// supplied order proves coherence of the instance, but failure to
 	// extend a hint does not refute it.
 	RungWriteOrder
-	// RungSpecialist covers the polynomial Figure 5.3 rows applied
-	// outside SolveAuto's dispatch: exhaustive write-order enumeration
-	// when the instance has few writes (complete: every coherent
-	// schedule induces a write order, so if no order extends, none
-	// exists).
+	// RungSpecialist is exhaustive write-order enumeration when the
+	// instance has few writes (complete: every coherent schedule induces
+	// a write order, so if no order extends, none exists).
 	RungSpecialist
 	// RungNecessary is the last rung: sound necessary conditions that
 	// can refute (Incoherent) but never confirm; when they all pass the
@@ -63,7 +76,7 @@ func (r Rung) String() string {
 	return fmt.Sprintf("Rung(%d)", int(r))
 }
 
-// ResilientVerdict is the three-valued outcome of SolveResilient.
+// ResilientVerdict is the three-valued outcome of one address.
 type ResilientVerdict int
 
 const (
@@ -73,8 +86,9 @@ const (
 	VerdictIncoherent
 	// VerdictUnknown: no rung could decide — the fast-path frontline
 	// was inconclusive, the exact search ran out of budget, and every
-	// fallback was inapplicable or silent. The instance may or may not
-	// be coherent; Checks carries the necessary-condition evidence.
+	// degradation rung was inapplicable or silent. The instance may or
+	// may not be coherent; Checks carries the necessary-condition
+	// evidence. Only StrategyResilient answers Unknown.
 	VerdictUnknown
 )
 
@@ -91,172 +105,201 @@ func (v ResilientVerdict) String() string {
 	return fmt.Sprintf("ResilientVerdict(%d)", int(v))
 }
 
-// ResilientResult is the outcome of a degradation-ladder solve.
-type ResilientResult struct {
-	// Verdict is the three-valued answer.
-	Verdict ResilientVerdict
-	// Rung is the ladder rung that produced the verdict (RungNecessary
-	// with VerdictUnknown when nothing could decide).
-	Rung Rung
-	// Result is the deciding solver's result (certificate, algorithm);
-	// nil when the verdict is Unknown.
-	Result *Result
-	// Stats aggregates the work of every rung tried, including the
-	// partial stats of the exhausted exact search; Stats.Rung records
-	// the final rung.
-	Stats Stats
-	// Checks lists the necessary-condition outcomes when the ladder
-	// reached RungNecessary — the evidence behind an Unknown verdict, or
-	// the violated condition behind an Incoherent one.
-	Checks []string
-}
-
 // maxEnumWrites bounds the write count for exhaustive write-order
 // enumeration at RungSpecialist. The number of orders is the number of
 // interleavings of the per-process write sequences, at most w! (40320
 // for w = 8), each checked by the polynomial §5.2 placement.
 const maxEnumWrites = 8
 
-// solveResilientAddr decides VMC for one address with graceful
-// degradation: it runs the polynomial fast-path frontline first (unless
-// solver.WithoutFastPath disabled it), then the exact search, and — if
-// the budget is exhausted (states or deadline; cancellation always
-// propagates as an error, because the caller asked to stop) — steps
-// down the ladder:
+// preset is a strategy's choice of rungs. The exact rung always runs.
+type preset struct {
+	span       string // the per-address span, "solve-<strategy>"
+	fast       bool   // open with the fast path
+	specialist bool   // try the Figure 5.3 rows before the exact search
+	degrade    bool   // step down on a state or deadline trip
+}
+
+// presetFor maps a strategy to its rungs. Unknown strategy values get
+// the default, auto. solver.WithoutFastPath drops the fast rung.
+func presetFor(s solver.Strategy, opts *Options) preset {
+	var p preset
+	switch s {
+	case solver.StrategyFast:
+		p = preset{span: "solve-fast", fast: true, specialist: true}
+	case solver.StrategyResilient:
+		p = preset{span: "solve-resilient", fast: true, specialist: true, degrade: true}
+	case solver.StrategyExact:
+		p = preset{span: "solve-exact"}
+	default:
+		p = preset{span: "solve-auto", specialist: true}
+	}
+	p.fast = p.fast && opts.FastPath()
+	return p
+}
+
+// decide climbs the ladder for inst, the projection of one address of
+// the validated execution exec, and fills ar. An error is a budget trip
+// the preset does not degrade (cancellation always is one); ar is then
+// meaningless.
+func (v *Verifier) decide(ctx context.Context, exec *memory.Execution, inst *instance, opts *Options, ar *AddrReport) error {
+	p := presetFor(v.cfg.Strategy, opts)
+	sp, ctx := beginSolve(ctx, p.span, inst.addr)
+	defer obs.MetricsFrom(ctx).SolveEnd()
+	*ar = AddrReport{Addr: inst.addr}
+	if e := v.climb(ctx, sp, p, exec, inst, opts, ar); e != nil {
+		e = withAddr(e, inst.addr)
+		sp.End("budget: "+e.Reason.String(), int64(e.Stats.States))
+		return e
+	}
+	ar.Stats.Rung = int(ar.Rung)
+	if ar.Result != nil {
+		ar.Result.Stats.Rung = int(ar.Rung)
+	}
+	if sp.ID() != 0 {
+		detail := fmt.Sprintf("%s (rung=%s)", ar.Verdict, ar.Rung)
+		if ar.Result != nil {
+			detail = fmt.Sprintf("%s (%s, rung=%s)", ar.Verdict, ar.Result.Algorithm, ar.Rung)
+		}
+		sp.End(detail, int64(ar.Stats.States))
+	}
+	return nil
+}
+
+// climb runs the preset's rungs in order until one decides; each rung
+// entered is a stage event on sp.
+func (v *Verifier) climb(ctx context.Context, sp obs.Span, p preset, exec *memory.Execution, inst *instance, opts *Options, ar *AddrReport) *solver.ErrBudgetExceeded {
+	if e := solver.Interrupted(ctx); e != nil {
+		return e
+	}
+	tr := obs.TracerFrom(ctx)
+	if p.fast {
+		tr.Stage(sp, RungFast.String())
+		out, e := fastPath(ctx, exec, inst, opts)
+		switch {
+		case e != nil && (!p.degrade || e.Reason == solver.Canceled):
+			// The fast path is polynomial: if even it blew the deadline,
+			// an exponential search under the same budget is pointless
+			// unless weaker rungs wait below it.
+			return e
+		case e != nil:
+			ar.Stats.Merge(e.Stats)
+			tr.Degrade(sp, RungExact.String(), "fast path exhausted its deadline; escalating")
+		case out.verdict == fastInconclusive:
+			ar.Stats.Merge(out.stats)
+			if tr != nil {
+				tr.Degrade(sp, RungExact.String(), "fast path inconclusive ("+out.detail+"); escalating")
+			}
+		default:
+			ar.settle(RungFast, out.result)
+			return nil
+		}
+	}
+	if p.specialist {
+		tr.Stage(sp, "specialist")
+		if r := specialist(inst); r != nil {
+			ar.settle(RungExact, r)
+			return nil
+		}
+	}
+	tr.Stage(sp, RungExact.String())
+	r, e := searchInstance(ctx, inst, opts)
+	switch {
+	case e == nil:
+		ar.settle(RungExact, r)
+		return nil
+	case !p.degrade || e.Reason == solver.Canceled:
+		return e
+	}
+	ar.Stats.Merge(e.Stats)
+	return v.degrade(ctx, sp, inst, e.Reason, ar)
+}
+
+// specialist runs the first Figure 5.3 row whose precondition holds:
 //
-//	RungFast: the constraint-propagation frontline decided outright
-//	    (sound in both directions; inconclusive falls through).
-//	RungWriteOrder: if writeOrder (an observed §5.2 write order, may be
-//	    nil) is supplied and a coherent schedule extends it → Coherent.
+//  1. at most one write per value  -> read-map algorithm (linear);
+//  2. one operation per process    -> RMW Euler path or grouping.
+//
+// nil means no row applies (or the read-map is ambiguous because the
+// initial value is also written) and the exact search must decide.
+func specialist(inst *instance) *Result {
+	if r, ok := readMapInstance(inst); ok {
+		return r
+	}
+	if inst.maxOpsPerProcess() <= 1 {
+		if inst.allRMW() {
+			return eulerInstance(inst)
+		}
+		if r, ok := singleOpInstance(inst); ok {
+			return r
+		}
+	}
+	return nil
+}
+
+// settle records the deciding rung and its result, adding the result's
+// work to the address's.
+func (ar *AddrReport) settle(rung Rung, r *Result) {
+	ar.Stats.Merge(r.Stats)
+	ar.decidedBy(rung, r)
+}
+
+// decidedBy records the deciding rung and its result.
+func (ar *AddrReport) decidedBy(rung Rung, r *Result) {
+	ar.Rung, ar.Result, ar.Verdict = rung, r, VerdictCoherent
+	if !r.Coherent {
+		ar.Verdict = VerdictIncoherent
+	}
+}
+
+// degrade is the ladder's last stretch, entered only after the exact
+// search tripped its state or deadline budget (reason why):
+//
+//	RungWriteOrder: if the caller supplied an observed §5.2 write order
+//	    and a coherent schedule extends it → Coherent.
 //	RungSpecialist: if the instance has ≤ maxEnumWrites writes,
 //	    enumerate all write orders; this is complete → Coherent or
 //	    Incoherent.
 //	RungNecessary: sound necessary conditions; a violation → Incoherent,
 //	    otherwise → Unknown (never an error: Unknown is an answer).
 //
-// The final rung and aggregated stats are recorded in the returned
-// ResilientResult (and in Stats.Rung for report plumbing).
-func solveResilientAddr(ctx context.Context, exec *memory.Execution, addr memory.Addr, writeOrder []memory.Ref, opts *Options) (*ResilientResult, error) {
-	if err := exec.Validate(); err != nil {
-		return nil, err
-	}
+// A degraded Result carries the address's aggregate stats.
+func (v *Verifier) degrade(ctx context.Context, sp obs.Span, inst *instance, why solver.Reason, ar *AddrReport) *solver.ErrBudgetExceeded {
 	tr := obs.TracerFrom(ctx)
-	sp, ctx := beginSolve(ctx, "solve-resilient", addr)
-	start := time.Now()
-
-	wrap := func(rr *ResilientResult) *ResilientResult {
-		rr.Stats.Duration = time.Since(start)
-		rr.Stats.Rung = int(rr.Rung)
-		if rr.Result != nil {
-			rr.Result.Stats.Rung = int(rr.Rung)
-		}
-		obs.MetricsFrom(ctx).SolveEnd()
-		sp.End(fmt.Sprintf("%s (rung=%s)", rr.Verdict, rr.Rung), int64(rr.Stats.States))
-		return rr
+	step := func(r Rung, detail string) {
+		tr.Degrade(sp, r.String(), detail)
+		tr.Stage(sp, r.String())
 	}
-	fail := func(err error) error {
-		obs.MetricsFrom(ctx).SolveEnd()
-		sp.End("error: "+err.Error(), 0)
-		return err
-	}
-
-	// Rung -1: the polynomial frontline. A decided outcome short-circuits
-	// the whole ladder; inconclusive (or a frontline deadline — the
-	// weaker rungs below may still answer) escalates to the exact search.
-	var pre Stats // frontline work carried into later rungs
-	if opts.FastPath() {
-		out, fe := fastPathExec(ctx, exec, addr, opts)
-		switch {
-		case fe != nil && fe.Reason == solver.Canceled:
-			return nil, fail(fe) // the caller wants out; do not keep working
-		case fe != nil:
-			pre = fe.Stats
-			tr.Degrade(sp, RungExact.String(), "fast path exhausted its deadline; escalating to the exact search")
-		case out.verdict == fastInconclusive:
-			pre = out.stats
-			tr.Degrade(sp, RungExact.String(), "fast path inconclusive ("+out.detail+"); escalating to the exact search")
-		default:
-			rr := &ResilientResult{Rung: RungFast, Result: out.result, Stats: out.stats}
-			if !out.result.Coherent {
-				rr.Verdict = VerdictIncoherent
-			}
-			return wrap(rr), nil
-		}
-	}
-
-	// Rung 0: the exact search.
-	r, err := solveAutoAddr(ctx, exec, addr, opts)
-	if err == nil {
-		agg := pre
-		agg.Merge(r.Stats)
-		rr := &ResilientResult{Rung: RungExact, Result: r, Stats: agg}
-		if !r.Coherent {
-			rr.Verdict = VerdictIncoherent
-		}
-		return wrap(rr), nil
-	}
-	be, ok := solver.AsBudgetError(err)
-	if !ok {
-		return nil, fail(err) // malformed input etc.: not a degradation case
-	}
-	if be.Reason == solver.Canceled {
-		return nil, fail(err) // the caller wants out; do not keep working
-	}
-	agg := pre
-	agg.Merge(be.Stats) // partial work of the exhausted search
-
-	inst := project(exec, addr)
-
-	// Rung 1: caller-supplied write order (positive direction only — the
-	// order is a hint; failing to extend it does not refute).
-	if len(writeOrder) > 0 {
-		tr.Degrade(sp, RungWriteOrder.String(),
-			fmt.Sprintf("exact search exhausted (%s); trying supplied write order", be.Reason))
-		if order, oerr := inst.toProjectionRefs(writeOrder, addr); oerr == nil {
-			if wr, werr := writeOrderInstance(inst, order); werr == nil {
-				agg.Merge(wr.Stats)
+	if order := v.cfg.WriteOrders[inst.addr]; len(order) > 0 {
+		step(RungWriteOrder, fmt.Sprintf("exact search exhausted (%s); trying supplied write order", why))
+		if po, err := inst.toProjectionRefs(order, inst.addr); err == nil {
+			if wr, err := writeOrderInstance(inst, po); err == nil {
+				ar.Stats.Merge(wr.Stats)
 				if wr.Coherent {
-					wr.Stats = agg
-					return wrap(&ResilientResult{Verdict: VerdictCoherent, Rung: RungWriteOrder, Result: wr, Stats: agg}), nil
+					wr.Stats = ar.Stats
+					ar.decidedBy(RungWriteOrder, wr)
+					return nil
 				}
 			}
 		}
 	}
-
-	// Rung 2: exhaustive §5.2 enumeration when the write count is small.
 	if n := countWriters(inst); n > 0 && n <= maxEnumWrites {
-		tr.Degrade(sp, RungSpecialist.String(),
-			fmt.Sprintf("enumerating write orders (%d writes)", n))
-		wr, e := enumerateWriteOrders(ctx, inst, &agg)
+		step(RungSpecialist, fmt.Sprintf("enumerating write orders (%d writes)", n))
+		wr, e := enumerateWriteOrders(ctx, inst, &ar.Stats)
 		if e != nil {
-			return nil, fail(withAddr(e, addr))
+			return e
 		}
-		wr.Stats = agg
-		rr := &ResilientResult{Rung: RungSpecialist, Result: wr, Stats: agg}
-		if !wr.Coherent {
-			rr.Verdict = VerdictIncoherent
-		}
-		return wrap(rr), nil
+		wr.Stats = ar.Stats
+		ar.decidedBy(RungSpecialist, wr)
+		return nil
 	}
-
-	// Rung 3: sound necessary conditions. Unknown is an answer, not an
-	// error — the budget failure is folded into the verdict.
-	tr.Degrade(sp, RungNecessary.String(), "checking necessary conditions")
+	step(RungNecessary, "checking necessary conditions")
 	checks, violated := necessaryConditions(inst)
-	agg.States += inst.nops
-	rr := &ResilientResult{Rung: RungNecessary, Stats: agg, Checks: checks}
+	ar.Stats.States += inst.nops
+	ar.Rung, ar.Checks, ar.Verdict = RungNecessary, checks, VerdictUnknown
 	if violated != "" {
-		rr.Verdict = VerdictIncoherent
-		rr.Result = &Result{
-			Coherent:  false,
-			Decided:   true,
-			Algorithm: "necessary-conditions",
-			Stats:     agg,
-		}
-	} else {
-		rr.Verdict = VerdictUnknown
+		ar.decidedBy(RungNecessary, &Result{Coherent: false, Decided: true, Algorithm: "necessary-conditions", Stats: ar.Stats})
 	}
-	return wrap(rr), nil
+	return nil
 }
 
 // countWriters counts writing operations in the instance.

@@ -26,9 +26,8 @@ const packedLayoutBits = 63
 // one position field per history (wide enough for 0..len(hist)), then
 // the current-value index, then one bound flag bit. The value index is
 // a sorted slice searched with valIndex, not a map: layouts are built
-// once per solve, and for the small instances the portfolio dispatches
-// directly a map's construction cost is visible next to the search
-// itself.
+// once per solve, and for litmus-sized instances a map's construction
+// cost is visible next to the search itself.
 type packedLayout struct {
 	posShift []uint8
 	posBits  []uint8
@@ -55,21 +54,10 @@ func (l *packedLayout) valIndex(d memory.Value) (uint64, bool) {
 	return 0, false
 }
 
-// layoutFor builds the packed layout for inst, or nil when the instance
-// needs more than packedLayoutBits bits (the caller then keeps the
-// string-key memo).
-func layoutFor(inst *instance) *packedLayout {
-	l := &packedLayout{}
-	if !l.build(inst) {
-		return nil
-	}
-	return l
-}
-
-// build (re)computes the layout for inst in place, reusing l's slices —
-// the allocation-free form used by the pooled batch driver. It reports
-// false when the instance overflows packedLayoutBits (the caller then
-// keeps the string-key memo); l is unusable in that case.
+// build (re)computes the layout for inst in place, reusing l's slices
+// (the pooled searchScratch keeps one). It reports false when the
+// instance overflows packedLayoutBits (the caller then keeps the
+// string-key memo); l is unusable in that case.
 func (l *packedLayout) build(inst *instance) bool {
 	if cap(l.posShift) >= len(inst.hist) {
 		l.posShift = l.posShift[:len(inst.hist)]
@@ -200,7 +188,7 @@ func (l *packedLayout) parseStringKey(key string) (uint64, bool) {
 const packedSetMinSlots = 1024
 
 // packedSetMinBatchSlots is the smallest table resetSized will produce:
-// the batch driver's floor for tiny instances.
+// the floor for litmus-sized instances.
 const packedSetMinBatchSlots = 64
 
 // packedSetMaxRetainSlots bounds the table a pooled reset keeps: larger
@@ -223,11 +211,11 @@ func (ps *packedSet) reset() { ps.resetSized(packedSetMinSlots) }
 
 // resetSized is reset with an explicit target table size, rounded up to
 // a power of two and clamped to [packedSetMinBatchSlots,
-// packedSetMinSlots]. The batch driver passes a size scaled to the
-// instance so a burst of tiny solves does not pay a 1024-slot memset
-// each. All pooled-reset bookkeeping lives here: the fill count is
-// zeroed on every path — including the drop-and-reallocate path — so a
-// retained table can never carry a stale count into the next solve.
+// packedSetMinSlots]. The search passes a size scaled to the instance
+// so a burst of tiny solves does not pay a 1024-slot memset each. All
+// pooled-reset bookkeeping lives here: the fill count is zeroed on every
+// path — including the drop-and-reallocate path — so a retained table
+// can never carry a stale count into the next solve.
 func (ps *packedSet) resetSized(want int) {
 	if want < packedSetMinBatchSlots {
 		want = packedSetMinBatchSlots

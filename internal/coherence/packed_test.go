@@ -17,8 +17,8 @@ func TestPackedLayoutRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 500; trial++ {
 		inst := project(randomInstance(rng), 0)
-		l := layoutFor(inst)
-		if l == nil {
+		l := new(packedLayout)
+		if !l.build(inst) {
 			t.Fatalf("trial %d: small instance overflowed the packed layout", trial)
 		}
 		s := &searcher{inst: inst, pos: make([]int, len(inst.hist))}
@@ -52,11 +52,11 @@ func TestPackedLayoutOverflow(t *testing.T) {
 			memory.W(0, memory.Value(p)), memory.R(0, memory.Value(p)), memory.W(0, memory.Value(p)),
 		})
 	}
-	if l := layoutFor(project(exec, 0)); l != nil {
+	if new(packedLayout).build(project(exec, 0)) {
 		t.Fatal("oversized instance accepted by the packed layout")
 	}
 	// The fallback must still solve it (budgeted: the instance is huge).
-	_, err := Solve(context.Background(), exec, 0, solver.New(solver.WithMaxStates(2000)))
+	_, err := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithBudget(solver.WithMaxStates(2000))).Solve(context.Background(), exec, 0)
 	if err != nil {
 		if _, ok := solver.AsBudgetError(err); !ok {
 			t.Fatalf("fallback solve failed: %v", err)
@@ -71,8 +71,8 @@ func TestPackedParseRejectsGarbage(t *testing.T) {
 		memory.History{memory.W(0, 1), memory.R(0, 2)},
 		memory.History{memory.W(0, 2)},
 	).SetInitial(0, 0), 0)
-	l := layoutFor(inst)
-	if l == nil {
+	l := new(packedLayout)
+	if !l.build(inst) {
 		t.Fatal("layout expected")
 	}
 	for _, bad := range []string{
@@ -131,11 +131,11 @@ func TestPackedMemoOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 400; trial++ {
 		exec := randomInstance(rng)
-		packed, err := Solve(ctx, exec, 0, nil)
+		packed, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(ctx, exec, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		str, err := Solve(ctx, exec, 0, solver.New(solver.WithoutPackedMemo()))
+		str, err := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithBudget(solver.WithoutPackedMemo())).Solve(ctx, exec, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,11 +170,11 @@ func TestPackedMemoOracleAblations(t *testing.T) {
 			rng := rand.New(rand.NewSource(44))
 			for trial := 0; trial < 150; trial++ {
 				exec := randomInstance(rng)
-				packed, err := Solve(ctx, exec, 0, solver.New(ab.opt))
+				packed, err := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithBudget(ab.opt)).Solve(ctx, exec, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				str, err := Solve(ctx, exec, 0, solver.New(ab.opt, solver.WithoutPackedMemo()))
+				str, err := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithBudget(ab.opt, solver.WithoutPackedMemo())).Solve(ctx, exec, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -34,16 +34,27 @@ func multiAddressInstance(rng *rand.Rand, naddr int) *memory.Execution {
 	return exec
 }
 
+// verifyMap runs Verify across workers (0 or 1 = sequential) under opts
+// and returns the decided results by address — partial when a budget
+// error aborts the run.
+func verifyMap(ctx context.Context, exec *memory.Execution, opts *Options, workers int) (map[memory.Addr]*Result, error) {
+	rep, err := NewVerifier(solver.WithWorkers(workers), solver.WithOptions(opts)).Verify(ctx, exec)
+	if rep == nil {
+		return nil, err
+	}
+	return rep.Results(), err
+}
+
 func TestParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for i := 0; i < 50; i++ {
 		exec := multiAddressInstance(rng, 1+rng.Intn(6))
-		serial, err := VerifyExecution(context.Background(), exec, nil)
+		serial, err := verifyMap(context.Background(), exec, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{0, 1, 2, 8} {
-			par, err := VerifyExecutionParallel(context.Background(), exec, nil, workers)
+			par, err := verifyMap(context.Background(), exec, nil, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +95,7 @@ func TestParallelDeterministicUnderBudget(t *testing.T) {
 
 	for rep := 0; rep < 30; rep++ {
 		for _, workers := range []int{2, 3, 8} {
-			partial, err := VerifyExecutionParallel(context.Background(), exec, opts, workers)
+			partial, err := verifyMap(context.Background(), exec, opts, workers)
 			if err == nil {
 				t.Fatalf("rep %d workers %d: budget of 1 state did not trip", rep, workers)
 			}
@@ -108,13 +119,13 @@ func TestParallelDeterministicUnderBudget(t *testing.T) {
 
 func TestParallelPropagatesErrors(t *testing.T) {
 	bad := memory.NewExecution(memory.History{{Kind: memory.Kind(99), Addr: 0}})
-	if _, err := VerifyExecutionParallel(context.Background(), bad, nil, 4); err == nil {
+	if _, err := verifyMap(context.Background(), bad, nil, 4); err == nil {
 		t.Error("invalid execution accepted")
 	}
 }
 
 func TestParallelEmptyExecution(t *testing.T) {
-	res, err := VerifyExecutionParallel(context.Background(), memory.NewExecution(), nil, 4)
+	res, err := verifyMap(context.Background(), memory.NewExecution(), nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +185,13 @@ func TestParallelLoadBalanceDeterministic(t *testing.T) {
 			}
 		}
 	}
-	serial, err := VerifyExecution(context.Background(), exec, nil)
+	serial, err := verifyMap(context.Background(), exec, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for rep := 0; rep < 10; rep++ {
 		for _, workers := range []int{2, 3, 5, 8} {
-			par, err := VerifyExecutionParallel(context.Background(), exec, nil, workers)
+			par, err := verifyMap(context.Background(), exec, nil, workers)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -36,7 +36,7 @@ func incoherentSearchTrace(seed int64, nproc, opsPerProc int) *memory.Execution 
 func TestPackedSearchZeroAllocPerState(t *testing.T) {
 	ctx := context.Background()
 	exec := incoherentSearchTrace(45, 3, 35)
-	res, err := Solve(ctx, exec, 0, nil)
+	res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(ctx, exec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestPackedSearchZeroAllocPerState(t *testing.T) {
 		t.Fatalf("only %d states: instance too easy to separate per-state from per-solve allocations", states)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := Solve(ctx, exec, 0, nil); err != nil {
+		if _, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(ctx, exec, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -81,8 +81,8 @@ func BenchmarkMemoKey(b *testing.B) {
 	rng := rand.New(rand.NewSource(46))
 	exec, _ := randomCoherentTrace(rng, 4, 16, 3)
 	inst := project(exec, 0)
-	l := layoutFor(inst)
-	if l == nil {
+	l := new(packedLayout)
+	if !l.build(inst) {
 		b.Fatal("bench instance must fit the packed layout")
 	}
 	b.Run("packed", func(b *testing.B) {
@@ -127,7 +127,7 @@ func BenchmarkSearchAllocs(b *testing.B) {
 		b.Run(v.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Solve(context.Background(), exec, 0, v.opts); err != nil {
+				if _, err := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithOptions(v.opts)).Solve(context.Background(), exec, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"memverify/internal/memory"
+	"memverify/internal/solver"
 )
 
 // Property: schedule-prefix closure. Any prefix of a coherent schedule
@@ -19,7 +20,7 @@ func TestCoherenceSchedulePrefixClosure(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		exec := randomInstance(rng)
 		delete(exec.Final, 0)
-		res, err := Solve(context.Background(), exec, 0, nil)
+		res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), exec, 0)
 		if err != nil || !res.Decided {
 			return false
 		}
@@ -68,7 +69,7 @@ func TestCoherenceHistoryPermutationInvariance(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		exec := randomInstance(rng)
-		res, err := Solve(context.Background(), exec, 0, nil)
+		res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), exec, 0)
 		if err != nil {
 			return false
 		}
@@ -81,7 +82,7 @@ func TestCoherenceHistoryPermutationInvariance(t *testing.T) {
 		for i, j := range perm {
 			shuffled.Histories[j] = exec.Histories[i]
 		}
-		r2, err := Solve(context.Background(), shuffled, 0, nil)
+		r2, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), shuffled, 0)
 		if err != nil {
 			return false
 		}
@@ -99,7 +100,7 @@ func TestCoherenceValueRenamingInvariance(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		exec := randomInstance(rng)
-		res, err := Solve(context.Background(), exec, 0, nil)
+		res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), exec, 0)
 		if err != nil {
 			return false
 		}
@@ -123,7 +124,7 @@ func TestCoherenceValueRenamingInvariance(t *testing.T) {
 		if v, ok := mapped.Final[0]; ok {
 			mapped.Final[0] = rename(v)
 		}
-		r2, err := Solve(context.Background(), mapped, 0, nil)
+		r2, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), mapped, 0)
 		if err != nil {
 			return false
 		}
@@ -142,7 +143,7 @@ func TestCoherenceAppendWriteReadPair(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		exec := randomInstance(rng)
 		delete(exec.Final, 0)
-		res, err := Solve(context.Background(), exec, 0, nil)
+		res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), exec, 0)
 		if err != nil || !res.Coherent {
 			return err == nil
 		}
@@ -150,7 +151,7 @@ func TestCoherenceAppendWriteReadPair(t *testing.T) {
 		grown := exec.Clone()
 		grown.Histories[p] = append(grown.Histories[p],
 			memory.W(0, memory.Value(v)), memory.R(0, memory.Value(v)))
-		r2, err := Solve(context.Background(), grown, 0, nil)
+		r2, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), grown, 0)
 		if err != nil {
 			return false
 		}
@@ -167,7 +168,7 @@ func TestCertificateWellFormed(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		exec := randomInstance(rng)
-		res, err := Solve(context.Background(), exec, 0, nil)
+		res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), exec, 0)
 		if err != nil {
 			return false
 		}

@@ -48,8 +48,8 @@ import (
 // Panic isolation: each worker recovers its own panics into a
 // *solver.ErrWorkerPanic; the coordinator re-raises the first one after
 // the team drains, so a parallel search panics exactly where the
-// sequential one would, and the portfolio/race guards above it keep
-// their existing behavior.
+// sequential one would, and the guards above it keep their existing
+// behavior.
 //
 // Checkpointing is sequential-only by design: a snapshot of a
 // mid-flight multi-worker memo is not resumable state (claims are not
@@ -319,31 +319,15 @@ func (ps *pShared) run(ctx context.Context, w int, statsOut *solver.Stats) {
 		}
 	}()
 	scratch := scratchPool.Get().(*searchScratch)
-	pw := &pworker{ps: ps, w: w}
-	pw.searcher = searcher{
-		inst:     ps.inst,
-		opts:     ps.opts,
-		layout:   ps.layout,
-		schedule: scratch.schedule[:0],
-		candBuf:  scratch.candBuf[:0],
-		needed:   scratch.needed[:0],
-		met:      obs.MetricsFrom(ctx),
-	}
+	pw := &pworker{ps: ps, w: w, searcher: scratch.s.fresh(ps.inst)}
+	pw.opts, pw.layout, pw.met = ps.opts, ps.layout, obs.MetricsFrom(ctx)
 	pw.obsOn = pw.met != nil
-	if cap(scratch.pos) >= len(ps.inst.hist) {
-		pw.pos = scratch.pos[:len(ps.inst.hist)]
-	} else {
-		pw.pos = make([]int, len(ps.inst.hist))
-	}
 	defer func() {
 		if pw.obsOn {
 			pw.pollObs()
 		}
 		*statsOut = pw.stats
-		scratch.pos = pw.pos
-		scratch.schedule = pw.schedule[:0]
-		scratch.candBuf = pw.candBuf[:0]
-		scratch.needed = pw.needed[:0]
+		scratch.s.keep(&pw.searcher)
 		scratchPool.Put(scratch)
 	}()
 
@@ -381,24 +365,11 @@ func (ps *pShared) run(ctx context.Context, w int, statsOut *solver.Stats) {
 // incoherent).
 func expandFrontier(ps *pShared, target int, stats *solver.Stats) (tasks []pTask, win []memory.Ref, abort *solver.ErrBudgetExceeded) {
 	scratch := scratchPool.Get().(*searchScratch)
-	es := &searcher{
-		inst:     ps.inst,
-		opts:     ps.opts,
-		layout:   ps.layout,
-		schedule: scratch.schedule[:0],
-		candBuf:  scratch.candBuf[:0],
-		needed:   scratch.needed[:0],
-	}
-	if cap(scratch.pos) >= len(ps.inst.hist) {
-		es.pos = scratch.pos[:len(ps.inst.hist)]
-	} else {
-		es.pos = make([]int, len(ps.inst.hist))
-	}
+	fresh := scratch.s.fresh(ps.inst)
+	es := &fresh
+	es.opts, es.layout = ps.opts, ps.layout
 	defer func() {
-		scratch.pos = es.pos
-		scratch.schedule = es.schedule[:0]
-		scratch.candBuf = es.candBuf[:0]
-		scratch.needed = es.needed[:0]
+		scratch.s.keep(es)
 		scratchPool.Put(scratch)
 	}()
 
@@ -559,8 +530,7 @@ func searchInstanceParallel(ctx context.Context, inst *instance, opts *Options, 
 	ps.outstanding = len(tasks)
 
 	// A dedicated pool sized to the team: every worker gets a slot
-	// immediately (no interference with the shared portfolio pool), and
-	// the pool's guard/tracing brackets each worker.
+	// immediately, and the pool's guard/tracing brackets each worker.
 	pool := solver.NewPool(workers)
 	workerStats := make([]solver.Stats, workers)
 	var wg sync.WaitGroup

@@ -48,9 +48,8 @@ func TestParallelSearchOracle(t *testing.T) {
 		workers := 2 + trial%3
 		for _, addr := range exec.Addresses() {
 			instances++
-			seq, seqErr := solveExact(context.Background(), exec, addr, nil)
-			par, parErr := solveExact(context.Background(), exec, addr,
-				solver.New(solver.WithParallelSearch(workers)))
+			seq, seqErr := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), exec, addr)
+			par, parErr := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithBudget(solver.WithParallelSearch(workers))).Solve(context.Background(), exec, addr)
 			if (seqErr == nil) != (parErr == nil) {
 				t.Fatalf("trial %d addr %d: error mismatch: seq=%v par=%v", trial, addr, seqErr, parErr)
 			}
@@ -81,7 +80,7 @@ func TestParallelSearchEngages(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	exec, _ := randomCoherentTrace(rng, 4, 10, 3)
 	addr := exec.Addresses()[0]
-	par, err := solveExact(context.Background(), exec, addr, solver.New(solver.WithParallelSearch(4)))
+	par, err := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithBudget(solver.WithParallelSearch(4))).Solve(context.Background(), exec, addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +115,7 @@ func TestParallelSearchFallsBackSequential(t *testing.T) {
 		{"one-worker", solver.New(solver.WithParallelSearch(1))},
 	}
 	for _, tc := range cases {
-		res, err := solveExact(context.Background(), exec, addr, tc.opts)
+		res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithOptions(tc.opts)).Solve(context.Background(), exec, addr)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -129,7 +128,7 @@ func TestParallelSearchFallsBackSequential(t *testing.T) {
 	}
 	// Tiny instance: below psearchMinOps the split overhead cannot pay.
 	tiny := &memory.Execution{Histories: []memory.History{{memory.W(0, 1)}, {memory.R(0, 1)}}}
-	res, err := solveExact(context.Background(), tiny, 0, solver.New(solver.WithParallelSearch(4)))
+	res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithBudget(solver.WithParallelSearch(4))).Solve(context.Background(), tiny, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +148,7 @@ func TestParallelSearchBudgetExact(t *testing.T) {
 	const limit, workers = 100, 4
 	for round := 0; round < 20; round++ {
 		opts := solver.New(solver.WithParallelSearch(workers), solver.WithMaxStates(limit))
-		res, err := solveExact(context.Background(), exec, 0, opts)
+		res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithOptions(opts)).Solve(context.Background(), exec, 0)
 		if err == nil {
 			t.Fatalf("round %d: expected budget trip, got verdict coherent=%v after %d states",
 				round, res.Coherent, res.Stats.States)
@@ -184,7 +183,7 @@ func TestParallelSearchBudgetRacesVerdict(t *testing.T) {
 		addr := exec.Addresses()[0]
 		limit := 1 + rng.Intn(60)
 		opts := solver.New(solver.WithParallelSearch(4), solver.WithMaxStates(limit))
-		res, err := solveExact(context.Background(), exec, addr, opts)
+		res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithOptions(opts)).Solve(context.Background(), exec, addr)
 		if err != nil {
 			be, ok := solver.AsBudgetError(err)
 			if !ok {
@@ -210,7 +209,7 @@ func TestParallelSearchCancellation(t *testing.T) {
 	exec := hardIncoherentExec(3, 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := solveExact(ctx, exec, 0, solver.New(solver.WithParallelSearch(4)))
+	_, err := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithBudget(solver.WithParallelSearch(4))).Solve(ctx, exec, 0)
 	if err == nil {
 		t.Fatal("expected cancellation error")
 	}
@@ -226,11 +225,11 @@ func TestParallelSearchCancellation(t *testing.T) {
 // agree with the sequential count's verdict.
 func TestParallelSearchIncoherentComplete(t *testing.T) {
 	exec := hardIncoherentExec(3, 5)
-	seq, err := solveExact(context.Background(), exec, 0, nil)
+	seq, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), exec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := solveExact(context.Background(), exec, 0, solver.New(solver.WithParallelSearch(4)))
+	par, err := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithBudget(solver.WithParallelSearch(4))).Solve(context.Background(), exec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

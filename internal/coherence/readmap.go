@@ -70,11 +70,11 @@ type readMapScratch struct {
 	readsTail []int32
 	readsNext []int32
 	readsRef  []memory.Ref
-	adj      [][]int
-	indeg    []int
-	edgeSeen map[[2]int]bool
-	topo     []int
-	sched    []memory.Ref
+	adj       [][]int
+	indeg     []int
+	edgeSeen  map[[2]int]bool
+	topo      []int
+	sched     []memory.Ref
 }
 
 var readMapPool = sync.Pool{New: func() any {
@@ -84,9 +84,9 @@ var readMapPool = sync.Pool{New: func() any {
 	}
 }}
 
-// readMapInstance runs the cluster-chain algorithm. ok is false only in
-// the ambiguous initial-value corner described on SolveReadMap, or when a
-// value is written more than once (callers check first).
+// readMapInstance runs the cluster-chain algorithm. ok is false when a
+// value is written more than once (the row does not apply) or in the
+// ambiguous initial-value corner described on SolveReadMap.
 func readMapInstance(inst *instance) (r *Result, ok bool) {
 	sc := readMapPool.Get().(*readMapScratch)
 	r, ok = sc.run(inst)
@@ -97,8 +97,6 @@ func readMapInstance(inst *instance) (r *Result, ok bool) {
 
 // run is the cluster-chain algorithm proper, on pooled state.
 func (sc *readMapScratch) run(inst *instance) (r *Result, ok bool) {
-	incoherent := &Result{Coherent: false, Decided: true, Algorithm: "read-map"}
-
 	// Cluster 0 is the initial-value cluster; each written value d gets
 	// cluster writeCluster[d] >= 1 whose head is the op writing d.
 	const initCluster = 0
@@ -111,8 +109,9 @@ func (sc *readMapScratch) run(inst *instance) (r *Result, ok bool) {
 		for i, o := range h {
 			if d, ok := o.Writes(); ok {
 				if _, dup := writeCluster[d]; dup {
+					// A value written twice: the row does not apply.
 					sc.headRef, sc.headOp = headRef, headOp
-					return incoherent, false
+					return nil, false
 				}
 				writeCluster[d] = next
 				headRef = append(headRef, memory.Ref{Proc: p, Index: i})
@@ -122,6 +121,7 @@ func (sc *readMapScratch) run(inst *instance) (r *Result, ok bool) {
 		}
 	}
 	sc.headRef, sc.headOp = headRef, headOp
+	incoherent := &Result{Coherent: false, Decided: true, Algorithm: "read-map"}
 
 	// Ambiguity checks — cases where the read-map is not actually forced:
 	//  1. the declared initial value is also written and observed by some

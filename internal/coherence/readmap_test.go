@@ -60,13 +60,13 @@ func TestReadMapAmbiguousInitial(t *testing.T) {
 	if _, err := SolveReadMap(context.Background(), exec, 0); err == nil {
 		t.Error("ambiguous initial-value instance accepted")
 	}
-	// SolveAuto must still answer, via the general solver.
-	res, err := SolveAuto(context.Background(), exec, 0, nil)
+	// The auto preset must still answer, via the general solver.
+	res, err := NewVerifier().Solve(context.Background(), exec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Coherent {
-		t.Error("SolveAuto failed on the ambiguous corner")
+		t.Error("the auto preset failed on the ambiguous corner")
 	}
 }
 
@@ -83,7 +83,7 @@ func TestReadMapUnboundInitialAmbiguity(t *testing.T) {
 	}
 	// The instance is genuinely coherent via initial binding; SolveAuto
 	// must find it.
-	res, err := SolveAuto(context.Background(), exec, 0, nil)
+	res, err := NewVerifier().Solve(context.Background(), exec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

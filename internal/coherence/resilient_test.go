@@ -3,16 +3,20 @@ package coherence
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"memverify/internal/memory"
-	"memverify/internal/obs"
 	"memverify/internal/solver"
 )
+
+// solveResilient runs the resilient preset on one address, with an
+// optional write-order hint and budget options.
+func solveResilient(ctx context.Context, exec *memory.Execution, addr memory.Addr, order []memory.Ref, budget ...solver.Option) (*AddrReport, error) {
+	return NewVerifier(solver.WithStrategy(solver.StrategyResilient),
+		solver.WithWriteOrders(map[memory.Addr][]memory.Ref{addr: order}),
+		solver.WithBudget(budget...)).SolveAddr(ctx, exec, addr)
+}
 
 func TestResilientExactRung(t *testing.T) {
 	exec := memory.NewExecution(
@@ -21,7 +25,7 @@ func TestResilientExactRung(t *testing.T) {
 	).SetInitial(0, 0)
 	// The frontline is ablated so the test pins the exact rung itself;
 	// TestResilientFastRung covers the default path.
-	rr, err := SolveResilient(context.Background(), exec, 0, nil, solver.New(solver.WithoutFastPath()))
+	rr, err := solveResilient(context.Background(), exec, 0, nil, solver.WithoutFastPath())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,9 +41,9 @@ func TestResilientExactRung(t *testing.T) {
 // the instance has few writes, so exhaustive write-order enumeration
 // (the §5.2 algorithm over every order) still decides — both ways.
 func TestResilientSpecialistDecides(t *testing.T) {
-	opts := solver.New(solver.WithMaxStates(3), solver.WithoutFastPath())
+	budget := []solver.Option{solver.WithMaxStates(3), solver.WithoutFastPath()}
 
-	rr, err := SolveResilient(context.Background(), hardExecution(), 0, nil, opts)
+	rr, err := solveResilient(context.Background(), hardExecution(), 0, nil, budget...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +56,7 @@ func TestResilientSpecialistDecides(t *testing.T) {
 
 	// Coherent case, certificate checked: Figure 4.2 has 5 writes.
 	exec := figure42Instance()
-	rr, err = SolveResilient(context.Background(), exec, 0, nil, opts)
+	rr, err = solveResilient(context.Background(), exec, 0, nil, budget...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +95,7 @@ func manyWriteExecution() *memory.Execution {
 // the rung recorded in Stats — not an error.
 func TestResilientUnknown(t *testing.T) {
 	exec := manyWriteExecution()
-	rr, err := SolveResilient(context.Background(), exec, 0, nil, solver.New(solver.WithMaxStates(10)))
+	rr, err := solveResilient(context.Background(), exec, 0, nil, solver.WithMaxStates(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +125,7 @@ func TestResilientNecessaryRefutes(t *testing.T) {
 	exec.Histories[0] = append(exec.Histories[0], memory.R(0, 9999))
 	// Ablate the frontline (which refutes this outright — see the
 	// fastpath tests) so the necessary-conditions rung stays exercised.
-	rr, err := SolveResilient(context.Background(), exec, 0, nil, solver.New(solver.WithMaxStates(10), solver.WithoutFastPath()))
+	rr, err := solveResilient(context.Background(), exec, 0, nil, solver.WithMaxStates(10), solver.WithoutFastPath())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +149,7 @@ func TestResilientNecessaryRefutes(t *testing.T) {
 func TestResilientWriteOrderHint(t *testing.T) {
 	exec := figure42Instance()
 	// Derive a valid write order from an unbudgeted solve's certificate.
-	fresh, err := SolveAuto(context.Background(), exec, 0, nil)
+	fresh, err := NewVerifier().Solve(context.Background(), exec, 0)
 	if err != nil || !fresh.Coherent {
 		t.Fatalf("baseline solve: %v, %+v", err, fresh)
 	}
@@ -155,7 +159,7 @@ func TestResilientWriteOrderHint(t *testing.T) {
 			order = append(order, r)
 		}
 	}
-	rr, err := SolveResilient(context.Background(), exec, 0, order, solver.New(solver.WithMaxStates(2), solver.WithoutFastPath()))
+	rr, err := solveResilient(context.Background(), exec, 0, order, solver.WithMaxStates(2), solver.WithoutFastPath())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,15 +176,16 @@ func TestResilientWriteOrderHint(t *testing.T) {
 func TestResilientCancelPropagates(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SolveResilient(ctx, manyWriteExecution(), 0, nil, nil)
+	_, err := solveResilient(ctx, manyWriteExecution(), 0, nil)
 	be, ok := solver.AsBudgetError(err)
 	if !ok || be.Reason != solver.Canceled {
 		t.Fatalf("err = %v, want Canceled budget error", err)
 	}
 }
 
-// TestVerifyExecutionResilient: budget exhaustion on one address must
-// not abort the loop — every address gets a verdict (possibly Unknown).
+// TestVerifyExecutionResilient: under the resilient preset, budget
+// exhaustion on one address must not abort Verify's loop — every address
+// gets a verdict (possibly Unknown).
 func TestVerifyExecutionResilient(t *testing.T) {
 	hard := manyWriteExecution()
 	exec := &memory.Execution{Histories: make([]memory.History, len(hard.Histories))}
@@ -191,102 +196,18 @@ func TestVerifyExecutionResilient(t *testing.T) {
 	exec.Histories[1] = append(memory.History{memory.R(1, 5)}, exec.Histories[1]...)
 	exec.SetInitial(1, 0)
 
-	out, err := VerifyExecutionResilient(context.Background(), exec, nil, solver.New(solver.WithMaxStates(10)))
+	rep, err := NewVerifier(solver.WithStrategy(solver.StrategyResilient),
+		solver.WithBudget(solver.WithMaxStates(10))).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 2 {
-		t.Fatalf("results for %d addresses, want 2", len(out))
+	if len(rep.Addrs) != 2 {
+		t.Fatalf("results for %d addresses, want 2", len(rep.Addrs))
 	}
-	if out[1].Verdict != VerdictCoherent {
-		t.Errorf("trivial address verdict = %s", out[1].Verdict)
+	if rep.Addrs[1].Verdict != VerdictCoherent {
+		t.Errorf("trivial address verdict = %s", rep.Addrs[1].Verdict)
 	}
-	if out[0].Verdict != VerdictUnknown {
-		t.Errorf("hard address verdict = %s, want unknown", out[0].Verdict)
-	}
-}
-
-// obsEventSink records obs events for the panic-injection test.
-type obsEventSink struct {
-	mu     sync.Mutex
-	events []obs.Event
-}
-
-func (s *obsEventSink) Emit(e obs.Event) {
-	s.mu.Lock()
-	s.events = append(s.events, e)
-	s.mu.Unlock()
-}
-
-func (s *obsEventSink) count(k obs.Kind) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, e := range s.events {
-		if e.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
-// TestPortfolioSurvivesCandidatePanic is the panic-isolation acceptance
-// test: one race candidate is made to panic; SolvePortfolio must return
-// the correct verdict from the survivors, emit a worker_panic obs
-// event, and leak no goroutines.
-func TestPortfolioSurvivesCandidatePanic(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	exec := hardRacingInstance(rng) // reliably escalates to the race stage
-	want, err := SolveAuto(context.Background(), exec, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sink := &obsEventSink{}
-	// The fault is injected into whichever candidate the pool schedules
-	// first — on a one-slot pool (GOMAXPROCS=1) the candidates run
-	// sequentially and a fixed victim index would let the winner finish
-	// before the victim ever starts, especially now that the probe-memo
-	// seeding makes the seeded racer near-instant. The survivor then
-	// holds until the panic has been recorded, so the worker_panic event
-	// is deterministically present when the race returns (bounded wait:
-	// a wedged faulty goroutine should fail the test, not hang it).
-	var faulted sync.Once
-	testHookRaceCandidate = func(idx int) {
-		injected := false
-		faulted.Do(func() { injected = true })
-		if injected {
-			panic("injected candidate fault")
-		}
-		deadline := time.Now().Add(2 * time.Second)
-		for sink.count(obs.KindWorkerPanic) == 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	defer func() { testHookRaceCandidate = nil }()
-
-	ctx := obs.With(context.Background(), &obs.Observer{Tracer: obs.NewTracer(sink)})
-	before := runtime.NumGoroutine()
-	// The frontline would decide this instance before the race stage; the
-	// test is about race panic isolation, so ablate it.
-	got, err := SolvePortfolio(ctx, exec, 0, solver.New(solver.WithoutFastPath()))
-	if err != nil {
-		t.Fatalf("portfolio died with a panicked candidate: %v", err)
-	}
-	if got.Coherent != want.Coherent {
-		t.Errorf("survivor verdict %v != auto verdict %v", got.Coherent, want.Coherent)
-	}
-	if !strings.HasPrefix(got.Algorithm, "portfolio:") {
-		t.Errorf("algorithm = %q, want a race winner", got.Algorithm)
-	}
-	if sink.count(obs.KindWorkerPanic) == 0 {
-		t.Error("no worker_panic event for the injected fault")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && runtime.NumGoroutine() > before {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > before {
-		t.Errorf("goroutines: %d before, %d after — race workers leaked", before, n)
+	if rep.Addrs[0].Verdict != VerdictUnknown {
+		t.Errorf("hard address verdict = %s, want unknown", rep.Addrs[0].Verdict)
 	}
 }

@@ -77,18 +77,17 @@ type searcher struct {
 	keyBuf []byte // fallback string-key scratch; unused on the packed path
 }
 
-// searchScratch carries the searcher's reusable buffers across
-// searchInstance calls. Pooling them means a worker draining many
-// per-address solves (VerifyExecutionParallel, the portfolio racers)
-// re-uses one warm set of buffers instead of re-growing them per
-// address.
+// searchScratch is the pooled state of one exact search: the searcher
+// with its per-state buffers, the packed layout, the memo table and the
+// budget. Every search — Verify's per-address solves, SolveBatch's
+// litmus-sized jobs, Diagnose's shrinking re-solves — takes one from
+// scratchPool, so a worker draining many solves reuses one warm set
+// instead of rebuilding it per address.
 type searchScratch struct {
-	pos      []int
-	schedule []memory.Ref
-	candBuf  []int
-	needed   []memory.Value
-	keyBuf   []byte
-	packed   packedSet
+	s      searcher
+	layout packedLayout
+	packed packedSet
+	budget solver.Budget
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -127,60 +126,40 @@ func (s *searcher) pollObs() {
 // tripped budget (state bound, deadline, or cancellation) returns a nil
 // Result and the budget error carrying the partial stats.
 func searchInstance(ctx context.Context, inst *instance, opts *Options) (*Result, *solver.ErrBudgetExceeded) {
+	sc := scratchPool.Get().(*searchScratch)
+	defer scratchPool.Put(sc)
+	var layout *packedLayout
+	if opts.Memoize() && opts.PackedMemo() && sc.layout.build(inst) {
+		layout = &sc.layout
+	}
 	// Parallel exact search (Options.ParallelSearch): engaged when the
 	// memo can be shared (packed layout with a spare claim bit,
 	// memoization on) and nothing demands sequential execution — a
 	// checkpoint sink does, because a mid-flight multi-worker memo is
 	// not resumable state (see psearch.go). Every fallback is silent
 	// and complete: the sequential search answers the same question.
-	if w := opts.PSearch(); w > 1 && opts.Memoize() && opts.PackedMemo() &&
+	if w := opts.PSearch(); w > 1 && layout != nil && layout.bitsUsed() < packedLayoutBits &&
 		opts.Sink() == nil && inst.nops >= psearchMinOps {
-		if layout := layoutFor(inst); layout != nil && layout.bitsUsed() < packedLayoutBits {
-			return searchInstanceParallel(ctx, inst, opts, layout, w)
-		}
+		return searchInstanceParallel(ctx, inst, opts, layout, w)
 	}
 	start := time.Now()
-	budget := solver.Start(ctx, opts)
-	defer budget.Stop()
-	scratch := scratchPool.Get().(*searchScratch)
-	s := &searcher{
-		inst:      inst,
-		opts:      opts,
-		budget:    budget,
-		schedule:  scratch.schedule[:0],
-		candBuf:   scratch.candBuf[:0],
-		needed:    scratch.needed[:0],
-		keyBuf:    scratch.keyBuf[:0],
-		tr:        obs.TracerFrom(ctx),
-		met:       obs.MetricsFrom(ctx),
-		sink:      opts.Sink(),
-		snapEvery: opts.SnapshotEvery(),
-	}
-	if cap(scratch.pos) >= len(inst.hist) {
-		s.pos = scratch.pos[:len(inst.hist)]
-		clear(s.pos)
-	} else {
-		s.pos = make([]int, len(inst.hist))
-	}
-	if s.opts.Memoize() {
-		if opts.PackedMemo() {
-			s.layout = layoutFor(inst)
-		}
-		if s.layout != nil {
-			s.packed = &scratch.packed
-			s.packed.reset()
+	sc.budget.Reset(ctx, opts)
+	defer sc.budget.Stop()
+	s := &sc.s
+	*s = s.fresh(inst)
+	s.opts, s.budget = opts, &sc.budget
+	s.tr, s.met = obs.TracerFrom(ctx), obs.MetricsFrom(ctx)
+	s.sink, s.snapEvery = opts.Sink(), opts.SnapshotEvery()
+	if opts.Memoize() {
+		if layout != nil {
+			s.layout, s.packed = layout, &sc.packed
+			// Size the table to the instance: litmus-sized solves touch
+			// tens of states, not the 1024-slot default.
+			s.packed.resetSized(4 * inst.nops)
 		} else {
 			s.memo = make(map[string]struct{})
 		}
 	}
-	defer func() {
-		scratch.pos = s.pos
-		scratch.schedule = s.schedule[:0]
-		scratch.candBuf = s.candBuf[:0]
-		scratch.needed = s.needed[:0]
-		scratch.keyBuf = s.keyBuf[:0]
-		scratchPool.Put(scratch)
-	}()
 	s.obsOn = s.tr != nil || s.met != nil
 	s.seedMemo(opts.ResumeMemoSeed())
 	if s.tr != nil {
@@ -218,6 +197,33 @@ func searchInstance(ctx context.Context, inst *instance, opts *Options) (*Result
 		s.sp.End("incoherent", int64(s.stats.States))
 	}
 	return res, nil
+}
+
+// fresh returns a searcher for inst built on s's grown buffers, its
+// position vector zeroed; every other field is left for the caller. A
+// pooled searcher keeps its last solve's references until then; the
+// pool drops it at the next collections anyway.
+func (s *searcher) fresh(inst *instance) searcher {
+	pos := growSlice(s.pos, len(inst.hist))
+	clear(pos)
+	return searcher{inst: inst, pos: pos, schedule: s.schedule[:0],
+		candBuf: s.candBuf[:0], needed: s.needed[:0], keyBuf: s.keyBuf[:0]}
+}
+
+// keep stores t's grown buffers in s for the next fresh, and drops every
+// other reference t holds into its solve.
+func (s *searcher) keep(t *searcher) {
+	*s = searcher{pos: t.pos, schedule: t.schedule[:0], candBuf: t.candBuf[:0],
+		needed: t.needed[:0], keyBuf: t.keyBuf[:0]}
+}
+
+// growSlice returns s resized to n, reusing its backing array when the
+// capacity allows.
+func growSlice[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
 }
 
 // seedMemo ingests memo keys saved by a prior checkpoint. Keys are

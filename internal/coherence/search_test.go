@@ -25,7 +25,7 @@ func figure42Instance() *memory.Execution {
 
 func TestSolveFigure42Coherent(t *testing.T) {
 	exec := figure42Instance()
-	res, err := Solve(context.Background(), exec, 0, nil)
+	res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), exec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSolveUnsatisfiableInstance(t *testing.T) {
 		memory.History{memory.R(0, dub), memory.R(0, du), memory.W(0, dc2)},                   // literal ū, clause c2
 		memory.History{memory.R(0, dc1), memory.R(0, dc2), memory.W(0, du), memory.W(0, dub)}, // h3
 	).SetInitial(0, 0)
-	res, err := Solve(context.Background(), exec, 0, nil)
+	res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), exec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSolveUnsatisfiableInstance(t *testing.T) {
 
 func TestSolveTrivialCases(t *testing.T) {
 	// Empty execution.
-	res, err := Solve(context.Background(), memory.NewExecution(), 0, nil)
+	res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), memory.NewExecution(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestSolveTrivialCases(t *testing.T) {
 
 	// Single read of the declared initial value.
 	e := memory.NewExecution(memory.History{memory.R(0, 5)}).SetInitial(0, 5)
-	res, err = Solve(context.Background(), e, 0, nil)
+	res, err = NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), e, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestSolveTrivialCases(t *testing.T) {
 
 	// Single read of a never-written, non-initial value.
 	e = memory.NewExecution(memory.History{memory.R(0, 5)}).SetInitial(0, 4)
-	res, err = Solve(context.Background(), e, 0, nil)
+	res, err = NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), e, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSolveFinalValue(t *testing.T) {
 		memory.History{memory.W(0, 1)},
 		memory.History{memory.W(0, 2)},
 	).SetFinal(0, 1)
-	res, err := Solve(context.Background(), e, 0, nil)
+	res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), e, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSolveFinalValue(t *testing.T) {
 	}
 
 	e.SetFinal(0, 3)
-	res, err = Solve(context.Background(), e, 0, nil)
+	res, err = NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), e, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSolveRMWChain(t *testing.T) {
 		memory.History{memory.RW(0, 1, 2)},
 		memory.History{memory.RW(0, 2, 3)},
 	).SetInitial(0, 0).SetFinal(0, 3)
-	res, err := Solve(context.Background(), e, 0, nil)
+	res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), e, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestSolveRMWChain(t *testing.T) {
 		memory.History{memory.RW(0, 0, 1)},
 		memory.History{memory.RW(0, 0, 2)},
 	).SetInitial(0, 0)
-	res, err = Solve(context.Background(), bad, 0, nil)
+	res, err = NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), bad, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestSolveStateBudget(t *testing.T) {
 	// search must give up with a typed budget error carrying partial
 	// stats, not report a definite negative.
 	exec := figure42Instance()
-	res, err := Solve(context.Background(), exec, 0, &Options{MaxStates: 1})
+	res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithBudget(solver.WithMaxStates(1))).Solve(context.Background(), exec, 0)
 	if err == nil {
 		t.Fatalf("budget-limited search returned a verdict (coherent=%v)", res.Coherent)
 	}
@@ -196,7 +196,7 @@ func TestSolveAblationsAgree(t *testing.T) {
 		exec := randomInstance(rng)
 		want, _ := bruteForceCoherent(exec, 0)
 		for vi, opts := range variants {
-			res, err := Solve(context.Background(), exec, 0, opts)
+			res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithOptions(opts)).Solve(context.Background(), exec, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,7 +222,7 @@ func TestSolveMatchesOracleOnRandomInstances(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		exec := randomInstance(rng)
 		want, _ := bruteForceCoherent(exec, 0)
-		res, err := Solve(context.Background(), exec, 0, nil)
+		res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), exec, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,7 +246,7 @@ func TestSolveAutoMatchesOracle(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		exec := randomInstance(rng)
 		want, _ := bruteForceCoherent(exec, 0)
-		res, err := SolveAuto(context.Background(), exec, 0, nil)
+		res, err := NewVerifier().Solve(context.Background(), exec, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func TestVerifyExecutionPerAddress(t *testing.T) {
 		memory.History{memory.W(0, 1), memory.R(1, 9)},
 		memory.History{memory.R(0, 1), memory.W(1, 5)},
 	).SetInitial(0, 0).SetInitial(1, 0)
-	results, err := VerifyExecution(context.Background(), e, nil)
+	results, err := verifyMap(context.Background(), e, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,10 +278,12 @@ func TestVerifyExecutionPerAddress(t *testing.T) {
 	if results[1].Coherent {
 		t.Error("address 1 should be incoherent (R(1,9) has no source)")
 	}
-	ok, bad, err := Coherent(context.Background(), e, nil)
+	rep, err := NewVerifier().Verify(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ok := rep.Coherent()
+	bad, _ := rep.FirstViolation()
 	if ok || bad != 1 {
 		t.Errorf("Coherent = %v at address %d, want false at 1", ok, bad)
 	}
@@ -292,18 +294,18 @@ func TestCoherentAllGood(t *testing.T) {
 		memory.History{memory.W(0, 1), memory.W(1, 2)},
 		memory.History{memory.R(0, 1), memory.R(1, 2)},
 	).SetInitial(0, 0).SetInitial(1, 0)
-	ok, _, err := Coherent(context.Background(), e, nil)
+	rep, err := NewVerifier().Verify(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
+	if !rep.Coherent() {
 		t.Error("execution should be coherent")
 	}
 }
 
 func TestSolveStatsPopulated(t *testing.T) {
 	exec := figure42Instance()
-	res, err := Solve(context.Background(), exec, 0, nil)
+	res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), exec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +319,7 @@ func TestSolveStatsPopulated(t *testing.T) {
 
 func TestSolveRejectsInvalidExecution(t *testing.T) {
 	bad := memory.NewExecution(memory.History{{Kind: memory.Kind(88)}})
-	if _, err := Solve(context.Background(), bad, 0, nil); err == nil {
+	if _, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), bad, 0); err == nil {
 		t.Error("invalid execution accepted")
 	}
 }
@@ -327,11 +329,11 @@ func TestEagerReadsReduceStates(t *testing.T) {
 	// states than the ablated search.
 	rng := rand.New(rand.NewSource(3))
 	exec, _ := randomCoherentTrace(rng, 3, 6, 2)
-	withRule, err := Solve(context.Background(), exec, 0, nil)
+	withRule, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), exec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := Solve(context.Background(), exec, 0, &Options{DisableEagerReads: true})
+	without, err := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithOptions(&Options{DisableEagerReads: true})).Solve(context.Background(), exec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"memverify/internal/memory"
 	"memverify/internal/obs"
-	"memverify/internal/solver"
 )
 
 // statsEqual compares two Stats ignoring wall-clock Duration (the only
@@ -41,11 +40,11 @@ func TestParallelStatsMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 20; i++ {
 		exec := multiAddressInstance(rng, 2+rng.Intn(4))
-		serial, err := VerifyExecution(context.Background(), exec, nil)
+		serial, err := verifyMap(context.Background(), exec, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := VerifyExecutionParallel(context.Background(), exec, nil, 4)
+		par, err := verifyMap(context.Background(), exec, nil, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +76,7 @@ func TestParallelMetricsAggregation(t *testing.T) {
 	exec := generalSearchExec(3)
 	m := obs.NewMetrics()
 	ctx := obs.With(context.Background(), &obs.Observer{Metrics: m})
-	par, err := VerifyExecutionParallel(ctx, exec, nil, 3)
+	par, err := verifyMap(ctx, exec, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,49 +106,5 @@ func TestParallelMetricsAggregation(t *testing.T) {
 	}
 	if s.Solves != 3 || s.SolvesDone != 3 {
 		t.Errorf("metrics solves = %d/%d, want 3/3 (one per address)", s.SolvesDone, s.Solves)
-	}
-}
-
-// TestPortfolioStatsSingleCount checks the staged portfolio neither
-// double counts nor double reports: the returned Stats are exactly the
-// deciding stage's (the probe is the same search SolveAuto runs), and
-// the whole staged solve bumps the live solve counter once per address
-// even though several stages execute inside it.
-func TestPortfolioStatsSingleCount(t *testing.T) {
-	// 28 ops at one address: past portfolioMinOps, so the portfolio
-	// stages (specialist check, probe) actually run.
-	exec := &memory.Execution{Histories: make([]memory.History, 2)}
-	exec.SetInitial(0, 0)
-	for i := 0; i < 7; i++ {
-		exec.Histories[0] = append(exec.Histories[0], memory.W(0, 5), memory.R(0, 5))
-		exec.Histories[1] = append(exec.Histories[1], memory.R(0, 5), memory.W(0, 5))
-	}
-
-	auto, err := SolveAuto(context.Background(), exec, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := obs.NewMetrics()
-	ctx := obs.With(context.Background(), &obs.Observer{Metrics: m})
-	// The fastpath stage would decide this instance before the probe; the
-	// test pins the probe's stats accounting, so ablate the frontline.
-	port, err := SolvePortfolio(ctx, exec, 0, solver.New(solver.WithoutFastPath()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if port.Coherent != auto.Coherent {
-		t.Fatalf("portfolio verdict %v != auto %v", port.Coherent, auto.Coherent)
-	}
-	// The probe decided, so the stats are one search's worth — identical
-	// to SolveAuto's, not auto's plus a probe's.
-	if !statsEqual(port.Stats, auto.Stats) {
-		t.Errorf("portfolio stats %+v != single-search stats %+v", port.Stats, auto.Stats)
-	}
-	s := m.Snapshot()
-	if s.Solves != 1 || s.SolvesDone != 1 {
-		t.Errorf("metrics solves = %d/%d, want 1/1 for one staged solve", s.SolvesDone, s.Solves)
-	}
-	if s.States != int64(port.Stats.States) {
-		t.Errorf("metrics states = %d, solver stats say %d", s.States, port.Stats.States)
 	}
 }

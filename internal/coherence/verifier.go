@@ -12,16 +12,13 @@ import (
 	"memverify/internal/solver"
 )
 
-// Verifier is the unified facade over every coherence decision
-// procedure in this package. One Verifier, configured once with the
-// functional options of internal/solver, replaces the pre-facade sprawl
-// of entry points (Solve, SolveAuto, SolvePortfolio, SolveResilient,
-// VerifyExecution, VerifyExecutionParallel, VerifyExecutionPortfolio,
-// VerifyExecutionResilient, VerifyExecutionCheckpoint) — those remain as
-// deprecated one-line wrappers over this type.
+// Verifier is the one facade over the package's decision procedures.
+// Configured once with the functional options of internal/solver, it
+// decides every address with the escalation ladder (ladder.go); the
+// strategy only selects which rungs run.
 //
 //	v := coherence.NewVerifier(
-//	        solver.WithStrategy(solver.StrategyPortfolio),
+//	        solver.WithStrategy(solver.StrategyFast),
 //	        solver.WithWorkers(8),
 //	        solver.WithBudget(solver.WithMaxStates(1e6), solver.WithTimeout(time.Second)),
 //	)
@@ -36,68 +33,33 @@ type Verifier struct {
 
 // NewVerifier builds a Verifier from functional options. With no
 // options it verifies sequentially with StrategyAuto and no resource
-// bound — the semantics of the old VerifyExecution.
+// bound.
 func NewVerifier(opts ...solver.ConfigOption) *Verifier {
 	return &Verifier{cfg: solver.NewConfig(opts...)}
 }
 
-// Config returns the verifier's configuration (read-only by contract).
-func (v *Verifier) Config() *solver.Config { return v.cfg }
-
-// AddrReport is the per-address outcome of a facade verification. It is
-// strategy-neutral: the exact strategies always decide (Verdict is
-// Coherent or Incoherent, Result non-nil), while StrategyResilient may
-// end at VerdictUnknown with a nil Result and the necessary-condition
-// evidence in Checks.
+// AddrReport is the per-address outcome of the escalation ladder. Every
+// strategy but StrategyResilient decides (Verdict is Coherent or
+// Incoherent, Result non-nil); StrategyResilient may end at
+// VerdictUnknown with a nil Result and the necessary-condition evidence
+// in Checks.
 type AddrReport struct {
 	// Addr is the address this report covers.
 	Addr memory.Addr
 	// Verdict is the three-valued answer for the address.
 	Verdict ResilientVerdict
-	// Rung is the degradation-ladder rung that produced the verdict
-	// (RungExact for the non-resilient strategies).
+	// Rung is the ladder rung that produced the verdict.
 	Rung Rung
-	// Result is the deciding solver's result (certificate, algorithm,
+	// Result is the deciding rung's result (certificate, algorithm,
 	// per-solve stats); nil when Verdict is Unknown.
 	Result *Result
-	// Stats aggregates all work spent on the address, including the
-	// partial stats of exhausted ladder rungs.
+	// Stats aggregates all work spent on the address: every rung tried,
+	// including an inconclusive fast path and the partial stats of an
+	// exhausted search (Stats.Merge sums their durations).
 	Stats Stats
-	// Checks lists the necessary-condition outcomes when the resilient
-	// ladder reached its last rung.
+	// Checks lists the necessary-condition outcomes when the ladder
+	// reached RungNecessary.
 	Checks []string
-}
-
-// Resilient converts the report to the legacy ResilientResult shape.
-func (ar *AddrReport) Resilient() *ResilientResult {
-	return &ResilientResult{
-		Verdict: ar.Verdict,
-		Rung:    ar.Rung,
-		Result:  ar.Result,
-		Stats:   ar.Stats,
-		Checks:  ar.Checks,
-	}
-}
-
-// addrReportFromResult wraps a decided two-valued result.
-func addrReportFromResult(addr memory.Addr, r *Result) *AddrReport {
-	ar := &AddrReport{Addr: addr, Verdict: VerdictCoherent, Rung: RungExact, Result: r, Stats: r.Stats}
-	if !r.Coherent {
-		ar.Verdict = VerdictIncoherent
-	}
-	return ar
-}
-
-// addrReportFromResilient wraps a degradation-ladder outcome.
-func addrReportFromResilient(addr memory.Addr, rr *ResilientResult) *AddrReport {
-	return &AddrReport{
-		Addr:    addr,
-		Verdict: rr.Verdict,
-		Rung:    rr.Rung,
-		Result:  rr.Result,
-		Stats:   rr.Stats,
-		Checks:  rr.Checks,
-	}
 }
 
 // Report is the execution-level outcome of Verifier.Verify: one
@@ -140,9 +102,8 @@ func (r *Report) finalize() {
 // Coherent reports whether every address was proven coherent.
 func (r *Report) Coherent() bool { return r.Verdict == VerdictCoherent }
 
-// Results returns the decided per-address results as the map shape the
-// legacy VerifyExecution* entry points returned. Addresses whose
-// resilient verdict is Unknown are absent.
+// Results returns the decided per-address results keyed by address.
+// Addresses whose resilient verdict is Unknown are absent.
 func (r *Report) Results() map[memory.Addr]*Result {
 	out := make(map[memory.Addr]*Result, len(r.Addrs))
 	for i := range r.Addrs {
@@ -165,10 +126,9 @@ func (r *Report) FirstViolation() (memory.Addr, bool) {
 }
 
 // Solve decides VMC for a single address under the configured strategy
-// and budget. For the always-deciding strategies the returned Result is
-// never nil on a nil error; under StrategyResilient an Unknown ladder
-// outcome is reported as a Result with Decided == false (use SolveAddr
-// for the full three-valued report).
+// and budget. The returned Result is never nil on a nil error; under
+// StrategyResilient an Unknown ladder outcome is reported as a Result
+// with Decided == false (use SolveAddr for the full three-valued report).
 func (v *Verifier) Solve(ctx context.Context, exec *memory.Execution, addr memory.Addr) (*Result, error) {
 	ar, err := v.SolveAddr(ctx, exec, addr)
 	if err != nil {
@@ -177,77 +137,33 @@ func (v *Verifier) Solve(ctx context.Context, exec *memory.Execution, addr memor
 	if ar.Result != nil {
 		return ar.Result, nil
 	}
-	// Resilient ladder exhausted without an answer: surface the legacy
-	// undecided shape rather than inventing a verdict.
 	return &Result{Coherent: false, Decided: false, Algorithm: "resilient-unknown", Stats: ar.Stats}, nil
 }
 
 // SolveAddr decides VMC for a single address under the configured
-// strategy and returns the strategy-neutral per-address report.
+// strategy and returns the per-address report.
 func (v *Verifier) SolveAddr(ctx context.Context, exec *memory.Execution, addr memory.Addr) (*AddrReport, error) {
 	if err := exec.Validate(); err != nil {
 		return nil, err
 	}
-	return v.solveAddrOpts(ctx, exec, addr, v.cfg.Options)
-}
-
-// solveAddrOpts dispatches one address to the configured strategy with
-// an explicit per-solve Options value (the checkpointed loop derives a
-// per-address variant of the configured budget).
-func (v *Verifier) solveAddrOpts(ctx context.Context, exec *memory.Execution, addr memory.Addr, opts *Options) (*AddrReport, error) {
-	switch v.cfg.Strategy {
-	case solver.StrategyResilient:
-		rr, err := solveResilientAddr(ctx, exec, addr, v.cfg.WriteOrders[addr], opts)
-		if err != nil {
-			return nil, err
-		}
-		return addrReportFromResilient(addr, rr), nil
-	case solver.StrategyPortfolio:
-		r, err := solvePortfolioAddr(ctx, exec, addr, opts)
-		if err != nil {
-			return nil, err
-		}
-		return addrReportFromResult(addr, r), nil
-	case solver.StrategyExact:
-		r, err := solveExact(ctx, exec, addr, opts)
-		if err != nil {
-			return nil, err
-		}
-		return addrReportFromResult(addr, r), nil
-	case solver.StrategyFast:
-		r, err := solveFastAddr(ctx, exec, addr, opts)
-		if err != nil {
-			return nil, err
-		}
-		ar := addrReportFromResult(addr, r)
-		if r.Algorithm == "fastpath" {
-			// The frontline decided; record its rung for reports and spans.
-			ar.Rung = RungFast
-			ar.Stats.Rung = int(RungFast)
-			ar.Result.Stats.Rung = int(RungFast)
-		}
-		return ar, nil
-	default:
-		r, err := solveAutoAddr(ctx, exec, addr, opts)
-		if err != nil {
-			return nil, err
-		}
-		return addrReportFromResult(addr, r), nil
+	ar := new(AddrReport)
+	if err := v.decide(ctx, exec, project(exec, addr), v.cfg.Options, ar); err != nil {
+		return nil, err
 	}
+	return ar, nil
 }
 
 // Verify checks every address of the execution under the configured
 // strategy, budget and parallelism.
 //
-// Error semantics follow the strategy, preserving the legacy entry
-// points' contracts: the exact strategies abort on the first per-address
-// budget trip (in address order — deterministic even with workers),
-// returning the partial Report alongside the *solver.ErrBudgetExceeded;
-// StrategyResilient degrades the affected address and continues, so its
-// Report always covers every address unless the context is cancelled.
-// With solver.WithCheckpoint configured, verification is sequential,
-// resumes from the checkpoint file when it exists, and re-writes it on a
-// budget abort.
+// A budget trip the strategy does not degrade aborts the run on the
+// first affected address (in address order — deterministic even with
+// workers), returning the partial Report alongside the
+// *solver.ErrBudgetExceeded; StrategyResilient degrades the affected
+// address and continues, so its Report always covers every address
+// unless the context is cancelled. With solver.WithCheckpoint
+// configured, verification is sequential, resumes from the checkpoint
+// file when it exists, and re-writes it on a budget abort.
 func (v *Verifier) Verify(ctx context.Context, exec *memory.Execution) (*Report, error) {
 	if err := exec.Validate(); err != nil {
 		return nil, err
@@ -264,12 +180,12 @@ func (v *Verifier) Verify(ctx context.Context, exec *memory.Execution) (*Report,
 // verifySequential is the address-order loop behind sequential Verify.
 func (v *Verifier) verifySequential(ctx context.Context, exec *memory.Execution) (*Report, error) {
 	rep := &Report{}
+	var ar AddrReport
 	for _, a := range exec.Addresses() {
-		ar, err := v.solveAddrOpts(ctx, exec, a, v.cfg.Options)
-		if err != nil {
+		if err := v.decide(ctx, exec, project(exec, a), v.cfg.Options, &ar); err != nil {
 			return rep, err
 		}
-		rep.add(ar)
+		rep.add(&ar)
 	}
 	rep.finalize()
 	return rep, nil
@@ -320,7 +236,7 @@ func (v *Verifier) verifyParallel(ctx context.Context, exec *memory.Execution, w
 
 	// Workers write into per-address slots, so no result ordering
 	// depends on channel receive order.
-	reports := make([]*AddrReport, len(addrs))
+	reports := make([]AddrReport, len(addrs))
 	errs := make([]error, len(addrs))
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -341,7 +257,7 @@ func (v *Verifier) verifyParallel(ctx context.Context, exec *memory.Execution, w
 				if i == hardest {
 					opts = teamOpts
 				}
-				reports[i], errs[i] = v.solveAddrOpts(wctx, exec, addrs[i], opts)
+				errs[i] = v.decide(wctx, exec, project(exec, addrs[i]), opts, &reports[i])
 			}
 		}()
 	}
@@ -356,7 +272,7 @@ func (v *Verifier) verifyParallel(ctx context.Context, exec *memory.Execution, w
 		if errs[i] != nil {
 			return rep, errs[i]
 		}
-		rep.add(reports[i])
+		rep.add(&reports[i])
 	}
 	rep.finalize()
 	return rep, nil
@@ -367,12 +283,18 @@ func (v *Verifier) verifyParallel(ctx context.Context, exec *memory.Execution, w
 // interrupted address's search is seeded from its saved memo table, and
 // on a budget abort the returned Report's Checkpoint field captures
 // everything needed to continue later (nil on success). Checkpointing
-// serializes the address loop by design and requires a strategy whose
-// searches snapshot (StrategyAuto or StrategyExact).
+// serializes the address loop by design and requires a strategy that
+// always decides through the exact search (StrategyAuto or
+// StrategyExact).
 func (v *Verifier) VerifyCheckpoint(ctx context.Context, exec *memory.Execution, resume *Checkpoint) (*Report, error) {
 	if err := exec.Validate(); err != nil {
 		return nil, err
 	}
+	return v.verifyCheckpoint(ctx, exec, resume)
+}
+
+// verifyCheckpoint is VerifyCheckpoint on a validated execution.
+func (v *Verifier) verifyCheckpoint(ctx context.Context, exec *memory.Execution, resume *Checkpoint) (*Report, error) {
 	switch v.cfg.Strategy {
 	case solver.StrategyAuto, solver.StrategyExact:
 	default:
@@ -383,20 +305,24 @@ func (v *Verifier) VerifyCheckpoint(ctx context.Context, exec *memory.Execution,
 		return nil, err
 	}
 	rep := &Report{}
+	var ar AddrReport
 	for _, a := range exec.Addresses() {
 		if r, ok := run.Lookup(a); ok {
-			rep.add(addrReportFromResult(a, r))
+			ar = AddrReport{Addr: a, Verdict: VerdictCoherent, Rung: RungExact, Result: r, Stats: r.Stats}
+			if !r.Coherent {
+				ar.Verdict = VerdictIncoherent
+			}
+			rep.add(&ar)
 			continue
 		}
-		ar, err := v.solveAddrOpts(ctx, exec, a, run.Configure(a, v.cfg.Options))
-		if err != nil {
+		if err := v.decide(ctx, exec, project(exec, a), run.Configure(a, v.cfg.Options), &ar); err != nil {
 			if _, ok := solver.AsBudgetError(err); ok {
 				rep.Checkpoint = run.Checkpoint()
 			}
 			return rep, err
 		}
 		run.Record(a, ar.Result)
-		rep.add(ar)
+		rep.add(&ar)
 	}
 	rep.finalize()
 	return rep, nil
@@ -416,7 +342,7 @@ func (v *Verifier) verifyCheckpointFile(ctx context.Context, exec *memory.Execut
 	} else if !errors.Is(statErr, os.ErrNotExist) {
 		return nil, statErr
 	}
-	rep, err := v.VerifyCheckpoint(ctx, exec, resume)
+	rep, err := v.verifyCheckpoint(ctx, exec, resume)
 	if rep != nil && rep.Checkpoint != nil {
 		if werr := rep.Checkpoint.WriteFile(v.cfg.CheckpointPath); werr != nil {
 			return rep, errors.Join(err, werr)

@@ -11,9 +11,9 @@ import (
 	"memverify/internal/workload"
 )
 
-// parityTraces generates the randomized trial set for the oracle-parity
-// tests: coherent traces by construction, half of them mutated with an
-// injected violation, plus their generated write orders.
+// parityTraces generates a randomized trial set: coherent traces by
+// construction, half of them mutated with an injected violation, plus
+// their generated write orders.
 func parityTraces(t *testing.T, trials int) []struct {
 	exec   *memory.Execution
 	orders map[memory.Addr][]memory.Ref
@@ -73,133 +73,25 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestFacadeWrapperParity pins every deprecated entry point to the
-// facade: on randomized trials, wrapper and facade must return identical
-// verdicts, schedules and (deterministic) stats.
-func TestFacadeWrapperParity(t *testing.T) {
-	ctx := context.Background()
-	for n, tc := range parityTraces(t, 24) {
-		exec := tc.exec
-		for _, addr := range exec.Addresses() {
-			// Solve / StrategyExact.
-			wr, werr := Solve(ctx, exec, addr, nil)
-			fr, ferr := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(ctx, exec, addr)
-			if (werr == nil) != (ferr == nil) {
-				t.Fatalf("trial %d addr %d: Solve error mismatch: %v vs %v", n, addr, werr, ferr)
-			}
-			sameResult(t, "Solve", wr, fr)
-
-			// SolveAuto / default strategy.
-			wr, werr = SolveAuto(ctx, exec, addr, nil)
-			fr, ferr = NewVerifier().Solve(ctx, exec, addr)
-			if (werr == nil) != (ferr == nil) {
-				t.Fatalf("trial %d addr %d: SolveAuto error mismatch: %v vs %v", n, addr, werr, ferr)
-			}
-			sameResult(t, "SolveAuto", wr, fr)
-
-			// SolvePortfolio / StrategyPortfolio. The racer makes stats and
-			// winning algorithm scheduling-dependent on hard instances, so
-			// only the verdict is pinned.
-			wr, werr = SolvePortfolio(ctx, exec, addr, nil)
-			fr, ferr = NewVerifier(solver.WithStrategy(solver.StrategyPortfolio)).Solve(ctx, exec, addr)
-			if werr != nil || ferr != nil {
-				t.Fatalf("trial %d addr %d: portfolio errors: %v / %v", n, addr, werr, ferr)
-			}
-			if wr.Coherent != fr.Coherent {
-				t.Errorf("trial %d addr %d: portfolio verdict mismatch", n, addr)
-			}
-
-			// SolveResilient / StrategyResilient + write orders.
-			worder := tc.orders[addr]
-			rr, werr := SolveResilient(ctx, exec, addr, worder, nil)
-			far, ferr := NewVerifier(solver.WithStrategy(solver.StrategyResilient),
-				solver.WithWriteOrders(tc.orders)).SolveAddr(ctx, exec, addr)
-			if werr != nil || ferr != nil {
-				t.Fatalf("trial %d addr %d: resilient errors: %v / %v", n, addr, werr, ferr)
-			}
-			if rr.Verdict != far.Verdict || rr.Rung != far.Rung {
-				t.Errorf("trial %d addr %d: resilient mismatch: (%v,%v) vs (%v,%v)",
-					n, addr, rr.Verdict, rr.Rung, far.Verdict, far.Rung)
-			}
-			sameResult(t, "SolveResilient", rr.Result, far.Result)
-		}
-
-		// VerifyExecution / facade Verify.
-		wm, werr := VerifyExecution(ctx, exec, nil)
-		rep, ferr := NewVerifier().Verify(ctx, exec)
-		if werr != nil || ferr != nil {
-			t.Fatalf("trial %d: VerifyExecution errors: %v / %v", n, werr, ferr)
-		}
-		fm := rep.Results()
-		if len(wm) != len(fm) {
-			t.Fatalf("trial %d: result map sizes differ: %d vs %d", n, len(wm), len(fm))
-		}
-		for a, r := range wm {
-			sameResult(t, "VerifyExecution", r, fm[a])
-		}
-
-		// VerifyExecutionParallel / WithWorkers.
-		pm, werr := VerifyExecutionParallel(ctx, exec, nil, 4)
-		prep, ferr := NewVerifier(solver.WithWorkers(4)).Verify(ctx, exec)
-		if werr != nil || ferr != nil {
-			t.Fatalf("trial %d: parallel errors: %v / %v", n, werr, ferr)
-		}
-		for a, r := range pm {
-			sameResult(t, "VerifyExecutionParallel", r, prep.Results()[a])
-		}
-		// Parallel and sequential agree too.
-		for a, r := range wm {
-			sameResult(t, "parallel-vs-sequential", r, pm[a])
-		}
-
-		// Coherent / Report.FirstViolation.
-		ok, bad, err := Coherent(ctx, exec, nil)
-		if err != nil {
-			t.Fatalf("trial %d: Coherent: %v", n, err)
-		}
-		if ok != rep.Coherent() {
-			t.Errorf("trial %d: Coherent=%v but report verdict %v", n, ok, rep.Verdict)
-		}
-		if fa, violated := rep.FirstViolation(); violated != !ok || (violated && fa != bad) {
-			t.Errorf("trial %d: FirstViolation (%v,%v) vs Coherent (%v,%v)", n, fa, violated, bad, ok)
-		}
-
-		// VerifyExecutionResilient / resilient Verify.
-		rm, werr := VerifyExecutionResilient(ctx, exec, tc.orders, nil)
-		rrep, ferr := NewVerifier(solver.WithStrategy(solver.StrategyResilient),
-			solver.WithWriteOrders(tc.orders)).Verify(ctx, exec)
-		if werr != nil || ferr != nil {
-			t.Fatalf("trial %d: resilient verify errors: %v / %v", n, werr, ferr)
-		}
-		for i := range rrep.Addrs {
-			ar := &rrep.Addrs[i]
-			wr := rm[ar.Addr]
-			if wr == nil || wr.Verdict != ar.Verdict {
-				t.Errorf("trial %d addr %d: resilient verify mismatch", n, ar.Addr)
-			}
-		}
-	}
-}
-
-// TestFacadeCheckpointParity pins VerifyExecutionCheckpoint to the
-// facade's VerifyCheckpoint on a fresh (non-resumed) run.
+// TestFacadeCheckpointParity pins VerifyCheckpoint to Verify on a fresh
+// (non-resumed) run: the checkpointed loop climbs the same ladder.
 func TestFacadeCheckpointParity(t *testing.T) {
 	ctx := context.Background()
+	v := NewVerifier()
 	for n, tc := range parityTraces(t, 6) {
-		wm, wck, werr := VerifyExecutionCheckpoint(ctx, tc.exec, nil, nil)
-		rep, ferr := NewVerifier().VerifyCheckpoint(ctx, tc.exec, nil)
-		if werr != nil || ferr != nil {
-			t.Fatalf("trial %d: checkpoint errors: %v / %v", n, werr, ferr)
+		ck, cerr := v.VerifyCheckpoint(ctx, tc.exec, nil)
+		rep, err := v.Verify(ctx, tc.exec)
+		if cerr != nil || err != nil {
+			t.Fatalf("trial %d: errors: %v / %v", n, cerr, err)
 		}
-		if wck != nil || rep.Checkpoint != nil {
+		if ck.Checkpoint != nil {
 			t.Fatalf("trial %d: unexpected checkpoint on unbudgeted run", n)
 		}
-		fm := rep.Results()
-		if len(wm) != len(fm) {
-			t.Fatalf("trial %d: map sizes differ", n)
+		if len(ck.Addrs) != len(rep.Addrs) {
+			t.Fatalf("trial %d: %d vs %d addresses", n, len(ck.Addrs), len(rep.Addrs))
 		}
-		for a, r := range wm {
-			sameResult(t, "VerifyExecutionCheckpoint", r, fm[a])
+		for i := range rep.Addrs {
+			sameResult(t, "VerifyCheckpoint", ck.Addrs[i].Result, rep.Addrs[i].Result)
 		}
 	}
 }

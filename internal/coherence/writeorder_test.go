@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"memverify/internal/memory"
+	"memverify/internal/solver"
 )
 
 func TestWriteOrderAcceptsRecordedTrace(t *testing.T) {
@@ -238,7 +239,7 @@ func TestWriteOrderConsistentWithGeneralSolver(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 300; i++ {
 		exec := randomInstance(rng)
-		res, err := Solve(context.Background(), exec, 0, nil)
+		res, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), exec, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

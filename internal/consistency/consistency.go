@@ -34,10 +34,6 @@
 // budget machinery of internal/solver with the coherence package:
 // cancellation, Options.Timeout and Options.MaxStates all abort a solve
 // with a *solver.ErrBudgetExceeded carrying the partial Stats.
-//
-// The pre-facade entry points (Verify, SolveVSC, SolveVSCC,
-// SolveVSCWithWriteOrders, VerifyTSO, VerifyPSO, VerifyLRC) remain as
-// deprecated wrappers in deprecated.go.
 package consistency
 
 import (

@@ -10,14 +10,14 @@ import (
 
 // The store-buffering (Dekker) outcome separates the models: forbidden
 // under SC, produced by every TSO machine.
-func ExampleVerify() {
+func ExampleVerifier_Verify() {
 	dekker := memory.NewExecution(
 		memory.History{memory.W(0, 1), memory.R(1, 0)},
 		memory.History{memory.W(1, 1), memory.R(0, 0)},
 	).SetInitial(0, 0).SetInitial(1, 0)
 
 	for _, m := range []consistency.Model{consistency.SC, consistency.TSO, consistency.CoherenceOnly} {
-		res, err := consistency.Verify(context.Background(), m, dekker, nil)
+		res, err := consistency.NewVerifier(m).Verify(context.Background(), dekker)
 		if err != nil {
 			panic(err)
 		}
@@ -31,12 +31,12 @@ func ExampleVerify() {
 
 // VSCC: the promise problem of §6.3 — the execution must be coherent,
 // the question is sequential consistency.
-func ExampleSolveVSCC() {
+func ExampleVerifier_Verify_vscc() {
 	exec := memory.NewExecution(
 		memory.History{memory.W(0, 1), memory.W(1, 1)},
 		memory.History{memory.R(1, 1), memory.R(0, 1)},
 	).SetInitial(0, 0).SetInitial(1, 0)
-	res, err := consistency.SolveVSCC(context.Background(), exec, nil)
+	res, err := consistency.NewVerifier(consistency.VSCC).Verify(context.Background(), exec)
 	if err != nil {
 		panic(err)
 	}

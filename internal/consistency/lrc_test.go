@@ -56,7 +56,7 @@ func TestVerifyLRCCoherentExecution(t *testing.T) {
 		wrap(memory.History{memory.W(0, 1)}),
 		wrap(memory.History{memory.R(0, 1)}),
 	).SetInitial(0, 0)
-	res, err := VerifyLRC(context.Background(), exec, nil)
+	res, err := NewVerifier(LRC).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestVerifyLRCIncoherentExecution(t *testing.T) {
 	exec := memory.NewExecution(
 		wrap(memory.History{memory.R(0, 5)}),
 	).SetInitial(0, 0)
-	res, err := VerifyLRC(context.Background(), exec, nil)
+	res, err := NewVerifier(LRC).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestVerifyLRCRequiresDiscipline(t *testing.T) {
 	exec := memory.NewExecution(
 		memory.History{memory.W(0, 1)},
 	)
-	if _, err := VerifyLRC(context.Background(), exec, nil); err == nil {
+	if _, err := NewVerifier(LRC).Verify(context.Background(), exec); err == nil {
 		t.Error("unsynchronized execution accepted by VerifyLRC")
 	}
 }
@@ -92,7 +92,7 @@ func TestVerifyDispatchLRC(t *testing.T) {
 		wrap(memory.History{memory.W(0, 1)}),
 		wrap(memory.History{memory.R(0, 1)}),
 	).SetInitial(0, 0)
-	res, err := Verify(context.Background(), LRC, exec, nil)
+	res, err := NewVerifier(LRC).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}

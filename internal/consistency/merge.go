@@ -21,7 +21,7 @@ import (
 // a constraint, not just a hint: an execution may be sequentially
 // consistent and yet this particular set of coherent schedules may not be
 // mergeable, in which case MergeSchedules reports Consistent == false
-// while SolveVSC would succeed with a different set of per-address
+// while the SC verifier would succeed with a different set of per-address
 // orders. VSC stays NP-Complete; the merge is only a sound, incomplete
 // fast path.
 //

@@ -52,12 +52,12 @@ func TestMergeDetectsConflict(t *testing.T) {
 	// Dekker: per-address coherent schedules exist, but any choice is
 	// unmergeable (the execution is not SC).
 	exec := dekkerExecution()
-	results, err := coherence.VerifyExecution(context.Background(), exec, nil)
+	rep, err := coherence.NewVerifier().Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	schedules := map[memory.Addr]memory.Schedule{}
-	for a, r := range results {
+	for a, r := range rep.Results() {
 		if !r.Coherent {
 			t.Fatal("Dekker should be coherent per address")
 		}
@@ -112,7 +112,7 @@ func TestMergeWrongScheduleSetFailsButVSCSucceeds(t *testing.T) {
 		t.Error("wrong schedule set merged; expected a precedence cycle")
 	}
 	// …while the full VSC search still certifies the execution as SC.
-	vsc, err := SolveVSC(context.Background(), noFinal, nil)
+	vsc, err := NewVerifier(SC).Verify(context.Background(), noFinal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestMergeRoundTripFromSCCertificate(t *testing.T) {
 	merged := 0
 	for i := 0; i < 300; i++ {
 		exec := randomMultiAddress(rng)
-		vsc, err := SolveVSC(context.Background(), exec, nil)
+		vsc, err := NewVerifier(SC).Verify(context.Background(), exec)
 		if err != nil {
 			t.Fatal(err)
 		}

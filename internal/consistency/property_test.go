@@ -15,14 +15,14 @@ func TestSCImpliesCoherence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		exec := randomMultiAddress(rng)
-		sc, err := SolveVSC(context.Background(), exec, nil)
+		sc, err := NewVerifier(SC).Verify(context.Background(), exec)
 		if err != nil {
 			return false
 		}
 		if !sc.Consistent {
 			return true
 		}
-		coh, err := Verify(context.Background(), CoherenceOnly, exec, nil)
+		coh, err := NewVerifier(CoherenceOnly).Verify(context.Background(), exec)
 		if err != nil {
 			return false
 		}
@@ -56,11 +56,11 @@ func TestModelAddressRenamingInvariance(t *testing.T) {
 			mapped.SetFinal(rename(a), v)
 		}
 		for _, m := range []Model{SC, TSO, PSO, CoherenceOnly} {
-			a, err := Verify(context.Background(), m, exec, nil)
+			a, err := NewVerifier(m).Verify(context.Background(), exec)
 			if err != nil {
 				return false
 			}
-			b, err := Verify(context.Background(), m, mapped, nil)
+			b, err := NewVerifier(m).Verify(context.Background(), mapped)
 			if err != nil {
 				return false
 			}
@@ -93,14 +93,14 @@ func TestFenceMonotonicity(t *testing.T) {
 		h := fenced.Histories[p]
 		fenced.Histories[p] = append(append(append(memory.History{}, h[:at]...), memory.Bar()), h[at:]...)
 		for _, m := range []Model{TSO, PSO} {
-			withFence, err := Verify(context.Background(), m, fenced, nil)
+			withFence, err := NewVerifier(m).Verify(context.Background(), fenced)
 			if err != nil {
 				return false
 			}
 			if !withFence.Consistent {
 				continue
 			}
-			without, err := Verify(context.Background(), m, exec, nil)
+			without, err := NewVerifier(m).Verify(context.Background(), exec)
 			if err != nil {
 				return false
 			}
@@ -120,7 +120,7 @@ func TestVSCCertificateWellFormed(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		exec := randomMultiAddress(rng)
-		res, err := SolveVSC(context.Background(), exec, nil)
+		res, err := NewVerifier(SC).Verify(context.Background(), exec)
 		if err != nil {
 			return false
 		}

@@ -17,7 +17,7 @@ func TestTSOAcquireReleaseDrain(t *testing.T) {
 		memory.History{memory.W(0, 1), memory.Rel(), memory.Acq(), memory.R(1, 0)},
 		memory.History{memory.W(1, 1), memory.Rel(), memory.Acq(), memory.R(0, 0)},
 	).SetInitial(0, 0).SetInitial(1, 0)
-	res, err := VerifyTSO(context.Background(), exec, nil)
+	res, err := NewVerifier(TSO).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestPSOFenceOrdersWrites(t *testing.T) {
 		memory.History{memory.W(0, 1), memory.Bar(), memory.W(1, 1)},
 		memory.History{memory.R(1, 1), memory.R(0, 0)},
 	).SetInitial(0, 0).SetInitial(1, 0)
-	res, err := VerifyPSO(context.Background(), exec, nil)
+	res, err := NewVerifier(PSO).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestPSOFenceOrdersWrites(t *testing.T) {
 		memory.History{memory.W(0, 1), memory.W(1, 1)},
 		memory.History{memory.R(1, 1), memory.R(0, 0)},
 	).SetInitial(0, 0).SetInitial(1, 0)
-	res, err = VerifyPSO(context.Background(), relaxed, nil)
+	res, err = NewVerifier(PSO).Verify(context.Background(), relaxed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestVSCSyncOpsInWitness(t *testing.T) {
 	exec := memory.NewExecution(
 		memory.History{memory.Acq(), memory.W(0, 1), memory.Rel()},
 	).SetInitial(0, 0)
-	res, err := SolveVSC(context.Background(), exec, nil)
+	res, err := NewVerifier(SC).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func verifyPSO(ctx context.Context, exec *memory.Execution, opts *Options) (*Res
 func verifyStoreBuffer(ctx context.Context, exec *memory.Execution, opts *Options, pso bool) (res *Result, err error) {
 	// Operational-machine searches recover panics into typed errors like
 	// the VSC searcher does, so a bug in one model's machine cannot crash
-	// a portfolio that races several models.
+	// the process that runs it.
 	label := "tso-machine"
 	if pso {
 		label = "pso-machine"

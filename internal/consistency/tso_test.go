@@ -11,7 +11,7 @@ import (
 
 func TestTSOAcceptsDekker(t *testing.T) {
 	exec := dekkerExecution()
-	res, err := VerifyTSO(context.Background(), exec, nil)
+	res, err := NewVerifier(TSO).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestTSOAcceptsDekker(t *testing.T) {
 func TestTSORejectsStaleMessagePassing(t *testing.T) {
 	// TSO commits stores in order, so the flag cannot become visible
 	// before the data.
-	res, err := VerifyTSO(context.Background(), messagePassingStale(), nil)
+	res, err := NewVerifier(TSO).Verify(context.Background(), messagePassingStale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestTSORejectsStaleMessagePassing(t *testing.T) {
 
 func TestPSOAcceptsStaleMessagePassing(t *testing.T) {
 	exec := messagePassingStale()
-	res, err := VerifyPSO(context.Background(), exec, nil)
+	res, err := NewVerifier(PSO).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestPSOKeepsPerAddressOrder(t *testing.T) {
 		memory.History{memory.W(0, 1), memory.W(0, 2)},
 		memory.History{memory.R(0, 2), memory.R(0, 1)},
 	).SetInitial(0, 0)
-	res, err := VerifyPSO(context.Background(), exec, nil)
+	res, err := NewVerifier(PSO).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestTSOFenceRestoresSC(t *testing.T) {
 		memory.History{memory.W(0, 1), memory.Bar(), memory.R(1, 0)},
 		memory.History{memory.W(1, 1), memory.Bar(), memory.R(0, 0)},
 	).SetInitial(0, 0).SetInitial(1, 0)
-	res, err := VerifyTSO(context.Background(), exec, nil)
+	res, err := NewVerifier(TSO).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestTSOForwarding(t *testing.T) {
 		memory.History{memory.W(0, 1), memory.R(0, 1), memory.R(1, 0)},
 		memory.History{memory.W(1, 1), memory.R(1, 1), memory.R(0, 0)},
 	).SetInitial(0, 0).SetInitial(1, 0)
-	res, err := VerifyTSO(context.Background(), exec, nil)
+	res, err := NewVerifier(TSO).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestTSORMWDrainsBuffer(t *testing.T) {
 	exec := memory.NewExecution(
 		memory.History{memory.W(0, 1), memory.RW(0, 0, 2)},
 	).SetInitial(0, 0)
-	res, err := VerifyTSO(context.Background(), exec, nil)
+	res, err := NewVerifier(TSO).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestTSORMWDrainsBuffer(t *testing.T) {
 	ok := memory.NewExecution(
 		memory.History{memory.W(0, 1), memory.RW(0, 1, 2)},
 	).SetInitial(0, 0).SetFinal(0, 2)
-	res, err = VerifyTSO(context.Background(), ok, nil)
+	res, err = NewVerifier(TSO).Verify(context.Background(), ok)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestTSOFinalValues(t *testing.T) {
 		memory.History{memory.W(0, 1)},
 		memory.History{memory.W(0, 2)},
 	).SetInitial(0, 0).SetFinal(0, 2)
-	res, err := VerifyTSO(context.Background(), exec, nil)
+	res, err := NewVerifier(TSO).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestTSOFinalValues(t *testing.T) {
 		t.Fatal("achievable final value rejected")
 	}
 	exec.SetFinal(0, 9)
-	res, err = VerifyTSO(context.Background(), exec, nil)
+	res, err = NewVerifier(TSO).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,15 +153,15 @@ func TestModelHierarchy(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for i := 0; i < 200; i++ {
 		exec := randomMultiAddress(rng)
-		sc, err := SolveVSC(context.Background(), exec, nil)
+		sc, err := NewVerifier(SC).Verify(context.Background(), exec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tso, err := VerifyTSO(context.Background(), exec, nil)
+		tso, err := NewVerifier(TSO).Verify(context.Background(), exec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pso, err := VerifyPSO(context.Background(), exec, nil)
+		pso, err := NewVerifier(PSO).Verify(context.Background(), exec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestModelHierarchy(t *testing.T) {
 }
 
 func TestTSOBudget(t *testing.T) {
-	res, err := VerifyTSO(context.Background(), messagePassingStale(), &Options{MaxStates: 1})
+	res, err := NewVerifier(TSO, solver.WithBudget(solver.WithMaxStates(1))).Verify(context.Background(), messagePassingStale())
 	if err == nil {
 		t.Fatalf("budget-limited verification returned a verdict (consistent=%v)", res.Consistent)
 	}

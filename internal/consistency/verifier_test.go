@@ -2,97 +2,11 @@ package consistency
 
 import (
 	"context"
-	"math/rand"
-	"reflect"
 	"testing"
 
 	"memverify/internal/memory"
 	"memverify/internal/solver"
-	"memverify/internal/workload"
 )
-
-// sameConsistencyResult pins two results to identical verdicts,
-// witnesses and deterministic stats.
-func sameConsistencyResult(t *testing.T, label string, a, b *Result) {
-	t.Helper()
-	if a.Consistent != b.Consistent || a.Decided != b.Decided || a.Algorithm != b.Algorithm {
-		t.Errorf("%s: verdict mismatch: (%v,%v,%s) vs (%v,%v,%s)",
-			label, a.Consistent, a.Decided, a.Algorithm, b.Consistent, b.Decided, b.Algorithm)
-	}
-	if !reflect.DeepEqual(a.Schedule, b.Schedule) {
-		t.Errorf("%s: schedule mismatch", label)
-	}
-	if !reflect.DeepEqual(a.Events, b.Events) {
-		t.Errorf("%s: events mismatch", label)
-	}
-	as, bs := a.Stats, b.Stats
-	as.Duration, bs.Duration = 0, 0
-	if as != bs {
-		t.Errorf("%s: stats mismatch:\n%+v\n%+v", label, as, bs)
-	}
-}
-
-// TestConsistencyFacadeWrapperParity pins every deprecated entry point
-// to the Verifier facade on randomized trials.
-func TestConsistencyFacadeWrapperParity(t *testing.T) {
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(7))
-	for n := 0; n < 16; n++ {
-		exec, orders := workload.GenerateCoherent(rng, workload.GenConfig{
-			Processors: 2, OpsPerProc: 4 + rng.Intn(4), Addresses: 1 + rng.Intn(2), Values: 3,
-		})
-		if n%2 == 1 {
-			kinds := workload.ViolationKinds()
-			if mut, err := workload.Inject(rng, exec, kinds[rng.Intn(len(kinds))]); err == nil {
-				exec = mut
-			}
-		}
-
-		for _, model := range []Model{SC, TSO, PSO, CoherenceOnly} {
-			wr, werr := Verify(ctx, model, exec, nil)
-			fr, ferr := NewVerifier(model).Verify(ctx, exec)
-			if (werr == nil) != (ferr == nil) {
-				t.Fatalf("trial %d %v: error mismatch: %v vs %v", n, model, werr, ferr)
-			}
-			if werr != nil {
-				continue
-			}
-			sameConsistencyResult(t, model.String(), wr, fr)
-		}
-
-		// SolveVSC / SC facade.
-		wr, err := SolveVSC(ctx, exec, nil)
-		if err != nil {
-			t.Fatalf("trial %d: SolveVSC: %v", n, err)
-		}
-		fr, err := NewVerifier(SC).Verify(ctx, exec)
-		if err != nil {
-			t.Fatalf("trial %d: facade SC: %v", n, err)
-		}
-		sameConsistencyResult(t, "SolveVSC", wr, fr)
-
-		// SolveVSCWithWriteOrders / SC facade with orders.
-		wo, werr := SolveVSCWithWriteOrders(ctx, exec, orders, nil)
-		fo, ferr := NewVerifier(SC, solver.WithWriteOrders(orders)).Verify(ctx, exec)
-		if (werr == nil) != (ferr == nil) {
-			t.Fatalf("trial %d: write-order error mismatch: %v vs %v", n, werr, ferr)
-		}
-		if werr == nil {
-			sameConsistencyResult(t, "SolveVSCWithWriteOrders", wo, fo)
-		}
-
-		// SolveVSCC / VSCC facade. The promise fails on mutated traces;
-		// wrapper and facade must fail identically.
-		wv, werr := SolveVSCC(ctx, exec, nil)
-		fv, ferr := NewVerifier(VSCC).Verify(ctx, exec)
-		if (werr == nil) != (ferr == nil) {
-			t.Fatalf("trial %d: VSCC error mismatch: %v vs %v", n, werr, ferr)
-		}
-		if werr == nil {
-			sameConsistencyResult(t, "SolveVSCC", wv, fv)
-		}
-	}
-}
 
 // TestSCWriteOrderOptInValidation: explicitly supplying write orders —
 // even none — selects the constrained solver, which rejects incomplete

@@ -38,7 +38,7 @@ type vscSearcher struct {
 	bound     []bool
 	schedule  []memory.Ref
 
-	// Optional write-order constraint (SolveVSCWithWriteOrders): a
+	// Optional write-order constraint (solver.WithWriteOrders): a
 	// writing op is enabled only when it is the next entry of its
 	// address's order. nextRank is derivable from pos, so the memo key
 	// is unchanged.

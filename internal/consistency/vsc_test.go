@@ -97,7 +97,7 @@ func TestSolveVSCAcceptsSCExecution(t *testing.T) {
 		memory.History{memory.W(0, 1), memory.W(1, 1)},
 		memory.History{memory.R(1, 1), memory.R(0, 1)},
 	).SetInitial(0, 0).SetInitial(1, 0)
-	res, err := SolveVSC(context.Background(), exec, nil)
+	res, err := NewVerifier(SC).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSolveVSCAcceptsSCExecution(t *testing.T) {
 }
 
 func TestSolveVSCRejectsDekker(t *testing.T) {
-	res, err := SolveVSC(context.Background(), dekkerExecution(), nil)
+	res, err := NewVerifier(SC).Verify(context.Background(), dekkerExecution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSolveVSCRejectsDekker(t *testing.T) {
 }
 
 func TestSolveVSCRejectsStaleMessagePassing(t *testing.T) {
-	res, err := SolveVSC(context.Background(), messagePassingStale(), nil)
+	res, err := NewVerifier(SC).Verify(context.Background(), messagePassingStale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestSolveVSCIRIW(t *testing.T) {
 		memory.History{memory.R(0, 1), memory.R(1, 0)},
 		memory.History{memory.R(1, 1), memory.R(0, 0)},
 	).SetInitial(0, 0).SetInitial(1, 0)
-	res, err := SolveVSC(context.Background(), exec, nil)
+	res, err := NewVerifier(SC).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestSolveVSCWithSyncOps(t *testing.T) {
 		memory.History{memory.Acq(), memory.W(0, 1), memory.Rel()},
 		memory.History{memory.Acq(), memory.R(0, 1), memory.Rel()},
 	).SetInitial(0, 0)
-	res, err := SolveVSC(context.Background(), exec, nil)
+	res, err := NewVerifier(SC).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestSolveVSCFinalValues(t *testing.T) {
 		memory.History{memory.W(0, 1)},
 		memory.History{memory.W(0, 2)},
 	).SetInitial(0, 0).SetFinal(0, 1)
-	res, err := SolveVSC(context.Background(), exec, nil)
+	res, err := NewVerifier(SC).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestSolveVSCFinalValues(t *testing.T) {
 		t.Fatal("achievable final value rejected")
 	}
 	exec.SetFinal(0, 9)
-	res, err = SolveVSC(context.Background(), exec, nil)
+	res, err = NewVerifier(SC).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestSolveVSCMatchesOracle(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		exec := randomMultiAddress(rng)
 		want := bruteForceSC(exec)
-		res, err := SolveVSC(context.Background(), exec, nil)
+		res, err := NewVerifier(SC).Verify(context.Background(), exec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func TestSolveVSCAblationsAgree(t *testing.T) {
 		exec := randomMultiAddress(rng)
 		want := bruteForceSC(exec)
 		for vi, opts := range variants {
-			res, err := SolveVSC(context.Background(), exec, opts)
+			res, err := NewVerifier(SC, solver.WithOptions(opts)).Verify(context.Background(), exec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +238,7 @@ func TestSolveVSCAblationsAgree(t *testing.T) {
 }
 
 func TestSolveVSCBudget(t *testing.T) {
-	res, err := SolveVSC(context.Background(), dekkerExecution(), &Options{MaxStates: 1})
+	res, err := NewVerifier(SC, solver.WithBudget(solver.WithMaxStates(1))).Verify(context.Background(), dekkerExecution())
 	if err == nil {
 		t.Fatalf("budget-limited search returned a verdict (consistent=%v)", res.Consistent)
 	}
@@ -254,7 +254,7 @@ func TestSolveVSCBudget(t *testing.T) {
 func TestSolveVSCCPromise(t *testing.T) {
 	// Dekker is coherent per address (each address is just W then R of
 	// initial) but not SC: VSCC must answer false.
-	res, err := SolveVSCC(context.Background(), dekkerExecution(), nil)
+	res, err := NewVerifier(VSCC).Verify(context.Background(), dekkerExecution())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestSolveVSCCPromise(t *testing.T) {
 	incoherent := memory.NewExecution(
 		memory.History{memory.R(0, 5)},
 	).SetInitial(0, 0)
-	if _, err := SolveVSCC(context.Background(), incoherent, nil); err == nil {
+	if _, err := NewVerifier(VSCC).Verify(context.Background(), incoherent); err == nil {
 		t.Error("VSCC accepted an instance violating the coherence promise")
 	}
 
@@ -275,7 +275,7 @@ func TestSolveVSCCPromise(t *testing.T) {
 		memory.History{memory.W(0, 1)},
 		memory.History{memory.R(0, 1)},
 	).SetInitial(0, 0)
-	res, err = SolveVSCC(context.Background(), ok, nil)
+	res, err = NewVerifier(VSCC).Verify(context.Background(), ok)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestVerifyDispatch(t *testing.T) {
 		memory.History{memory.R(0, 1)},
 	).SetInitial(0, 0)
 	for _, m := range []Model{SC, TSO, PSO, CoherenceOnly} {
-		res, err := Verify(context.Background(), m, exec, nil)
+		res, err := NewVerifier(m).Verify(context.Background(), exec)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -298,7 +298,7 @@ func TestVerifyDispatch(t *testing.T) {
 			t.Errorf("%v rejected a trivially consistent execution", m)
 		}
 	}
-	if _, err := Verify(context.Background(), Model(99), exec, nil); err == nil {
+	if _, err := NewVerifier(Model(99)).Verify(context.Background(), exec); err == nil {
 		t.Error("unknown model accepted")
 	}
 }
@@ -322,14 +322,14 @@ func TestCoherentNotSC(t *testing.T) {
 		memory.History{memory.R(0, 1), memory.R(1, 0), memory.R(1, 1), memory.R(0, 1)},
 		memory.History{memory.R(1, 1), memory.R(0, 0), memory.R(0, 1), memory.R(1, 1)},
 	).SetInitial(0, 0).SetInitial(1, 0)
-	cohRes, err := Verify(context.Background(), CoherenceOnly, exec, nil)
+	cohRes, err := NewVerifier(CoherenceOnly).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cohRes.Consistent {
 		t.Fatal("execution should be coherent per address")
 	}
-	scRes, err := SolveVSC(context.Background(), exec, nil)
+	scRes, err := NewVerifier(SC).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"memverify/internal/memory"
+	"memverify/internal/solver"
 )
 
 // ordersFromSchedule slices per-address write orders out of an SC
@@ -35,7 +36,7 @@ func TestVSCWithWriteOrdersAcceptsCertificateOrders(t *testing.T) {
 	checked := 0
 	for i := 0; i < 200; i++ {
 		exec := randomMultiAddress(rng)
-		vsc, err := SolveVSC(context.Background(), exec, nil)
+		vsc, err := NewVerifier(SC).Verify(context.Background(), exec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +45,7 @@ func TestVSCWithWriteOrdersAcceptsCertificateOrders(t *testing.T) {
 		}
 		checked++
 		orders := ordersFromSchedule(exec, vsc.Schedule)
-		res, err := SolveVSCWithWriteOrders(context.Background(), exec, orders, nil)
+		res, err := NewVerifier(SC, solver.WithWriteOrders(orders)).Verify(context.Background(), exec)
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
@@ -72,7 +73,7 @@ func TestVSCWithWriteOrdersRespectsOrders(t *testing.T) {
 	good := map[memory.Addr][]memory.Ref{
 		0: {{Proc: 0, Index: 0}, {Proc: 1, Index: 0}},
 	}
-	res, err := SolveVSCWithWriteOrders(context.Background(), exec, good, nil)
+	res, err := NewVerifier(SC, solver.WithWriteOrders(good)).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestVSCWithWriteOrdersRespectsOrders(t *testing.T) {
 	bad := map[memory.Addr][]memory.Ref{
 		0: {{Proc: 1, Index: 0}, {Proc: 0, Index: 0}},
 	}
-	res, err = SolveVSCWithWriteOrders(context.Background(), exec, bad, nil)
+	res, err = NewVerifier(SC, solver.WithWriteOrders(bad)).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestVSCWithWriteOrdersRespectsOrders(t *testing.T) {
 		t.Error("order contradicting the reads accepted")
 	}
 	// Plain VSC accepts the execution (some order works).
-	plain, err := SolveVSC(context.Background(), exec, nil)
+	plain, err := NewVerifier(SC).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestVSCWithWriteOrdersValidatesInput(t *testing.T) {
 		{0: {{Proc: 5, Index: 0}}}, // out of range
 	}
 	for i, orders := range cases {
-		if _, err := SolveVSCWithWriteOrders(context.Background(), exec, orders, nil); err == nil {
+		if _, err := NewVerifier(SC, solver.WithWriteOrders(orders)).Verify(context.Background(), exec); err == nil {
 			t.Errorf("case %d: invalid orders accepted", i)
 		}
 	}
@@ -128,14 +129,14 @@ func TestVSCWithWriteOrdersPrunes(t *testing.T) {
 		0: {{Proc: 0, Index: 0}},
 		1: {{Proc: 1, Index: 0}},
 	}
-	constrained, err := SolveVSCWithWriteOrders(context.Background(), exec, orders, nil)
+	constrained, err := NewVerifier(SC, solver.WithWriteOrders(orders)).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if constrained.Consistent {
 		t.Error("Dekker accepted")
 	}
-	plain, err := SolveVSC(context.Background(), exec, nil)
+	plain, err := NewVerifier(SC).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}

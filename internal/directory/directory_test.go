@@ -79,14 +79,14 @@ func TestCorrectProtocolProducesSCTraces(t *testing.T) {
 		s := New(Config{Nodes: 3})
 		prog := mesi.RandomProgram(rng, 3, 6, 3, 0.4, 0.1)
 		exec := run(s, prog, rng)
-		ok, bad, err := coherence.Coherent(context.Background(), exec, nil)
+		rep, err := coherence.NewVerifier().Verify(context.Background(), exec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if bad, violated := rep.FirstViolation(); violated {
 			t.Fatalf("run %d: incoherent at address %d\n%v", i, bad, exec.Histories)
 		}
-		res, err := consistency.SolveVSC(context.Background(), exec, nil)
+		res, err := consistency.NewVerifier(consistency.SC).Verify(context.Background(), exec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,11 +137,11 @@ func TestForgetSharerDetected(t *testing.T) {
 	s.Write(0, 0, 2) // invalidation to node 1 dropped
 	s.RMW(1, 0, 3)   // stale atomic
 	exec := s.Execution(true)
-	ok, _, err := coherence.Coherent(context.Background(), exec, nil)
+	rep, err := coherence.NewVerifier().Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	if rep.Coherent() {
 		t.Errorf("forgotten sharer not detected\nP0=%v P1=%v final=%v",
 			exec.Histories[0], exec.Histories[1], exec.Final)
 	}
@@ -153,11 +153,11 @@ func TestWrongSourceDetected(t *testing.T) {
 	s.Read(1, 0)     // fetch mis-routed: node 1 reads stale 0
 	exec := s.Execution(true)
 	// Node 0's dirty data was dropped: final memory is stale.
-	ok, _, err := coherence.Coherent(context.Background(), exec, nil)
+	rep, err := coherence.NewVerifier().Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	if rep.Coherent() {
 		t.Errorf("wrong-source fetch not detected\nP0=%v P1=%v final=%v",
 			exec.Histories[0], exec.Histories[1], exec.Final)
 	}
@@ -192,11 +192,12 @@ func TestLeakEntryBreaksInvariantsButCanBeTraceSilent(t *testing.T) {
 	// The value trace, however, is coherent AND sequentially consistent:
 	// node 0's unobserved write legally serializes after node 1's.
 	exec := s.Execution(false)
-	ok, _, err := coherence.Coherent(context.Background(), exec, nil)
+	rep, err := coherence.NewVerifier().Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := consistency.SolveVSC(context.Background(), exec, nil)
+	ok := rep.Coherent()
+	res, err := consistency.NewVerifier(consistency.SC).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +213,11 @@ func TestDropStoreDetected(t *testing.T) {
 	s.Write(0, 0, 7)
 	s.Read(0, 0)
 	exec := s.Execution(true)
-	ok, _, err := coherence.Coherent(context.Background(), exec, nil)
+	rep, err := coherence.NewVerifier().Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	if rep.Coherent() {
 		t.Error("dropped store not detected")
 	}
 }
@@ -227,11 +228,11 @@ func TestLoseWritebackDetected(t *testing.T) {
 	s.Evict(0, 0) // writeback lost
 	s.Read(0, 0)  // refills stale 0
 	exec := s.Execution(true)
-	ok, _, err := coherence.Coherent(context.Background(), exec, nil)
+	rep, err := coherence.NewVerifier().Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	if rep.Coherent() {
 		t.Error("lost writeback not detected")
 	}
 }
@@ -258,11 +259,11 @@ func TestProbabilisticInjection(t *testing.T) {
 			continue
 		}
 		fired++
-		ok, _, err := coherence.Coherent(context.Background(), exec, nil)
+		rep, err := coherence.NewVerifier().Verify(context.Background(), exec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if !rep.Coherent() {
 			detected++
 		}
 	}

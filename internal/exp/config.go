@@ -53,7 +53,6 @@ func All() []Experiment {
 		{"A1", "Ablation — memoization and eager reads", AblationSearch},
 		{"A2", "Ablation — SAT solver backends", AblationSAT},
 		{"A3", "Ablation — write-order augmentation speedup", AblationWriteOrder},
-		{"A4", "Ablation — portfolio racer vs. auto dispatch", AblationPortfolio},
 	}
 }
 

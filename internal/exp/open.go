@@ -52,7 +52,7 @@ func E10OpenTwoOps(ctx context.Context, cfg Config) ([]*Table, error) {
 			for s := 0; s < samples; s++ {
 				exec := twoOpInstance(rng, n/2, mix.writeFrac, mix.valueRange)
 				total++
-				res, err := coherence.Solve(ctx, exec, 0, &coherence.Options{MaxStates: budget})
+				res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithBudget(solver.WithMaxStates(budget))).Solve(ctx, exec, 0)
 				if err != nil {
 					if _, ok := solver.AsBudgetError(err); ok {
 						exhausted++

@@ -11,6 +11,7 @@ import (
 	"memverify/internal/memory"
 	"memverify/internal/reduction"
 	"memverify/internal/sat"
+	"memverify/internal/solver"
 )
 
 // randomFormula draws a CNF with clauses of one to three literals.
@@ -75,7 +76,7 @@ func runVMCReduction(ctx context.Context, cfg Config, kind reductionKind, sizes 
 				restriction = msg
 			}
 			start := time.Now()
-			res, err := coherence.Solve(ctx, inst.Exec, inst.Addr, nil)
+			res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(ctx, inst.Exec, inst.Addr)
 			total += time.Since(start)
 			if err != nil {
 				return nil, err
@@ -180,7 +181,7 @@ func E5LRC(ctx context.Context, cfg Config) ([]*Table, error) {
 	samples := pick(cfg, 6, 20)
 	t := &Table{
 		Header: []string{"vars m", "clauses n", "ops (incl. sync)", "discipline", "agree"},
-		Caption: "agree: VerifyLRC on the acquire/release-bracketed instance matches brute-force SAT.\n" +
+		Caption: "agree: the LRC verifier on the acquire/release-bracketed instance matches brute-force SAT.\n" +
 			"paper: the reduction extends to models that relax coherence but provide synchronization (§6.2, Figure 6.1).",
 	}
 	for _, m := range sizes {
@@ -200,7 +201,7 @@ func E5LRC(ctx context.Context, cfg Config) ([]*Table, error) {
 			}
 			ops = inst.Exec.NumOps()
 			disc = consistency.CheckDiscipline(inst.Exec).String()
-			res, err := consistency.VerifyLRC(ctx, inst.Exec, nil)
+			res, err := consistency.NewVerifier(consistency.LRC).Verify(ctx, inst.Exec)
 			if err != nil {
 				return nil, err
 			}
@@ -241,14 +242,14 @@ func E6VSCC(ctx context.Context, cfg Config) ([]*Table, error) {
 			}
 			hist = len(inst.Exec.Histories)
 			addrs = len(inst.Exec.Addresses())
-			ok, _, err := coherence.Coherent(ctx, inst.Exec, nil)
+			rep, err := coherence.NewVerifier().Verify(ctx, inst.Exec)
 			if err != nil {
 				return nil, err
 			}
-			if ok {
+			if rep.Coherent() {
 				promise++
 			}
-			res, err := consistency.SolveVSC(ctx, inst.Exec, nil)
+			res, err := consistency.NewVerifier(consistency.SC).Verify(ctx, inst.Exec)
 			if err != nil {
 				return nil, err
 			}

@@ -82,7 +82,7 @@ func E4SummaryTable(ctx context.Context, cfg Config) ([]*Table, error) {
 			Processors: k, OpsPerProc: n / k, Addresses: 1, Values: 3, WriteFraction: 0.4,
 		})
 		return func() {
-			res, err := coherence.Solve(ctx, exec, 0, &coherence.Options{MaxStates: 5_000_000})
+			res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithBudget(solver.WithMaxStates(5_000_000))).Solve(ctx, exec, 0)
 			if err != nil {
 				if _, ok := solver.AsBudgetError(err); ok {
 					gaveUp++
@@ -223,7 +223,7 @@ func hardGrowth(ctx context.Context, rng *rand.Rand, sizes []int, build func(*sa
 			if err != nil {
 				return 0, "", agg, err
 			}
-			res, err := coherence.Solve(ctx, inst.Exec, inst.Addr, nil)
+			res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(ctx, inst.Exec, inst.Addr)
 			if err != nil {
 				return 0, "", agg, err
 			}

@@ -47,7 +47,7 @@ func E7WriteOrderAndMerge(ctx context.Context, cfg Config) ([]*Table, error) {
 		// Obtain a write order per address from per-address certificates.
 		var cohTime time.Duration
 		for _, a := range inst.Exec.Addresses() {
-			res, err := coherence.SolveAuto(ctx, inst.Exec, a, nil)
+			res, err := coherence.NewVerifier().Solve(ctx, inst.Exec, a)
 			if err != nil {
 				return nil, err
 			}
@@ -65,7 +65,7 @@ func E7WriteOrderAndMerge(ctx context.Context, cfg Config) ([]*Table, error) {
 				return nil, fmt.Errorf("exp: write order from a certificate rejected")
 			}
 		}
-		vsc, err := consistency.SolveVSC(ctx, inst.Exec, nil)
+		vsc, err := consistency.NewVerifier(consistency.SC).Verify(ctx, inst.Exec)
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +86,7 @@ func E7WriteOrderAndMerge(ctx context.Context, cfg Config) ([]*Table, error) {
 			exec, _ := workload.GenerateCoherent(rng, workload.GenConfig{
 				Processors: 3, OpsPerProc: ops, Addresses: 2, Values: 2, WriteFraction: 0.5,
 			})
-			vsc, err := consistency.SolveVSC(ctx, exec, nil)
+			vsc, err := consistency.NewVerifier(consistency.SC).Verify(ctx, exec)
 			if err != nil {
 				return nil, err
 			}
@@ -96,7 +96,7 @@ func E7WriteOrderAndMerge(ctx context.Context, cfg Config) ([]*Table, error) {
 			scCount++
 			schedules := map[memory.Addr]memory.Schedule{}
 			for _, a := range exec.Addresses() {
-				res, err := coherence.SolveAuto(ctx, exec, a, nil)
+				res, err := coherence.NewVerifier().Solve(ctx, exec, a)
 				if err != nil {
 					return nil, err
 				}
@@ -157,10 +157,11 @@ func E8FaultDetection(ctx context.Context, cfg Config) ([]*Table, error) {
 			}
 			fired++
 			flagged := false
-			ok, _, err := coherence.Coherent(ctx, exec, nil)
+			rep, err := coherence.NewVerifier().Verify(ctx, exec)
 			if err != nil {
 				return nil, err
 			}
+			ok := rep.Coherent()
 			if !ok {
 				cohFlag++
 				flagged = true
@@ -186,7 +187,7 @@ func E8FaultDetection(ctx context.Context, cfg Config) ([]*Table, error) {
 			} else {
 				// A blown state budget leaves SC undecided; the run simply
 				// is not flagged by this checker.
-				res, err := consistency.SolveVSC(ctx, exec, &consistency.Options{MaxStates: 200000})
+				res, err := consistency.NewVerifier(consistency.SC, solver.WithBudget(solver.WithMaxStates(200000))).Verify(ctx, exec)
 				if err != nil {
 					if _, budget := solver.AsBudgetError(err); !budget {
 						return nil, err
@@ -225,16 +226,16 @@ func E8FaultDetection(ctx context.Context, cfg Config) ([]*Table, error) {
 			if invariantBroken {
 				invFlag++
 			}
-			ok, _, err := coherence.Coherent(ctx, exec, nil)
+			rep, err := coherence.NewVerifier().Verify(ctx, exec)
 			if err != nil {
 				return nil, err
 			}
-			if !ok {
+			if !rep.Coherent() {
 				cohFlag++
 				scFlag++
 				continue
 			}
-			res, err := consistency.SolveVSC(ctx, exec, &consistency.Options{MaxStates: 200000})
+			res, err := consistency.NewVerifier(consistency.SC, solver.WithBudget(solver.WithMaxStates(200000))).Verify(ctx, exec)
 			if err != nil {
 				if _, budget := solver.AsBudgetError(err); !budget {
 					return nil, err
@@ -316,7 +317,7 @@ func AblationSearch(ctx context.Context, cfg Config) ([]*Table, error) {
 		}
 		cells := []string{fmt.Sprint(m)}
 		for _, opts := range variants {
-			res, err := coherence.Solve(ctx, inst.Exec, inst.Addr, opts)
+			res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithOptions(opts)).Solve(ctx, inst.Exec, inst.Addr)
 			if err != nil {
 				return nil, err
 			}
@@ -389,7 +390,7 @@ func AblationWriteOrder(ctx context.Context, cfg Config) ([]*Table, error) {
 		var gaveUp bool
 		general := Measure([]int{n}, 1, func(int) func() {
 			return func() {
-				_, err := coherence.Solve(ctx, exec, 0, &coherence.Options{MaxStates: budget})
+				_, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithBudget(solver.WithMaxStates(budget))).Solve(ctx, exec, 0)
 				if err != nil {
 					if _, ok := solver.AsBudgetError(err); ok {
 						gaveUp = true

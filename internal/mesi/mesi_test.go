@@ -95,15 +95,15 @@ func TestCorrectProtocolProducesSCTraces(t *testing.T) {
 		s := New(Config{Processors: 3, CacheSets: 2, CacheWays: 1})
 		prog := RandomProgram(rng, 3, 6, 3, 0.4, 0.1)
 		exec := Run(s, prog, rng)
-		ok, bad, err := coherence.Coherent(context.Background(), exec, nil)
+		rep, err := coherence.NewVerifier().Verify(context.Background(), exec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if bad, violated := rep.FirstViolation(); violated {
 			t.Fatalf("run %d: correct protocol produced incoherent trace at address %d\n%v",
 				i, bad, exec.Histories)
 		}
-		res, err := consistency.SolveVSC(context.Background(), exec, nil)
+		res, err := consistency.NewVerifier(consistency.SC).Verify(context.Background(), exec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,11 +124,11 @@ func TestDropInvalidateDetected(t *testing.T) {
 	s.Write(1, 0, 2) // upgrade; invalidation to P0 dropped
 	s.RMW(0, 0, 3)   // reads stale 1, writes 3
 	exec := s.Execution(true)
-	ok, _, err := coherence.Coherent(context.Background(), exec, nil)
+	rep, err := coherence.NewVerifier().Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	if rep.Coherent() {
 		t.Errorf("dropped invalidation not detected\nP0=%v P1=%v final=%v",
 			exec.Histories[0], exec.Histories[1], exec.Final)
 	}
@@ -144,10 +144,12 @@ func TestLoseWritebackDetected(t *testing.T) {
 	s.Read(0, 1) // evicts addr 0; writeback lost
 	s.Read(0, 0) // refills from stale memory: 0
 	exec := s.Execution(true)
-	ok, bad, err := coherence.Coherent(context.Background(), exec, nil)
+	rep, err := coherence.NewVerifier().Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ok := rep.Coherent()
+	bad, _ := rep.FirstViolation()
 	if ok {
 		t.Errorf("lost writeback not detected\n%v", exec.Histories[0])
 	}
@@ -163,11 +165,11 @@ func TestStaleMemoryDetected(t *testing.T) {
 	exec := s.Execution(true)
 	// P0's dirty line was downgraded without a flush, so the final value
 	// in memory is stale: the last write (1) does not match.
-	ok, _, err := coherence.Coherent(context.Background(), exec, nil)
+	rep, err := coherence.NewVerifier().Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	if rep.Coherent() {
 		t.Errorf("stale memory response not detected\nP0=%v P1=%v final=%v",
 			exec.Histories[0], exec.Histories[1], exec.Final)
 	}
@@ -178,11 +180,11 @@ func TestCorruptFillDetected(t *testing.T) {
 	s.Write(0, 0, 8)
 	s.Read(1, 0) // second fill opportunity: corrupted to 9
 	exec := s.Execution(true)
-	ok, _, err := coherence.Coherent(context.Background(), exec, nil)
+	rep, err := coherence.NewVerifier().Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	if rep.Coherent() {
 		t.Errorf("corrupted fill not detected\nP0=%v P1=%v", exec.Histories[0], exec.Histories[1])
 	}
 }
@@ -192,11 +194,11 @@ func TestDropWriteDetected(t *testing.T) {
 	s.Write(0, 0, 7)
 	s.Read(0, 0) // observes the old value
 	exec := s.Execution(true)
-	ok, _, err := coherence.Coherent(context.Background(), exec, nil)
+	rep, err := coherence.NewVerifier().Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
+	if rep.Coherent() {
 		t.Errorf("dropped write not detected\n%v", exec.Histories[0])
 	}
 }
@@ -265,11 +267,11 @@ func TestProbabilisticInjectionSometimesDetected(t *testing.T) {
 			continue
 		}
 		fired++
-		ok, _, err := coherence.Coherent(context.Background(), exec, nil)
+		rep, err := coherence.NewVerifier().Verify(context.Background(), exec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
+		if !rep.Coherent() {
 			detected++
 		}
 	}

@@ -83,7 +83,7 @@ func (j *JSONL) Emit(e Event) {
 	if e.States != 0 {
 		je.States = &e.States
 	}
-	if e.N != 0 || e.Kind == KindRaceWin || e.Kind == KindRaceLoss {
+	if e.N != 0 {
 		je.N = &e.N
 	}
 	if e.Proc >= 0 && procMeaningful(e.Kind) {

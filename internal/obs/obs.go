@@ -30,7 +30,7 @@ type Kind uint8
 
 const (
 	// KindSpanBegin / KindSpanEnd bracket a unit of work (a per-address
-	// solve, one search algorithm, a pool worker, a race). Spans nest:
+	// solve, one search algorithm, a pool worker). Spans nest:
 	// a begin event carries the id of its enclosing span as Parent.
 	KindSpanBegin Kind = iota
 	KindSpanEnd
@@ -48,13 +48,9 @@ const (
 	// KindBudgetPoll is the searcher's periodic budget/cancellation
 	// check (every 64 states; States holds the running count).
 	KindBudgetPoll
-	// KindStage is a portfolio stage transition (Name: "specialist",
-	// "probe", "race", ...).
+	// KindStage is an escalation-ladder rung entered (Name: "fast",
+	// "specialist", "exact", ...).
 	KindStage
-	// KindRaceWin / KindRaceLoss report portfolio race outcomes
-	// (N holds the candidate index; Detail the loser's error).
-	KindRaceWin
-	KindRaceLoss
 	// KindWorkerStart / KindWorkerEnd bracket a worker goroutine on the
 	// shared pool or the parallel verifier (Proc holds the worker id).
 	KindWorkerStart
@@ -68,32 +64,31 @@ const (
 	// KindSAT is a SAT-solver milestone (Name: "restart"; States holds
 	// the conflict count).
 	KindSAT
-	// KindWorkerPanic is a panic recovered inside a pool worker or race
-	// candidate (Name labels the worker, Detail the panic value). The
-	// surrounding portfolio keeps running; the event is the audit trail.
+	// KindWorkerPanic is a panic recovered inside a pool worker or a
+	// search entry point (Name labels the worker, Detail the panic
+	// value); the event is the audit trail.
 	KindWorkerPanic
 	// KindCheckpoint is a search-state snapshot taken for crash-safe
 	// resume (States holds the state count at the snapshot, N the number
 	// of memoized entries captured).
 	KindCheckpoint
-	// KindDegrade is a resilience-ladder step-down: the exact search
-	// exhausted its budget and a weaker (but cheaper) rung takes over
-	// (Name holds the rung stepped down to, Detail the trigger).
+	// KindDegrade is an escalation-ladder step past a rung that could
+	// not decide: an inconclusive fast path, or an exact search that
+	// exhausted its budget under a degrading strategy (Name holds the
+	// rung stepped to, Detail the trigger).
 	KindDegrade
 )
 
 var kindNames = [...]string{
-	KindSpanBegin:  "span_begin",
-	KindSpanEnd:    "span_end",
-	KindStateEnter: "state_enter",
-	KindBacktrack:  "backtrack",
-	KindMemoHit:    "memo_hit",
-	KindMemoMiss:   "memo_miss",
-	KindEagerReads: "eager_reads",
-	KindBudgetPoll: "budget_poll",
-	KindStage:      "stage",
-	KindRaceWin:    "race_win",
-	KindRaceLoss:   "race_loss",
+	KindSpanBegin:   "span_begin",
+	KindSpanEnd:     "span_end",
+	KindStateEnter:  "state_enter",
+	KindBacktrack:   "backtrack",
+	KindMemoHit:     "memo_hit",
+	KindMemoMiss:    "memo_miss",
+	KindEagerReads:  "eager_reads",
+	KindBudgetPoll:  "budget_poll",
+	KindStage:       "stage",
 	KindWorkerStart: "worker_start",
 	KindWorkerEnd:   "worker_end",
 	KindBus:         "bus",
@@ -134,8 +129,8 @@ type Event struct {
 	Depth int
 	// States is a running state (or conflict) counter.
 	States int64
-	// N is a generic count: eager-read batch size, race candidate
-	// index, bus value.
+	// N is a generic count: eager-read batch size, memo entries at a
+	// checkpoint, bus value.
 	N int64
 	// Proc is a worker / processor id; -1 when not applicable.
 	Proc int
@@ -148,7 +143,7 @@ type Event struct {
 }
 
 // Sink consumes events. Implementations must be safe for concurrent use:
-// parallel workers and portfolio racers emit from multiple goroutines.
+// parallel workers emit from multiple goroutines.
 type Sink interface {
 	Emit(e Event)
 }

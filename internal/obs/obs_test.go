@@ -120,16 +120,15 @@ func TestJSONLValidAndNested(t *testing.T) {
 	}
 }
 
-// TestJSONLWorkerAndRace checks the proc field on worker spans and the
-// always-present candidate index on race outcomes.
-func TestJSONLWorkerAndRace(t *testing.T) {
+// TestJSONLWorkerSpans checks the proc field on worker spans and the
+// rung name on a ladder stage event inside one.
+func TestJSONLWorkerSpans(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONL(&buf)
 	tr := NewTracer(sink)
 
 	sp, _ := tr.BeginWorker(context.Background(), "pool-worker", 0)
-	tr.RaceWin(sp, 0, "portfolio:general-search")
-	tr.RaceLoss(sp, 1, "budget: states")
+	tr.Stage(sp, "exact")
 	sp.EndWorker(0, "done")
 	if err := sink.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
@@ -143,7 +142,7 @@ func TestJSONLWorkerAndRace(t *testing.T) {
 		}
 		evs = append(evs, m)
 	}
-	wantEv := []string{"span_begin", "worker_start", "race_win", "race_loss", "worker_end", "span_end"}
+	wantEv := []string{"span_begin", "worker_start", "stage", "worker_end", "span_end"}
 	if len(evs) != len(wantEv) {
 		t.Fatalf("got %d events, want %d", len(evs), len(wantEv))
 	}
@@ -153,17 +152,13 @@ func TestJSONLWorkerAndRace(t *testing.T) {
 		}
 	}
 	// Worker id 0 must be encoded on begin/start/end.
-	for _, i := range []int{0, 1, 4} {
+	for _, i := range []int{0, 1, 3} {
 		if p, ok := evs[i]["proc"]; !ok || p.(float64) != 0 {
 			t.Errorf("%s proc = %v, want explicit 0", wantEv[i], evs[i]["proc"])
 		}
 	}
-	// Race candidate index 0 must be encoded too.
-	if n, ok := evs[2]["n"]; !ok || n.(float64) != 0 {
-		t.Errorf("race_win n = %v, want explicit 0", evs[2]["n"])
-	}
-	if n, ok := evs[3]["n"]; !ok || n.(float64) != 1 {
-		t.Errorf("race_loss n = %v, want 1", evs[3]["n"])
+	if evs[2]["name"] != "exact" {
+		t.Errorf("stage name = %v, want exact", evs[2]["name"])
 	}
 }
 
@@ -223,8 +218,6 @@ func TestNilSafety(t *testing.T) {
 	tr.EagerReads(sp, 1, 1)
 	tr.BudgetPoll(sp, 1, 1)
 	tr.Stage(sp, "x")
-	tr.RaceWin(sp, 0, "x")
-	tr.RaceLoss(sp, 0, "x")
 	tr.Bus("x", 0, 0, 0)
 	tr.Directory("x", 0, 0, 0)
 	tr.SAT(sp, "x", 0)

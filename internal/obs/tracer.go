@@ -147,28 +147,12 @@ func (t *Tracer) BudgetPoll(sp Span, states int64, depth int) {
 	t.emit(Event{Kind: KindBudgetPoll, Span: sp.id, States: states, Depth: depth})
 }
 
-// Stage records a portfolio stage transition.
+// Stage records an escalation-ladder rung entered.
 func (t *Tracer) Stage(sp Span, name string) {
 	if t == nil {
 		return
 	}
 	t.emit(Event{Kind: KindStage, Span: sp.id, Name: name})
-}
-
-// RaceWin records candidate idx winning a portfolio race.
-func (t *Tracer) RaceWin(sp Span, idx int, detail string) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{Kind: KindRaceWin, Span: sp.id, N: int64(idx), Detail: detail})
-}
-
-// RaceLoss records candidate idx losing a portfolio race.
-func (t *Tracer) RaceLoss(sp Span, idx int, detail string) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{Kind: KindRaceLoss, Span: sp.id, N: int64(idx), Detail: detail})
 }
 
 // Bus records a MESI snooping-bus transaction.
@@ -213,8 +197,8 @@ func (t *Tracer) Checkpoint(sp Span, states int64, memoEntries int) {
 	t.emit(Event{Kind: KindCheckpoint, Span: sp.id, States: states, N: int64(memoEntries)})
 }
 
-// Degrade records a resilience-ladder step-down to the named rung;
-// detail carries what exhausted the stronger rung.
+// Degrade records an escalation-ladder step past a rung that could not
+// decide, to the named rung; detail carries why.
 func (t *Tracer) Degrade(sp Span, rung, detail string) {
 	if t == nil {
 		return

@@ -7,6 +7,7 @@ import (
 	"memverify/internal/coherence"
 	"memverify/internal/reduction"
 	"memverify/internal/sat"
+	"memverify/internal/solver"
 )
 
 // Deciding SAT by deciding memory coherence (Figure 4.1 / Lemma 4.3).
@@ -16,7 +17,7 @@ func ExampleSATToVMC() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+	res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst.Exec, inst.Addr)
 	if err != nil {
 		panic(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"memverify/internal/coherence"
 	"memverify/internal/memory"
 	"memverify/internal/sat"
+	"memverify/internal/solver"
 )
 
 func TestRestrictedMeetsFigure51Bounds(t *testing.T) {
@@ -43,7 +44,7 @@ func TestRestrictedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+		res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst.Exec, inst.Addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +88,7 @@ func TestRestrictedViaToThreeSAT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+	res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst.Exec, inst.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestRestrictedEmptyClause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+	res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst.Exec, inst.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestRestrictedNoClauses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+	res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst.Exec, inst.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestRMWEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+		res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst.Exec, inst.Addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +198,7 @@ func TestRMWEmptyClause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+	res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst.Exec, inst.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestRMWNoClauses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+	res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst.Exec, inst.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}

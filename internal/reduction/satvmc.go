@@ -150,7 +150,7 @@ func SATToVMC(q *sat.Formula) (*VMCInstance, error) {
 // Acquire/Release, extending the reduction to consistency models that
 // relax coherence but provide synchronization primitives (Lazy Release
 // Consistency). The returned instance is in the fully synchronized
-// discipline accepted by consistency.VerifyLRC.
+// discipline accepted by the consistency package's LRC verifier.
 func SATToVMCSynchronized(q *sat.Formula) (*VMCInstance, error) {
 	inst, err := SATToVMC(q)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"memverify/internal/consistency"
 	"memverify/internal/memory"
 	"memverify/internal/sat"
+	"memverify/internal/solver"
 )
 
 // smallFormula draws a random CNF small enough for the exponential
@@ -43,7 +44,7 @@ func TestSATToVMCFigure42Example(t *testing.T) {
 	if got := len(inst.Exec.Histories); got != 5 {
 		t.Errorf("histories = %d, want 5 (2m+3)", got)
 	}
-	res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+	res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst.Exec, inst.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestSATToVMCUnsatisfiable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+	res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst.Exec, inst.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestSATToVMCEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+		res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst.Exec, inst.Addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +160,7 @@ func TestSATToVMCAgainstCDCL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+		res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst.Exec, inst.Addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +201,7 @@ func TestSATToVMCSynchronizedLRCEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := consistency.VerifyLRC(context.Background(), inst.Exec, nil)
+		res, err := consistency.NewVerifier(consistency.LRC).Verify(context.Background(), inst.Exec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +218,7 @@ func TestSATToVMCSynchronizedDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coherence.Solve(context.Background(), inst.Exec, inst.Addr, nil)
+	res, err := coherence.NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), inst.Exec, inst.Addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,11 +53,11 @@ func TestVSCCCoherentByConstruction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := coherence.VerifyExecution(context.Background(), inst.Exec, nil)
+		rep, err := coherence.NewVerifier().Verify(context.Background(), inst.Exec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for a, r := range results {
+		for a, r := range rep.Results() {
 			if !r.Decided || !r.Coherent {
 				t.Fatalf("instance %d: address %d not coherent (formula %s)", i, a, q)
 			}
@@ -83,7 +83,7 @@ func TestVSCCEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := consistency.SolveVSCC(context.Background(), inst.Exec, nil)
+		res, err := consistency.NewVerifier(consistency.VSCC).Verify(context.Background(), inst.Exec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestVSCCNoClauses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := consistency.SolveVSCC(context.Background(), inst.Exec, nil)
+	res, err := consistency.NewVerifier(consistency.VSCC).Verify(context.Background(), inst.Exec)
 	if err != nil {
 		t.Fatal(err)
 	}

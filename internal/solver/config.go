@@ -7,38 +7,33 @@ import (
 	"memverify/internal/memory"
 )
 
-// Strategy selects the decision-procedure family a Verifier facade runs.
-// It is the one knob that used to be spread across separate entry points
-// (Solve vs SolveAuto vs SolvePortfolio vs SolveResilient): every
-// strategy decides the same question, they differ in how the work is
-// organized and what happens when the budget runs out.
+// Strategy selects which rungs of the per-address escalation ladder
+// (internal/coherence) run. Every strategy decides the same question;
+// they differ in which cheap rungs open the climb and in what happens
+// when the exact search runs out of budget.
 type Strategy int
 
 const (
-	// StrategyAuto dispatches each instance to the fastest applicable
-	// algorithm (the Figure 5.3 polynomial rows, falling back to the
-	// general memoized search). The default.
+	// StrategyAuto runs the polynomial Figure 5.3 specialists whose
+	// preconditions hold, then the general memoized search. The default.
 	StrategyAuto Strategy = iota
-	// StrategyPortfolio stages the polynomial specialists, a capped
-	// escalation probe, and a two-configuration race of the general
-	// search on the shared bounded pool.
-	StrategyPortfolio
-	// StrategyResilient runs the graceful-degradation ladder: the exact
-	// search first, then — on budget exhaustion — write-order hints,
-	// exhaustive small-write-order enumeration, and sound necessary
-	// conditions, ending in an explicit Unknown verdict instead of an
-	// error.
+	// StrategyResilient runs the whole ladder: fast path, specialists,
+	// exact search, and — on state or deadline exhaustion — write-order
+	// hints, exhaustive small-write-order enumeration and sound
+	// necessary conditions, ending in an explicit Unknown verdict
+	// instead of an error.
 	StrategyResilient
-	// StrategyExact always runs the general memoized search, skipping
-	// the polynomial specialist dispatch (ablation and cross-check use).
+	// StrategyExact always runs the general memoized search alone
+	// (ablation and cross-check use).
 	StrategyExact
-	// StrategyFast runs the polynomial constraint-propagation frontline
-	// first (see internal/coherence's fast path): it derives per-address
-	// ordering constraints with vector clocks and answers definitively
-	// when they force a verdict, escalating to the auto dispatch only on
-	// an INCONCLUSIVE outcome. The frontline never charges the MaxStates
-	// budget, so huge-but-structured traces decide in near-linear time
-	// under budgets that would stop the exact search immediately.
+	// StrategyFast opens with the polynomial constraint-propagation
+	// frontline (internal/coherence's fast path), which answers
+	// definitively when per-address ordering constraints force a
+	// verdict, then climbs to the specialists and the exact search only
+	// on an INCONCLUSIVE outcome. The frontline never charges the
+	// MaxStates budget, so huge-but-structured traces decide in
+	// near-linear time under budgets that would stop the exact search
+	// immediately.
 	StrategyFast
 )
 
@@ -47,8 +42,6 @@ func (s Strategy) String() string {
 	switch s {
 	case StrategyAuto:
 		return "auto"
-	case StrategyPortfolio:
-		return "portfolio"
 	case StrategyResilient:
 		return "resilient"
 	case StrategyExact:
@@ -61,21 +54,21 @@ func (s Strategy) String() string {
 
 // ParseStrategy maps the request/flag spelling back to a Strategy. The
 // empty string parses to StrategyAuto, so absent request fields get the
-// default without special-casing.
+// default without special-casing. "portfolio", the spelling of a
+// retired racing strategy that opened with the same rungs, parses to
+// StrategyFast.
 func ParseStrategy(name string) (Strategy, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "", "auto":
 		return StrategyAuto, nil
-	case "portfolio":
-		return StrategyPortfolio, nil
 	case "resilient":
 		return StrategyResilient, nil
 	case "exact":
 		return StrategyExact, nil
-	case "fast":
+	case "fast", "portfolio":
 		return StrategyFast, nil
 	}
-	return StrategyAuto, fmt.Errorf("solver: unknown strategy %q (want auto, portfolio, resilient, exact or fast)", name)
+	return StrategyAuto, fmt.Errorf("solver: unknown strategy %q (want auto, fast, exact or resilient)", name)
 }
 
 // Config is the unified configuration of a Verifier facade
@@ -96,7 +89,7 @@ type Config struct {
 	// largest-projection-first. 0 or 1 verifies sequentially.
 	Workers int
 	// WriteOrders optionally supplies observed per-address write orders
-	// (the §5.2 augmentation): used as ladder hints by
+	// (the §5.2 augmentation): used as degradation hints by
 	// StrategyResilient and as search constraints by the SC verifier.
 	WriteOrders map[memory.Addr][]memory.Ref
 	// CheckpointPath, when non-empty, makes execution-level coherence
@@ -148,9 +141,8 @@ func WithBudget(budget ...Option) ConfigOption {
 }
 
 // WithOptions adopts an existing *Options value (cloned, so later
-// mutation of the caller's value does not leak in). It exists so the
-// pre-facade entry points, which all took an *Options parameter, can be
-// expressed as one-line wrappers; new code composes WithBudget instead.
+// mutation of the caller's value does not leak in), for callers that
+// already hold one; otherwise compose WithBudget.
 func WithOptions(o *Options) ConfigOption {
 	return func(c *Config) { c.Options = o.Clone() }
 }

@@ -50,9 +50,9 @@ func TestWithOptionsClones(t *testing.T) {
 }
 
 func TestWithConfigCopies(t *testing.T) {
-	src := NewConfig(WithStrategy(StrategyPortfolio), WithWorkers(3), WithBudget(WithMaxStates(5)))
+	src := NewConfig(WithStrategy(StrategyFast), WithWorkers(3), WithBudget(WithMaxStates(5)))
 	dst := NewConfig(WithConfig(src))
-	if dst.Strategy != StrategyPortfolio || dst.Workers != 3 || dst.Options.MaxStates != 5 {
+	if dst.Strategy != StrategyFast || dst.Workers != 3 || dst.Options.MaxStates != 5 {
 		t.Errorf("WithConfig did not copy: %+v", dst)
 	}
 	src.Options.MaxStates = 50
@@ -69,7 +69,8 @@ func TestParseStrategy(t *testing.T) {
 	}{
 		{"", StrategyAuto, true},
 		{"auto", StrategyAuto, true},
-		{"Portfolio", StrategyPortfolio, true},
+		{"fast", StrategyFast, true},
+		{"Portfolio", StrategyFast, true}, // the retired racer's spelling
 		{" resilient ", StrategyResilient, true},
 		{"exact", StrategyExact, true},
 		{"turbo", StrategyAuto, false},
@@ -84,7 +85,7 @@ func TestParseStrategy(t *testing.T) {
 			t.Errorf("ParseStrategy(%q) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
-	for _, s := range []Strategy{StrategyAuto, StrategyPortfolio, StrategyResilient, StrategyExact} {
+	for _, s := range []Strategy{StrategyAuto, StrategyFast, StrategyResilient, StrategyExact} {
 		back, err := ParseStrategy(s.String())
 		if err != nil || back != s {
 			t.Errorf("round-trip %v failed: %v %v", s, back, err)

@@ -12,9 +12,8 @@
 //     hits/misses, peak search depth, branch factor, eager-read count);
 //   - Verdict: the interface unifying coherence.Result and
 //     consistency.Result so callers can render one report format;
-//   - Pool / Race: a shared bounded worker pool and a portfolio racer
-//     that runs several algorithms concurrently and keeps the first
-//     finisher, cancelling the rest.
+//   - Pool: a bounded worker pool with panic isolation, used by the
+//     parallel exact search's worker team.
 package solver
 
 import (
@@ -53,11 +52,11 @@ type Options struct {
 	// found).
 	DisableWriteGuidance bool
 	// DisableFastPath turns off the polynomial constraint-propagation
-	// frontline (internal/coherence's fast path): StrategyFast degrades to
-	// the plain auto dispatch, SolveResilient's ladder starts at the exact
-	// search, and SolvePortfolio skips its opening fast stage. Ablation
-	// and crossover-benchmark knob — the frontline is sound, so disabling
-	// it can only cost time, never change a verdict.
+	// frontline (internal/coherence's fast path): the ladder drops its
+	// fast rung, so StrategyFast runs like StrategyAuto and
+	// StrategyResilient starts at the specialists. Ablation and
+	// crossover-benchmark knob — the frontline is sound, so disabling it
+	// can only cost time, never change a verdict.
 	DisableFastPath bool
 	// DisablePackedMemo forces the varint-string memo table even when the
 	// instance fits the packed uint64 state layout (ablation and

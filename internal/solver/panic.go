@@ -10,14 +10,13 @@ import (
 )
 
 // ErrWorkerPanic reports a panic recovered inside a solver worker — a
-// pool goroutine, a portfolio race candidate, or a search entry point
+// pool goroutine, a parallel-search worker, or a search entry point
 // guarded by RecoverToError. It converts a would-be process crash into a
-// typed, inspectable error: the portfolio racer treats a panicked
-// candidate as a lost race and lets the surviving candidates finish, and
-// callers can log the captured stack instead of dying.
+// typed, inspectable error: callers can log the captured stack instead
+// of dying.
 type ErrWorkerPanic struct {
 	// Label names the worker or entry point that panicked
-	// (e.g. "race-candidate-1", "vsc-search").
+	// (e.g. "psearch-worker", "vsc-search").
 	Label string
 	// Value is the recovered panic value.
 	Value any

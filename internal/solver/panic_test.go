@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -102,76 +101,4 @@ func TestPoolGoPanicIsolated(t *testing.T) {
 	if sink.count(obs.KindWorkerPanic) != 1 {
 		t.Errorf("worker_panic events = %d, want 1", sink.count(obs.KindWorkerPanic))
 	}
-}
-
-// TestRacePanickedCandidateLoses: one candidate panics, the other
-// decides — the race returns the survivor's value and no error.
-func TestRacePanickedCandidateLoses(t *testing.T) {
-	sink := &eventSink{}
-	ctx := obs.With(context.Background(), &obs.Observer{Tracer: obs.NewTracer(sink)})
-	before := runtime.NumGoroutine()
-	// The survivor waits for the panicker to start: if it won instantly,
-	// the race's cancel could skip candidate 0 before it ever ran, and
-	// there would be no panic to observe.
-	started := make(chan struct{})
-	got, err := Race(ctx, NewPool(2), []func(context.Context) (int, error){
-		func(context.Context) (int, error) { close(started); panic("candidate 0 bug") },
-		func(context.Context) (int, error) { <-started; return 42, nil },
-	})
-	if err != nil || got != 42 {
-		t.Fatalf("Race = %d, %v; want 42 from the survivor", got, err)
-	}
-	// The race returns as soon as the survivor wins; the panicked loser's
-	// event may still be in flight on its own goroutine.
-	deadline := time.Now().Add(5 * time.Second)
-	for sink.count(obs.KindWorkerPanic) == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if sink.count(obs.KindWorkerPanic) == 0 {
-		t.Error("no worker_panic event for the lost candidate")
-	}
-	waitGoroutines(t, before)
-}
-
-// TestRaceAllPanic: with every candidate panicking, the panic surfaces
-// as a typed error (deterministically the lowest-indexed one).
-func TestRaceAllPanic(t *testing.T) {
-	before := runtime.NumGoroutine()
-	_, err := Race(context.Background(), NewPool(2), []func(context.Context) (int, error){
-		func(context.Context) (int, error) { panic("bug A") },
-		func(context.Context) (int, error) { panic("bug B") },
-	})
-	wp, ok := AsWorkerPanic(err)
-	if !ok {
-		t.Fatalf("err = %v, want *ErrWorkerPanic", err)
-	}
-	if fmt.Sprint(wp.Value) != "bug A" {
-		t.Errorf("surfaced panic = %v, want the lowest-indexed candidate's", wp.Value)
-	}
-	waitGoroutines(t, before)
-}
-
-// TestRaceSingleCandidatePanic: the direct single-candidate path guards
-// too.
-func TestRaceSingleCandidatePanic(t *testing.T) {
-	_, err := Race(context.Background(), nil, []func(context.Context) (int, error){
-		func(context.Context) (int, error) { panic("solo bug") },
-	})
-	if _, ok := AsWorkerPanic(err); !ok {
-		t.Fatalf("err = %v, want *ErrWorkerPanic", err)
-	}
-}
-
-// waitGoroutines waits for the goroutine count to drop back to (near)
-// its pre-test level, failing the test if panicked workers leaked.
-func waitGoroutines(t *testing.T, before int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Errorf("goroutines: %d before, %d after — workers leaked", before, runtime.NumGoroutine())
 }

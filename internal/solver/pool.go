@@ -2,19 +2,17 @@ package solver
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"memverify/internal/obs"
 )
 
-// Pool is a bounded worker pool shared by the portfolio racers: however
-// many races run concurrently, at most `workers` solver goroutines
-// execute at once, so racing algorithms cannot oversubscribe the
-// machine. Submissions beyond the bound queue until a slot frees.
+// Pool is a bounded worker pool: however many submissions arrive, at
+// most `workers` solver goroutines execute at once, so a worker team
+// cannot oversubscribe the machine. Submissions beyond the bound queue
+// until a slot frees.
 type Pool struct {
 	slots chan struct{}
 }
@@ -28,20 +26,8 @@ func NewPool(workers int) *Pool {
 	return &Pool{slots: make(chan struct{}, workers)}
 }
 
-var (
-	sharedOnce sync.Once
-	sharedPool *Pool
-)
-
-// Shared returns the process-wide pool used by default for portfolio
-// races, sized to runtime.GOMAXPROCS(0).
-func Shared() *Pool {
-	sharedOnce.Do(func() { sharedPool = NewPool(0) })
-	return sharedPool
-}
-
 // workerSeq numbers pool worker spans process-wide, so traces from
-// concurrent races stay distinguishable.
+// concurrent pools stay distinguishable.
 var workerSeq atomic.Int64
 
 // Go runs `run` on a pool worker once a slot frees. If ctx is cancelled
@@ -54,8 +40,9 @@ var workerSeq atomic.Int64
 // A panic inside run is recovered: the pool slot is released, the
 // worker span ends with the panic detail, and a worker_panic event is
 // emitted — one buggy worker never kills the process. Callers that need
-// the panic as a value (the Race candidates do) must install their own
-// recovery inside run; this recovery is the last-resort barrier.
+// the panic as a value (the parallel search workers do) must install
+// their own recovery inside run; this recovery is the last-resort
+// barrier.
 func (p *Pool) Go(ctx context.Context, run, skipped func()) {
 	go func() {
 		select {
@@ -82,103 +69,4 @@ func (p *Pool) Go(ctx context.Context, run, skipped func()) {
 			}
 		}
 	}()
-}
-
-// Race runs the candidate solvers concurrently on the pool and returns
-// the first one to finish without error; the remaining candidates are
-// cancelled through the derived context (they notice at their next
-// budget poll) and their results discarded. When every candidate fails:
-// if any failed with *ErrBudgetExceeded, Race returns a budget error
-// whose Stats merge the partial progress of all budget-aborted
-// candidates (the racers genuinely ran out of resources); otherwise it
-// returns the error of the lowest-indexed candidate, which keeps the
-// failure deterministic.
-//
-// A candidate that panics is isolated: the panic is recovered into an
-// *ErrWorkerPanic, reported as a race loss (plus a worker_panic event),
-// and the surviving candidates keep running — one buggy specialist
-// cannot take down the portfolio. Only if every candidate fails does the
-// panic surface as Race's returned error.
-func Race[T any](ctx context.Context, p *Pool, candidates []func(context.Context) (T, error)) (T, error) {
-	var zero T
-	if len(candidates) == 0 {
-		return zero, errors.New("solver: no candidates to race")
-	}
-	if len(candidates) == 1 {
-		// The direct path needs the same isolation as the raced one: a
-		// sole candidate's panic must still come back as an error.
-		var val T
-		var err error
-		guard("race-candidate-0", func() { val, err = candidates[0](ctx) },
-			func(wp *ErrWorkerPanic) {
-				obs.TracerFrom(ctx).WorkerPanic(obs.Span{}, wp.Label, fmt.Sprint(wp.Value))
-				val, err = zero, wp
-			})
-		return val, err
-	}
-	if p == nil {
-		p = Shared()
-	}
-	tr := obs.TracerFrom(ctx)
-	raceSpan, ctx := tr.Begin(ctx, "race")
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type outcome struct {
-		idx int
-		val T
-		err error
-	}
-	// Buffered to len(candidates): losers finishing after the winner
-	// send without blocking, so no goroutine outlives the race for long.
-	ch := make(chan outcome, len(candidates))
-	for i, c := range candidates {
-		i, c := i, c
-		label := fmt.Sprintf("race-candidate-%d", i)
-		p.Go(rctx,
-			func() {
-				// Recover here, not only in the pool barrier: the outcome
-				// send must happen even on a panic, or the race would
-				// wait forever for the dead candidate.
-				guard(label, func() {
-					v, err := c(rctx)
-					ch <- outcome{idx: i, val: v, err: err}
-				}, func(wp *ErrWorkerPanic) {
-					tr.WorkerPanic(raceSpan, wp.Label, fmt.Sprint(wp.Value))
-					ch <- outcome{idx: i, err: wp}
-				})
-			},
-			func() {
-				ch <- outcome{idx: i, err: fromContext(rctx.Err())}
-			})
-	}
-
-	bestIdx := len(candidates)
-	var bestErr error
-	var budget *ErrBudgetExceeded
-	for range candidates {
-		o := <-ch
-		if o.err == nil {
-			tr.RaceWin(raceSpan, o.idx, "")
-			raceSpan.End("won", 0)
-			return o.val, nil
-		}
-		tr.RaceLoss(raceSpan, o.idx, o.err.Error())
-		if be, ok := AsBudgetError(o.err); ok {
-			if budget == nil {
-				cp := *be
-				budget = &cp
-			} else {
-				budget.Stats.Merge(be.Stats)
-			}
-		} else if o.idx < bestIdx {
-			bestIdx, bestErr = o.idx, o.err
-		}
-	}
-	if budget != nil {
-		raceSpan.End(fmt.Sprintf("all-budget: %s", budget.Reason), 0)
-		return zero, budget
-	}
-	raceSpan.End("all-failed", 0)
-	return zero, bestErr
 }

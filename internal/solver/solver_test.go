@@ -287,89 +287,3 @@ func TestPoolSkipsOnCancel(t *testing.T) {
 	}
 	close(block)
 }
-
-func TestRaceFirstWinnerWins(t *testing.T) {
-	p := NewPool(4)
-	loserStarted := make(chan struct{})
-	loserCancelled := make(chan struct{})
-	v, err := Race(context.Background(), p, []func(context.Context) (int, error){
-		func(ctx context.Context) (int, error) {
-			close(loserStarted)
-			<-ctx.Done() // loser runs until the race cancels it
-			close(loserCancelled)
-			return 0, fromContext(ctx.Err())
-		},
-		// The winner waits for the loser to be running: otherwise the
-		// race can finish before the loser claims a slot, in which case
-		// it is (correctly) skipped rather than started-then-cancelled.
-		func(ctx context.Context) (int, error) { <-loserStarted; return 99, nil },
-	})
-	if err != nil || v != 99 {
-		t.Fatalf("Race = (%d, %v), want (99, nil)", v, err)
-	}
-	select {
-	case <-loserCancelled:
-	case <-time.After(time.Second):
-		t.Fatal("loser was not cancelled after the winner returned")
-	}
-}
-
-func TestRaceSingleCandidateRunsInline(t *testing.T) {
-	v, err := Race(context.Background(), nil, []func(context.Context) (int, error){
-		func(context.Context) (int, error) { return 7, nil },
-	})
-	if err != nil || v != 7 {
-		t.Fatalf("Race = (%d, %v), want (7, nil)", v, err)
-	}
-	if _, err := Race[int](context.Background(), nil, nil); err == nil {
-		t.Error("empty candidate list did not error")
-	}
-}
-
-func TestRaceAllBudgetsMerge(t *testing.T) {
-	p := NewPool(4)
-	mk := func(states int) func(context.Context) (int, error) {
-		return func(context.Context) (int, error) {
-			return 0, &ErrBudgetExceeded{Reason: ExceededStates, Stats: Stats{States: states}}
-		}
-	}
-	_, err := Race(context.Background(), p, []func(context.Context) (int, error){mk(10), mk(5)})
-	be, ok := AsBudgetError(err)
-	if !ok {
-		t.Fatalf("all-budget race returned %v, want *ErrBudgetExceeded", err)
-	}
-	if be.Stats.States != 15 {
-		t.Errorf("merged states = %d, want 15", be.Stats.States)
-	}
-}
-
-func TestRaceAllFailDeterministic(t *testing.T) {
-	p := NewPool(4)
-	e0, e1 := errors.New("first"), errors.New("second")
-	for i := 0; i < 20; i++ {
-		_, err := Race(context.Background(), p, []func(context.Context) (int, error){
-			func(context.Context) (int, error) { return 0, e0 },
-			func(context.Context) (int, error) { return 0, e1 },
-		})
-		if err != e0 {
-			t.Fatalf("iteration %d: err = %v, want the lowest-indexed error", i, err)
-		}
-	}
-}
-
-func TestRaceDecidedNegativeIsAWin(t *testing.T) {
-	// A candidate that *decides* "no" returns err == nil: the race must
-	// return it rather than wait for a positive verdict.
-	type verdict struct{ ok bool }
-	p := NewPool(4)
-	v, err := Race(context.Background(), p, []func(context.Context) (verdict, error){
-		func(ctx context.Context) (verdict, error) {
-			<-ctx.Done()
-			return verdict{}, fromContext(ctx.Err())
-		},
-		func(context.Context) (verdict, error) { return verdict{ok: false}, nil },
-	})
-	if err != nil || v.ok {
-		t.Fatalf("Race = (%+v, %v), want the decided negative", v, err)
-	}
-}

@@ -42,11 +42,12 @@ type Stats struct {
 	DepthHist [DepthBuckets]int
 	// Duration is the wall-clock time the solve took.
 	Duration time.Duration
-	// Rung is the degradation-ladder rung that produced the answer: 0
-	// means the exact search decided (the normal case); positive values
-	// index the weaker rungs of coherence.SolveResilient (write-order,
-	// restriction specialists, necessary conditions); -1 means the
-	// polynomial fast-path frontline decided before the exact search ran.
+	// Rung is the escalation-ladder rung that produced the answer: 0
+	// means a Figure 5.3 specialist or the exact search decided (the
+	// normal case); positive values index the degradation rungs of
+	// coherence.StrategyResilient (write-order, write-order enumeration,
+	// necessary conditions); -1 means the polynomial fast-path frontline
+	// decided before any other rung ran.
 	// Merge keeps the maximum, so an aggregate reveals the weakest rung
 	// any per-address solve fell to (the fast rung, being stronger than
 	// exact for aggregation purposes, never dominates a merge).

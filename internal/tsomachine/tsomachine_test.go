@@ -56,14 +56,14 @@ func TestDekkerOutcomeReachable(t *testing.T) {
 		t.Fatalf("reads %d/%d, want the 0/0 store-buffering outcome", r0, r1)
 	}
 	exec := m.Execution()
-	sc, err := consistency.SolveVSC(context.Background(), exec, nil)
+	sc, err := consistency.NewVerifier(consistency.SC).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sc.Consistent {
 		t.Error("store-buffering outcome judged SC")
 	}
-	tso, err := consistency.VerifyTSO(context.Background(), exec, nil)
+	tso, err := consistency.NewVerifier(consistency.TSO).Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestMachineTracesPassCheckers(t *testing.T) {
 		prog := mesi.RandomProgram(rng, 2, 5, 2, 0.5, 0.05)
 		exec := Run(m, prog, rng, 0.2)
 
-		pso, err := consistency.VerifyPSO(context.Background(), exec, nil)
+		pso, err := consistency.NewVerifier(consistency.PSO).Verify(context.Background(), exec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestMachineTracesPassCheckers(t *testing.T) {
 			t.Fatalf("run %d (%v): trace rejected by PSO checker\n%v", i, disc, exec.Histories)
 		}
 		if disc == TSO {
-			tso, err := consistency.VerifyTSO(context.Background(), exec, nil)
+			tso, err := consistency.NewVerifier(consistency.TSO).Verify(context.Background(), exec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,7 +102,7 @@ func TestMachineTracesPassCheckers(t *testing.T) {
 				t.Fatalf("run %d: TSO machine trace rejected by TSO checker\n%v", i, exec.Histories)
 			}
 		}
-		sc, err := consistency.SolveVSC(context.Background(), exec, nil)
+		sc, err := consistency.NewVerifier(consistency.SC).Verify(context.Background(), exec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,14 +140,14 @@ func TestPSOReordersWrites(t *testing.T) {
 				t.Fatalf("data = %d, want stale 0", data)
 			}
 			exec := mm.Execution()
-			tso, err := consistency.VerifyTSO(context.Background(), exec, nil)
+			tso, err := consistency.NewVerifier(consistency.TSO).Verify(context.Background(), exec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if tso.Consistent {
 				t.Error("PSO write reordering accepted by the TSO checker")
 			}
-			pso, err := consistency.VerifyPSO(context.Background(), exec, nil)
+			pso, err := consistency.NewVerifier(consistency.PSO).Verify(context.Background(), exec)
 			if err != nil {
 				t.Fatal(err)
 			}

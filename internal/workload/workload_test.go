@@ -19,28 +19,28 @@ func TestLitmusVerdicts(t *testing.T) {
 	for _, l := range all {
 		l := l
 		t.Run(l.Name, func(t *testing.T) {
-			coh, err := consistency.Verify(context.Background(), consistency.CoherenceOnly, l.Exec, nil)
+			coh, err := consistency.NewVerifier(consistency.CoherenceOnly).Verify(context.Background(), l.Exec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if coh.Consistent != l.Coherent {
 				t.Errorf("coherence = %v, table says %v", coh.Consistent, l.Coherent)
 			}
-			sc, err := consistency.SolveVSC(context.Background(), l.Exec, nil)
+			sc, err := consistency.NewVerifier(consistency.SC).Verify(context.Background(), l.Exec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if sc.Consistent != l.SC {
 				t.Errorf("SC = %v, table says %v", sc.Consistent, l.SC)
 			}
-			tso, err := consistency.VerifyTSO(context.Background(), l.Exec, nil)
+			tso, err := consistency.NewVerifier(consistency.TSO).Verify(context.Background(), l.Exec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if tso.Consistent != l.TSO {
 				t.Errorf("TSO = %v, table says %v", tso.Consistent, l.TSO)
 			}
-			pso, err := consistency.VerifyPSO(context.Background(), l.Exec, nil)
+			pso, err := consistency.NewVerifier(consistency.PSO).Verify(context.Background(), l.Exec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +55,7 @@ func TestGenerateCoherentIsSC(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 25; i++ {
 		exec, _ := GenerateCoherent(rng, GenConfig{Processors: 3, OpsPerProc: 6, Addresses: 2, Values: 3})
-		res, err := consistency.SolveVSC(context.Background(), exec, nil)
+		res, err := consistency.NewVerifier(consistency.SC).Verify(context.Background(), exec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,11 +117,11 @@ func TestInjectViolationsAreUsuallyDetected(t *testing.T) {
 					continue
 				}
 				attempts++
-				ok, _, err := coherence.Coherent(context.Background(), mut, nil)
+				rep, err := coherence.NewVerifier().Verify(context.Background(), mut)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !ok {
+				if !rep.Coherent() {
 					detected++
 				}
 			}
