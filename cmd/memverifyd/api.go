@@ -97,8 +97,8 @@ type VerifyResponse struct {
 	// only when the request asked for it with ?debug=timings.
 	Timings map[string]float64 `json:"timings,omitempty"`
 	// Degraded marks a brownout answer: the server was saturated (or
-	// chaos forced the path) and served this request with a downgraded
-	// strategy and shrunken budgets. DegradeReason says why.
+	// chaos forced the path) and served this request with its own
+	// strategy under shrunken budgets. DegradeReason says why.
 	Degraded      bool   `json:"degraded,omitempty"`
 	DegradeReason string `json:"degrade_reason,omitempty"`
 }

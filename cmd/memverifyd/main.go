@@ -13,7 +13,7 @@
 // deadlines propagate in (X-Deadline-Ms header or deadline_ms field)
 // and expired work is dropped before it burns a worker (504),
 // unserviceable requests are shed early (429), a queue-delay brownout
-// degrades new requests (exact -> resilient, shrunken budgets,
+// degrades new requests (their own strategy under shrunken budgets,
 // "degraded": true in the response) with hysteretic recovery, panics
 // anywhere are recovered into JSON 500s, and -chaos arms a seeded
 // fault-injection layer for proving all of it deterministically.

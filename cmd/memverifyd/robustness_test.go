@@ -237,7 +237,7 @@ func TestDeadlineInEnvelope(t *testing.T) {
 
 // TestBrownoutDegradesRequests drives the controller open with real
 // queue delay and proves a browned-out answer carries degraded: true, a
-// reason, and the downgraded strategy.
+// reason, and the request's own strategy.
 func TestBrownoutDegradesRequests(t *testing.T) {
 	s, ts := newTestServer(t, serverConfig{
 		workers: 1, maxInflight: 8, queueDepth: 16,
@@ -263,14 +263,14 @@ func TestBrownoutDegradesRequests(t *testing.T) {
 	if got := s.stats.Degraded.Value(); got == 0 {
 		t.Error("degraded counter did not move")
 	}
-	// exact is downgraded to the resilient ladder under brownout.
+	// A degraded request keeps its strategy; only its budget shrinks.
 	resp, vr = postWithHeaders(t, ts, nil, coherentTrace+"P2: R x 1\n")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	_, vr2 := postTrace(t, ts, "?strategy=exact", coherentTrace+"P2: R x 2\n")
-	if vr2.Strategy != "resilient" {
-		t.Errorf("degraded exact request ran strategy %q, want resilient", vr2.Strategy)
+	if vr2.Strategy != "exact" || !vr2.Degraded {
+		t.Errorf("degraded exact request ran strategy %q (degraded=%v), want exact, degraded", vr2.Strategy, vr2.Degraded)
 	}
 	// The brownout state is visible on the operational surfaces.
 	sresp, err := http.Get(ts.URL + "/v1/stats")

@@ -59,9 +59,9 @@ type serverConfig struct {
 	// floor is always 1s (never 0: see retryAfterSecs).
 	retryAfterMax time.Duration
 	// brownoutHigh enables the brownout controller: when the queue-delay
-	// EWMA crosses it, new requests are downgraded (shrunken budgets,
-	// exact → resilient) until the EWMA falls below brownoutLow and stays
-	// there for brownoutHold observations. 0 disables brownout.
+	// EWMA crosses it, new requests are downgraded (their own strategy
+	// under shrunken budgets) until the EWMA falls below brownoutLow and
+	// stays there for brownoutHold observations. 0 disables brownout.
 	brownoutHigh time.Duration
 	brownoutLow  time.Duration
 	brownoutHold int
@@ -735,11 +735,12 @@ func (s *Server) verify(ctx context.Context, req *VerifyRequest, tm *reqTimings,
 
 	s.reqs.setStage(live, "cache")
 	maxStates, timeout := s.budgetFor(req)
-	// Brownout: a degraded request trades fidelity for latency — the
-	// exact strategy falls back to the resilient ladder and the budgets
-	// shrink to fixed degraded values. Applied before the cache key is
-	// built, so degraded answers live under their own (deterministic)
-	// keys and never pollute full-fidelity entries.
+	// Brownout: a degraded request trades fidelity for latency — it runs
+	// its own strategy under budgets shrunk to fixed degraded values, so
+	// a degraded answer differs from a full one only by budget, and a
+	// trip answers undecided like any other. Applied before the cache
+	// key is built, so degraded answers live under their own
+	// (deterministic) keys and never pollute full-fidelity entries.
 	degraded, degradeReason := s.degradeFor(ctx)
 	if degraded {
 		s.stats.Degraded.Inc()
@@ -748,12 +749,6 @@ func (s *Server) verify(ctx context.Context, req *VerifyRequest, tm *reqTimings,
 		}
 		if d := s.cfg.degradeTimeout; d > 0 && (timeout == 0 || timeout > d) {
 			timeout = d
-		}
-		if strategy == solver.StrategyExact || strategy == solver.StrategyFast {
-			// Both end in an unbounded exact search when escalation is
-			// needed; the ladder degrades to Unknown instead of burning the
-			// shrunken budget on a hopeless search.
-			strategy = solver.StrategyResilient
 		}
 	}
 	key := cacheKey(coherence.ExecutionFingerprint(tr.Exec), model.String(), strategy.String(),

@@ -164,7 +164,6 @@ func TestPackedMemoOracleAblations(t *testing.T) {
 		opt  solver.Option
 	}{
 		{"no-eager", solver.WithoutEagerReads()},
-		{"no-guidance", solver.WithoutWriteGuidance()},
 	} {
 		t.Run(ab.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(44))

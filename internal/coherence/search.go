@@ -26,8 +26,8 @@ import (
 // an open-addressing set whenever the instance fits the packed layout
 // (see packed.go); only overflow instances pay for varint-string keys
 // and a Go map. All per-state buffers — position vector, schedule,
-// candidate lists, value scratch — come from a pooled searchScratch, so
-// steady-state search does zero allocations per state.
+// candidate stack — come from a pooled searchScratch, so steady-state
+// search does zero allocations per state.
 type searcher struct {
 	inst   *instance
 	opts   *Options
@@ -50,9 +50,6 @@ type searcher struct {
 	// frame appends its candidates, iterates them by index, and truncates
 	// back on exit. One growable buffer replaces a per-state slice.
 	candBuf []int
-	// needed is the value-set scratch for write guidance: the values
-	// blocked reads are waiting for, at most one entry per history.
-	needed []memory.Value
 
 	stats solver.Stats
 	abort *solver.ErrBudgetExceeded
@@ -207,14 +204,14 @@ func (s *searcher) fresh(inst *instance) searcher {
 	pos := growSlice(s.pos, len(inst.hist))
 	clear(pos)
 	return searcher{inst: inst, pos: pos, schedule: s.schedule[:0],
-		candBuf: s.candBuf[:0], needed: s.needed[:0], keyBuf: s.keyBuf[:0]}
+		candBuf: s.candBuf[:0], keyBuf: s.keyBuf[:0]}
 }
 
 // keep stores t's grown buffers in s for the next fresh, and drops every
 // other reference t holds into its solve.
 func (s *searcher) keep(t *searcher) {
 	*s = searcher{pos: t.pos, schedule: t.schedule[:0], candBuf: t.candBuf[:0],
-		needed: t.needed[:0], keyBuf: t.keyBuf[:0]}
+		keyBuf: t.keyBuf[:0]}
 }
 
 // growSlice returns s resized to n, reusing its backing array when the
@@ -404,83 +401,26 @@ func (s *searcher) enabled(o memory.Op) bool {
 	}
 }
 
-// containsValue reports whether d is in vals (at most one entry per
-// history, so a linear scan beats any set structure).
-func containsValue(vals []memory.Value, d memory.Value) bool {
-	for _, v := range vals {
-		if v == d {
-			return true
-		}
-	}
-	return false
-}
-
-// classify reports whether history h's next operation may be branched on
-// now, and whether it is preferred by write guidance (it writes a value
-// some blocked read is waiting for — see appendCandidates).
-func (s *searcher) classify(h int) (cand, preferred bool) {
-	if s.pos[h] >= len(s.inst.hist[h]) {
-		return false, false
-	}
-	o := s.inst.hist[h][s.pos[h]]
-	if !s.enabled(o) {
-		return false, false
-	}
-	if s.opts.EagerReads() && o.Kind == memory.Read && s.bound {
-		// Matching reads were consumed by the eager rule; a read that
-		// remains here mismatches and is disabled. (When unbound, a
-		// read is a genuine branch: it binds the initial value.)
-		return false, false
-	}
-	if len(s.needed) > 0 {
-		if d, ok := o.Writes(); ok && containsValue(s.needed, d) {
-			return true, true
-		}
-	}
-	return true, false
-}
-
 // appendCandidates appends to s.candBuf the histories whose next
-// operation may be branched on now, most promising first: when write
-// guidance is on, writes (and RMWs) whose stored value some blocked read
-// is waiting for are tried before other candidates — scheduling anything
-// else first can only delay or clobber the value that read needs.
-// Ordering cannot affect completeness (all candidates are still tried),
-// only search speed. The caller iterates s.candBuf[base:end] and
-// truncates back to base; the shared buffer replaces the former
-// per-state preferred/rest slices.
+// operation may be branched on now, in history order. The caller
+// iterates s.candBuf[base:end] and truncates back to base.
 func (s *searcher) appendCandidates() (base, end int) {
 	base = len(s.candBuf)
-	needed := s.needed[:0]
-	if s.opts.WriteGuidance() && s.bound {
-		for h := range s.inst.hist {
-			if s.pos[h] >= len(s.inst.hist[h]) {
-				continue
-			}
-			o := s.inst.hist[h][s.pos[h]]
-			if d, ok := o.Reads(); ok && d != s.cur && !containsValue(needed, d) {
-				needed = append(needed, d)
-			}
-		}
-	}
-	s.needed = needed
-	if len(needed) == 0 {
-		for h := range s.inst.hist {
-			if cand, _ := s.classify(h); cand {
-				s.candBuf = append(s.candBuf, h)
-			}
-		}
-		return base, len(s.candBuf)
-	}
 	for h := range s.inst.hist {
-		if cand, preferred := s.classify(h); cand && preferred {
-			s.candBuf = append(s.candBuf, h)
+		if s.pos[h] >= len(s.inst.hist[h]) {
+			continue
 		}
-	}
-	for h := range s.inst.hist {
-		if cand, preferred := s.classify(h); cand && !preferred {
-			s.candBuf = append(s.candBuf, h)
+		o := s.inst.hist[h][s.pos[h]]
+		if !s.enabled(o) {
+			continue
 		}
+		if s.opts.EagerReads() && o.Kind == memory.Read && s.bound {
+			// Matching reads were consumed by the eager rule; a read that
+			// remains here mismatches and is disabled. (When unbound, a
+			// read is a genuine branch: it binds the initial value.)
+			continue
+		}
+		s.candBuf = append(s.candBuf, h)
 	}
 	return base, len(s.candBuf)
 }

@@ -189,8 +189,7 @@ func TestSolveAblationsAgree(t *testing.T) {
 		nil,
 		{DisableMemoization: true},
 		{DisableEagerReads: true},
-		{DisableWriteGuidance: true},
-		{DisableMemoization: true, DisableEagerReads: true, DisableWriteGuidance: true},
+		{DisableMemoization: true, DisableEagerReads: true},
 	}
 	for i := 0; i < 200; i++ {
 		exec := randomInstance(rng)

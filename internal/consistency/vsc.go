@@ -298,39 +298,9 @@ func (s *vscSearcher) apply(h int) func() {
 	}
 }
 
-// needKey pairs an address index with a value, for the guidance set.
-type needKey struct {
-	addr int
-	val  memory.Value
-}
-
-// candidates returns branchable histories, most promising first: with
-// write guidance on, writes whose (address, value) some blocked read is
-// waiting for are tried before other candidates. Ordering cannot affect
-// completeness.
+// candidates returns the branchable histories in history order.
 func (s *vscSearcher) candidates() []int {
-	var needed map[needKey]bool
-	if s.opts.WriteGuidance() {
-		for h := range s.exec.Histories {
-			if s.pos[h] >= len(s.exec.Histories[h]) {
-				continue
-			}
-			o := s.exec.Histories[h][s.pos[h]]
-			if !o.IsMemory() {
-				continue
-			}
-			if d, ok := o.Reads(); ok {
-				i := s.addrIndex[o.Addr]
-				if s.bound[i] && d != s.values[i] {
-					if needed == nil {
-						needed = make(map[needKey]bool)
-					}
-					needed[needKey{addr: i, val: d}] = true
-				}
-			}
-		}
-	}
-	var preferred, rest []int
+	var out []int
 	for h := range s.exec.Histories {
 		if s.pos[h] >= len(s.exec.Histories[h]) {
 			continue
@@ -342,18 +312,9 @@ func (s *vscSearcher) candidates() []int {
 		if s.opts.EagerReads() && s.isPassive(o) {
 			continue // consumed by the eager rule
 		}
-		if needed != nil && o.IsMemory() {
-			if d, ok := o.Writes(); ok && needed[needKey{addr: s.addrIndex[o.Addr], val: d}] {
-				preferred = append(preferred, h)
-				continue
-			}
-		}
-		rest = append(rest, h)
+		out = append(out, h)
 	}
-	if len(preferred) == 0 {
-		return rest
-	}
-	return append(preferred, rest...)
+	return out
 }
 
 func (s *vscSearcher) dfs() bool {

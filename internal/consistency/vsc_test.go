@@ -220,7 +220,6 @@ func TestSolveVSCAblationsAgree(t *testing.T) {
 		nil,
 		{DisableMemoization: true},
 		{DisableEagerReads: true},
-		{DisableWriteGuidance: true},
 	}
 	for i := 0; i < 150; i++ {
 		exec := randomMultiAddress(rng)

@@ -297,17 +297,16 @@ func runDirectoryProgram(s *directory.System, p mesi.Program, rng *rand.Rand) (*
 func AblationSearch(ctx context.Context, cfg Config) ([]*Table, error) {
 	rng := cfg.rng()
 	t := &Table{
-		Header: []string{"vars m", "full search", "no memoization", "no eager reads", "no write guidance", "none"},
+		Header: []string{"vars m", "full search", "no memoization", "no eager reads", "none"},
 		Caption: "visited branching states on SAT->VMC instances (lower is better). Memoization turns\n" +
 			"the search into the paper's O(n^k·|D|) constant-process procedure; the eager-read rule\n" +
-			"removes read-only branching; write guidance tries writes that unblock waiting reads first.",
+			"removes read-only branching.",
 	}
 	variants := []*coherence.Options{
 		nil,
 		{DisableMemoization: true},
 		{DisableEagerReads: true},
-		{DisableWriteGuidance: true},
-		{DisableMemoization: true, DisableEagerReads: true, DisableWriteGuidance: true},
+		{DisableMemoization: true, DisableEagerReads: true},
 	}
 	for _, m := range pick(cfg, []int{1, 2}, []int{1, 2, 3}) {
 		q := randomFormula(rng, m, 2*m)

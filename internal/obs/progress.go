@@ -19,8 +19,8 @@ type Progress struct {
 	limit    int64 // MaxStates budget (0 = unlimited)
 	interval time.Duration
 
-	mu   sync.Mutex
-	prev Snapshot
+	mu     sync.Mutex
+	prev   Snapshot
 	prevAt time.Time
 
 	stop chan struct{}

@@ -41,7 +41,7 @@ type instrument struct {
 	name   string
 	labels []Label
 	kind   instrumentKind
-	val    atomic.Int64  // counter, gauge
+	val    atomic.Int64   // counter, gauge
 	fn     func() float64 // gauge func
 	hist   *Histogram
 }
@@ -60,9 +60,9 @@ func (c Counter) Value() int64 { return c.i.val.Load() }
 type Gauge struct{ i *instrument }
 
 // Set stores the gauge value; Add adjusts it by n (n may be negative).
-func (g Gauge) Set(v int64)   { g.i.val.Store(v) }
-func (g Gauge) Add(n int64)   { g.i.val.Add(n) }
-func (g Gauge) Value() int64  { return g.i.val.Load() }
+func (g Gauge) Set(v int64)  { g.i.val.Store(v) }
+func (g Gauge) Add(n int64)  { g.i.val.Add(n) }
+func (g Gauge) Value() int64 { return g.i.val.Load() }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {

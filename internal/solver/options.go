@@ -45,12 +45,6 @@ type Options struct {
 	// any coherent schedule can be rearranged to schedule such a read at
 	// the point it first becomes enabled).
 	DisableEagerReads bool
-	// DisableWriteGuidance turns off the branching heuristic that tries
-	// writes whose value some blocked read is waiting for before other
-	// writes (ablation knob; ordering the candidates differently cannot
-	// affect completeness, only how fast a certificate or refutation is
-	// found).
-	DisableWriteGuidance bool
 	// DisableFastPath turns off the polynomial constraint-propagation
 	// frontline (internal/coherence's fast path): the ladder drops its
 	// fast rung, so StrategyFast runs like StrategyAuto and
@@ -134,9 +128,6 @@ func WithoutMemoization() Option { return func(o *Options) { o.DisableMemoizatio
 // WithoutEagerReads disables the eager read-scheduling rule.
 func WithoutEagerReads() Option { return func(o *Options) { o.DisableEagerReads = true } }
 
-// WithoutWriteGuidance disables the write-guidance branching heuristic.
-func WithoutWriteGuidance() Option { return func(o *Options) { o.DisableWriteGuidance = true } }
-
 // WithoutPackedMemo forces the string-key memo table (cross-check knob).
 func WithoutPackedMemo() Option { return func(o *Options) { o.DisablePackedMemo = true } }
 
@@ -171,9 +162,6 @@ func (o *Options) Memoize() bool { return o == nil || !o.DisableMemoization }
 
 // EagerReads reports whether the eager read rule is on. Nil-safe.
 func (o *Options) EagerReads() bool { return o == nil || !o.DisableEagerReads }
-
-// WriteGuidance reports whether write guidance is on. Nil-safe.
-func (o *Options) WriteGuidance() bool { return o == nil || !o.DisableWriteGuidance }
 
 // PackedMemo reports whether the packed uint64 memo representation may
 // be used when the instance fits its layout. Nil-safe.

@@ -18,7 +18,7 @@ func TestNilOptionsAccessors(t *testing.T) {
 	if o.SolveTimeout() != 0 {
 		t.Errorf("SolveTimeout() = %v, want 0", o.SolveTimeout())
 	}
-	if !o.Memoize() || !o.EagerReads() || !o.WriteGuidance() {
+	if !o.Memoize() || !o.EagerReads() {
 		t.Error("nil options must enable every optimization")
 	}
 	if c := o.Clone(); c == nil || c.MaxStates != 0 {
@@ -32,18 +32,16 @@ func TestFunctionalOptions(t *testing.T) {
 		WithTimeout(3*time.Second),
 		WithoutMemoization(),
 		WithoutEagerReads(),
-		WithoutWriteGuidance(),
 	)
 	if o.MaxStates != 42 || o.Timeout != 3*time.Second {
 		t.Errorf("options = %+v", o)
 	}
-	if o.Memoize() || o.EagerReads() || o.WriteGuidance() {
+	if o.Memoize() || o.EagerReads() {
 		t.Error("Without* options did not disable the optimizations")
 	}
 	if c := o.Clone(); c.MaxStates != o.MaxStates || c.Timeout != o.Timeout ||
 		c.DisableMemoization != o.DisableMemoization ||
-		c.DisableEagerReads != o.DisableEagerReads ||
-		c.DisableWriteGuidance != o.DisableWriteGuidance {
+		c.DisableEagerReads != o.DisableEagerReads {
 		t.Errorf("Clone() = %+v, want %+v", c, o)
 	}
 }
