@@ -230,11 +230,16 @@ func TestDebugRequestsInflight(t *testing.T) {
 		}
 		return dr
 	}
+	// The request passes through the parse and cache stages before it
+	// solves, and a poll may land in either: wait for the solve stage.
 	deadline := time.Now().Add(10 * time.Second)
 	var seen *reqRecord
-	for seen == nil {
+	for seen == nil || seen.Stage != "solve" {
 		if time.Now().After(deadline) {
-			t.Fatal("slow request never appeared in /debug/requests in-flight table")
+			if seen == nil {
+				t.Fatal("slow request never appeared in /debug/requests in-flight table")
+			}
+			t.Fatalf("in-flight stage %q, want solve", seen.Stage)
 		}
 		dr := fetch()
 		for i := range dr.InFlight {
@@ -243,9 +248,6 @@ func TestDebugRequestsInflight(t *testing.T) {
 			}
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if seen.Stage != "solve" {
-		t.Errorf("in-flight stage %q, want solve", seen.Stage)
 	}
 	if seen.AgeMS <= 0 {
 		t.Errorf("in-flight age %v", seen.AgeMS)

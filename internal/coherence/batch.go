@@ -170,9 +170,9 @@ func (v *Verifier) solveGroup(ctx context.Context, bs *batchScratch, jobs []Batc
 // execution's histories. Two counting+filling passes replace the
 // len(addrs) full Project scans a loop would do; every slice is carved
 // out of reusable backing arrays, so a group costs O(1) allocations once
-// the pool is warm. An execution whose every operation is a memory
-// operation at the one requested address is its own projection: the
-// instance aliases its histories and the fill pass is skipped.
+// the pool is warm. An execution that is its own projection at the one
+// requested address (ownProjection) is handed over as it is: the
+// instance aliases its histories and both passes are skipped.
 func (bs *batchScratch) groupProject(exec *memory.Execution, jobs []BatchJob, jobIdx []int) {
 	clear(bs.gAddrIdx)
 	bs.gAddrs = bs.gAddrs[:0]
@@ -188,6 +188,13 @@ func (bs *batchScratch) groupProject(exec *memory.Execution, jobs []BatchJob, jo
 		}
 	}
 	na := len(bs.gAddrs)
+	bs.gInsts = growSlice(bs.gInsts, na)
+	bs.gInit = growSlice(bs.gInit, na)
+	bs.gFinal = growSlice(bs.gFinal, na)
+	if na == 1 && ownProjection(exec, bs.gAddrs[0]) {
+		bs.assemble(exec, 0, exec.Histories, nil, exec.NumOps())
+		return
+	}
 	// The dense table turns the per-op address lookup of both passes
 	// into a slice index. Slots are set for the group's addresses only
 	// and cleared the same way, so a group costs O(addresses) table
@@ -211,9 +218,8 @@ func (bs *batchScratch) groupProject(exec *memory.Execution, jobs []BatchJob, jo
 	bs.gCount = growSlice(bs.gCount, 2*na*np)
 	counts, cursors := bs.gCount[:na*np], bs.gCount[na*np:]
 	clear(counts)
-	total, all := 0, 0
+	total := 0
 	for p, h := range exec.Histories {
-		all += len(h)
 		if dense {
 			slot := bs.gSlot
 			for _, o := range h {
@@ -236,14 +242,6 @@ func (bs *batchScratch) groupProject(exec *memory.Execution, jobs []BatchJob, jo
 				total++
 			}
 		}
-	}
-
-	bs.gInsts = growSlice(bs.gInsts, na)
-	bs.gInit = growSlice(bs.gInit, na)
-	bs.gFinal = growSlice(bs.gFinal, na)
-	if na == 1 && total == all {
-		bs.assemble(exec, 0, exec.Histories, nil, total)
-		return
 	}
 
 	// Carve the per-(address, process) sub-histories and back-maps out

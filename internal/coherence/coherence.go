@@ -108,37 +108,57 @@ type instance struct {
 	// backIdx maps projection refs back to the original execution:
 	// backIdx[p][i] is the original ref of the i-th projected op of
 	// process p, so each row is sorted by Index. nil means the identity
-	// projection (the batch driver hands single-address executions over
-	// as they are).
+	// projection: an execution that is its own projection (see
+	// ownProjection) is handed over as it is.
 	backIdx [][]memory.Ref
 	init    *memory.Value
 	final   *memory.Value
 	nops    int
 }
 
-// project builds the single-address instance for addr.
+// project builds the single-address instance for addr. An execution
+// that is its own projection is not copied: the instance aliases its
+// histories and has a nil backIdx.
 func project(exec *memory.Execution, addr memory.Addr) *instance {
-	proj, back := exec.Project(addr)
-	inst := &instance{
-		addr:    addr,
-		hist:    proj.Histories,
-		backIdx: back,
-		nops:    proj.NumOps(),
+	inst := &instance{addr: addr, hist: exec.Histories, nops: exec.NumOps()}
+	if !ownProjection(exec, addr) {
+		proj, back := exec.Project(addr)
+		inst.hist, inst.backIdx, inst.nops = proj.Histories, back, proj.NumOps()
 	}
-	if d, ok := proj.Initial[addr]; ok {
-		v := d
-		inst.init = &v
+	if d, ok := exec.Initial[addr]; ok {
+		inst.init = &d
 	}
-	if d, ok := proj.Final[addr]; ok {
-		v := d
-		inst.final = &v
+	if d, ok := exec.Final[addr]; ok {
+		inst.final = &d
 	}
 	return inst
 }
 
+// ownProjection reports whether exec is its own projection at addr:
+// every operation is a memory operation at addr. Both project and the
+// batch driver's groupProject then skip the projection copy.
+func ownProjection(exec *memory.Execution, addr memory.Addr) bool {
+	for _, h := range exec.Histories {
+		for _, o := range h {
+			if !o.IsMemory() || o.Addr != addr {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// origRef is the original ref of operation i of projected history p.
+func (in *instance) origRef(p, i int) memory.Ref {
+	if in.backIdx == nil {
+		return memory.Ref{Proc: p, Index: i}
+	}
+	return in.backIdx[p][i]
+}
+
 // translate maps a schedule over projection refs back to original refs.
-// A nil back-map means the instance IS the original execution (the
-// batch driver's identity projection), so refs translate to themselves.
+// A nil back-map is the identity projection: refs translate to
+// themselves.
 func (in *instance) translate(s []memory.Ref) memory.Schedule {
 	out := make(memory.Schedule, len(s))
 	if in.backIdx == nil {

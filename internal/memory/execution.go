@@ -91,13 +91,16 @@ func (r Ref) String() string { return fmt.Sprintf("P%d[%d]", r.Proc, r.Index) }
 func (e *Execution) Op(r Ref) Op { return e.Histories[r.Proc][r.Index] }
 
 // Addresses returns the sorted set of addresses touched by data-memory
-// operations in the execution.
+// operations in the execution. A run of operations on one address
+// costs one map write.
 func (e *Execution) Addresses() []Addr {
 	seen := make(map[Addr]bool)
+	var last Addr
 	for _, h := range e.Histories {
 		for _, o := range h {
-			if o.IsMemory() {
+			if o.IsMemory() && (len(seen) == 0 || o.Addr != last) {
 				seen[o.Addr] = true
+				last = o.Addr
 			}
 		}
 	}
