@@ -7,10 +7,9 @@
 // Each entry records ns/op, bytes/op and allocs/op from a standard
 // testing.Benchmark run, plus — for the search-based solves — the
 // deterministic state count of one instrumented solve and the derived
-// states/sec throughput. The *-stringmemo entries re-run the same
-// instances with the packed uint64 memoization disabled (see DESIGN.md
-// §5), so the report carries its own before/after for the packed state
-// layer.
+// states/sec throughput. The committed BENCH_PR5.json also carries
+// *-stringmemo entries; they measured a string-key memo that no longer
+// exists (every search now uses the packed memo, see DESIGN.md §5).
 //
 // With -fastpath the command instead measures the polynomial fast-path
 // frontline's crossover (internal/coherence/fastpath.go): a relay-family
@@ -151,7 +150,6 @@ func solveCase(name string, quick bool, exec *memory.Execution, addr memory.Addr
 // search is built for.
 func buildSuite(quick bool) ([]benchCase, error) {
 	var cases []benchCase
-	stringMemo := solver.New(solver.WithoutPackedMemo())
 
 	for _, m := range []int{2, 3, 4} {
 		q := benchFormula(1, m, 2*m)
@@ -159,10 +157,7 @@ func buildSuite(quick bool) ([]benchCase, error) {
 		if err != nil {
 			return nil, err
 		}
-		cases = append(cases,
-			solveCase(fmt.Sprintf("fig41-sat-to-vmc/m=%d", m), m <= 3, inst.Exec, inst.Addr, nil),
-			solveCase(fmt.Sprintf("fig41-sat-to-vmc-stringmemo/m=%d", m), m <= 2, inst.Exec, inst.Addr, stringMemo),
-		)
+		cases = append(cases, solveCase(fmt.Sprintf("fig41-sat-to-vmc/m=%d", m), m <= 3, inst.Exec, inst.Addr, nil))
 	}
 
 	{
@@ -197,10 +192,7 @@ func buildSuite(quick bool) ([]benchCase, error) {
 		exec, _ := workload.GenerateCoherent(rng, workload.GenConfig{
 			Processors: 3, OpsPerProc: n / 3, Addresses: 1, Values: 3, WriteFraction: 0.4,
 		})
-		cases = append(cases,
-			solveCase(fmt.Sprintf("fig53-constant-processes/n=%d", n), n <= 100, exec, 0, nil),
-			solveCase(fmt.Sprintf("fig53-constant-processes-stringmemo/n=%d", n), false, exec, 0, stringMemo),
-		)
+		cases = append(cases, solveCase(fmt.Sprintf("fig53-constant-processes/n=%d", n), n <= 100, exec, 0, nil))
 	}
 
 	{

@@ -7,22 +7,19 @@ import (
 	"testing"
 )
 
-// TestSuiteShape: the suite must cover the Figure 4.1/5.x families and
-// carry the string-memo ablation entries the report's before/after
-// depends on.
+// TestSuiteShape: the suite must cover the Figure 4.1/5.x families.
 func TestSuiteShape(t *testing.T) {
 	cases, err := buildSuite(false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]bool{
-		"fig41-sat-to-vmc/m=4":            false,
-		"fig41-sat-to-vmc-stringmemo/m=4": false,
-		"fig42-example":                   false,
-		"fig51-restricted/m=2":            false,
-		"fig52-rmw/m=3":                   false,
-		"fig53-constant-processes/n=200":  false,
-		"verify-parallel/parallel":        false,
+		"fig41-sat-to-vmc/m=4":           false,
+		"fig42-example":                  false,
+		"fig51-restricted/m=2":           false,
+		"fig52-rmw/m=3":                  false,
+		"fig53-constant-processes/n=200": false,
+		"verify-parallel/parallel":       false,
 	}
 	quick := 0
 	for _, c := range cases {

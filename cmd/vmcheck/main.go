@@ -28,9 +28,12 @@
 // -max-states and -timeout bound the search; a blown budget reports
 // UNDECIDED. -stats prints the solver's per-solve search statistics.
 // -psearch N splits each exact search across N workers sharing one memo
-// table (see internal/coherence's parallel search); the verdict never
-// changes, and -stats shows the workers actually used per address
-// ("workers=N" appears in the stats line when more than one engaged).
+// table (see internal/coherence's parallel search): every search on the
+// coherence kernel takes it, so -model coherence, lrc, sc and vscc do,
+// and -model tso and pso, whose store-buffer searches stay sequential,
+// reject it. The verdict never changes, and -stats shows the workers
+// actually used ("workers=N" appears in the stats line when more than
+// one engaged).
 //
 // Robustness (see the README "Robustness" section): -checkpoint FILE
 // makes the coherence check write a versioned, checksummed checkpoint
@@ -86,7 +89,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	noFastPath := fs.Bool("no-fastpath", false, "disable the polynomial fast-path frontline (ablation baseline; the verdict never changes, only the time to reach it)")
 	maxStates := fs.Int("max-states", 0, "abort search after N states (0 = unlimited)")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole check, e.g. 500ms (0 = none)")
-	psearch := fs.Int("psearch", 0, "split each exact search across N workers sharing one memo table (0/1 = sequential; -stats shows the workers actually used per address)")
+	psearch := fs.Int("psearch", 0, "split each exact search across N workers sharing one memo table, for -model coherence, lrc, sc and vscc (0/1 = sequential; -stats shows the workers actually used)")
 	showStats := fs.Bool("stats", false, "print per-solve search statistics")
 	cert := fs.Bool("cert", false, "print the certificate schedule or witness on success")
 	diagnose := fs.Bool("diagnose", false, "on a coherence violation, shrink it to a minimal core (implies -model coherence)")
@@ -111,6 +114,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		strat = solver.StrategyResilient
 	}
 	useResilient := strat == solver.StrategyResilient
+	if *psearch > 1 && (*model == "tso" || *model == "pso") {
+		fmt.Fprintf(stderr, "vmcheck: -psearch does not apply to -model %s: the store-buffer search is sequential\n", *model)
+		return 2
+	}
 	if *ckPath != "" || *resumePath != "" || useResilient {
 		if *model != "coherence" || *online {
 			fmt.Fprintln(stderr, "vmcheck: -checkpoint, -resume and the resilient strategy require -model coherence (and not -online)")

@@ -16,6 +16,9 @@ import (
 	"time"
 
 	"memverify/internal/coherence"
+	"memverify/internal/reduction"
+	"memverify/internal/sat"
+	"memverify/internal/trace"
 )
 
 func runCheck(t *testing.T, args []string, input string) (int, string, string) {
@@ -68,6 +71,30 @@ P1: R x 0
 	code, _, _ = runCheck(t, []string{"-model", "pso"}, dekker)
 	if code != 0 {
 		t.Errorf("Dekker should pass PSO: code=%d", code)
+	}
+}
+
+// TestSCParallelSearch: -model sc honours -psearch, since SC runs on the
+// coherence kernel. On an unsatisfiable Figure 4.1 reduction the team
+// exhausts the same state space the sequential run does, so the verdict
+// is the same.
+func TestSCParallelSearch(t *testing.T) {
+	f := sat.NewFormula(sat.Clause{1, 2}, sat.Clause{-1, 2}, sat.Clause{1, -2}, sat.Clause{-1, -2}, sat.Clause{3, 4}, sat.Clause{-3, 4})
+	inst, err := reduction.SATToVMC(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.Write(&buf, trace.New(inst.Exec)); err != nil {
+		t.Fatal(err)
+	}
+	code, seq, _ := runCheck(t, []string{"-model", "sc", "-stats"}, buf.String())
+	if code != 1 || !strings.Contains(seq, "VIOLATION (vsc-search)") {
+		t.Fatalf("sequential: code=%d out=%q", code, seq)
+	}
+	code, par, _ := runCheck(t, []string{"-model", "sc", "-psearch", "2", "-stats"}, buf.String())
+	if code != 1 || strings.SplitN(par, "\n", 2)[0] != strings.SplitN(seq, "\n", 2)[0] {
+		t.Fatalf("-psearch 2: code=%d out=%q, sequential %q", code, par, seq)
 	}
 }
 
@@ -522,6 +549,8 @@ func TestRobustnessFlagValidation(t *testing.T) {
 		{"-checkpoint", "x", "-use-order"},
 		{"-resilient", "-use-order"},
 		{"-resume", "/nonexistent/ck.json"},
+		{"-psearch", "2", "-model", "tso"},
+		{"-psearch", "4", "-model", "pso"},
 	} {
 		if code, _, _ := runCheck(t, args, coherentTrace); code != 2 {
 			t.Errorf("%v: code=%d, want 2", args, code)

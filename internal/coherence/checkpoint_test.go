@@ -3,6 +3,7 @@ package coherence
 import (
 	"context"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"memverify/internal/memory"
@@ -190,13 +191,13 @@ func BenchmarkCheckpointOverhead(b *testing.B) {
 	})
 }
 
-// TestCheckpointMemoFormatCompat: checkpoints are format-stable across
-// the packed-uint64 and string-key memo representations. A checkpoint
-// written by either search seeds a resume on the other — packed memo
-// entries serialize to the exact varint string form the fallback uses
-// (see packedLayout.appendStringKey), so no checkpoint version bump was
-// needed. In each direction the resumed search must agree with the
-// fresh verdict while re-exploring strictly fewer states.
+// TestCheckpointMemoFormatCompat: a checkpoint written before the
+// exact search moved onto the shared kernel and its multi-word memo
+// (testdata/hard-maxstates20.ckpt.json, written by VerifyCheckpoint on
+// hardExecution under MaxStates 20) still resumes: the resumed search
+// reaches the fresh verdict, explores fewer states than a fresh solve
+// and prunes with the saved keys. A checkpoint written now for the same
+// run holds the same memo keys, so the format did not move.
 func TestCheckpointMemoFormatCompat(t *testing.T) {
 	ctx := context.Background()
 	exec := hardExecution()
@@ -204,47 +205,41 @@ func TestCheckpointMemoFormatCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dir := range []struct {
-		name           string
-		writer, reader *solver.Options
-	}{
-		{"packed-to-string", nil, solver.New(solver.WithoutPackedMemo())},
-		{"string-to-packed", solver.New(solver.WithoutPackedMemo()), nil},
-	} {
-		t.Run(dir.name, func(t *testing.T) {
-			wopts := dir.writer.Clone()
-			wopts.MaxStates = 20
-			rep, err := NewVerifier(solver.WithOptions(wopts)).VerifyCheckpoint(ctx, exec, nil)
-			if _, ok := solver.AsBudgetError(err); !ok {
-				t.Fatalf("err = %v, want budget error", err)
-			}
-			ck := rep.Checkpoint
-			if ck == nil || ck.Pending == nil || len(ck.Pending.Memo) == 0 {
-				t.Fatalf("no resumable memo in checkpoint: %+v", ck)
-			}
-			path := filepath.Join(t.TempDir(), "ck.json")
-			if err := ck.WriteFile(path); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := LoadCheckpoint(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err = NewVerifier(solver.WithOptions(dir.reader)).VerifyCheckpoint(ctx, exec, loaded)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := rep.Results()[0]
-			if res == nil || res.Coherent != fresh.Coherent {
-				t.Fatalf("resumed verdict %+v != fresh verdict %+v", res, fresh)
-			}
-			if res.Stats.States >= fresh.Stats.States {
-				t.Errorf("resumed search explored %d states, fresh %d — cross-format seed pruned nothing",
-					res.Stats.States, fresh.Stats.States)
-			}
-			if res.Stats.MemoHits == 0 {
-				t.Error("resumed search had no memo hits; cross-format seed was not ingested")
-			}
-		})
+	old, err := LoadCheckpoint(filepath.Join("testdata", "hard-maxstates20.ckpt.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewVerifier().VerifyCheckpoint(ctx, exec, old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := rep.Results()[0]
+	if res == nil || res.Coherent != fresh.Coherent {
+		t.Fatalf("resumed verdict %+v != fresh verdict %+v", res, fresh)
+	}
+	if res.Stats.States >= fresh.Stats.States {
+		t.Errorf("resumed search explored %d states, fresh %d — the old checkpoint pruned nothing",
+			res.Stats.States, fresh.Stats.States)
+	}
+	if res.Stats.MemoHits == 0 {
+		t.Error("resumed search had no memo hits; the old checkpoint's keys were not ingested")
+	}
+
+	rep, err = NewVerifier(solver.WithBudget(solver.WithMaxStates(20))).VerifyCheckpoint(ctx, exec, nil)
+	if _, ok := solver.AsBudgetError(err); !ok {
+		t.Fatalf("err = %v, want budget error", err)
+	}
+	now := rep.Checkpoint
+	if now == nil || now.Pending == nil {
+		t.Fatalf("no pending search in checkpoint: %+v", now)
+	}
+	got, want := slices.Clone(now.Pending.Memo), slices.Clone(old.Pending.Memo)
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("memo keys moved:\n now %v\n old %v", got, want)
+	}
+	if now.Fingerprint != old.Fingerprint {
+		t.Errorf("fingerprint moved: %s, was %s", now.Fingerprint, old.Fingerprint)
 	}
 }

@@ -1,25 +1,28 @@
 package coherence
 
-import "sync"
+import (
+	"sync"
+
+	"memverify/internal/solver"
+)
 
 // The parallel exact search (psearch.go) shares one failed-state memo
 // across its workers, so a subtree refuted by one worker prunes every
-// other worker's search. cpackedSet is the concurrent variant of
-// packedSet: the same packed uint64 state keys, sharded across
-// independently locked open-addressing tables (striped locking — the
-// shard index comes from the top bits of the mixed key, so probe
-// sequences never cross a lock boundary and each shard can grow under
-// its own lock).
+// other worker's search. cmemo is the concurrent form of the kernel's
+// solver.MemoSet: the same packed state keys, sharded across
+// independently locked shards (striped locking — the shard index comes
+// from the top bits of the key's hash, so contention stays negligible
+// for any realistic worker count). Each shard is a mutex over two
+// MemoSets, one of claimed and one of failed keys.
 //
-// Where the sequential set only knows "absent" and "failed", the
-// concurrent set runs a three-state claim protocol per key:
+// Where the sequential memo only knows "absent" and "failed", the
+// concurrent one runs a three-state claim protocol per key:
 //
 //	empty   — nobody has visited the state;
-//	claimed — some worker is exploring the state right now (slot holds
-//	          key+1 with the claim bit set);
-//	failed  — the state is fully explored and has no coherent
-//	          completion (slot holds key+1, exactly the sequential
-//	          encoding).
+//	claimed — some worker is exploring the state right now (the key is
+//	          in the shard's claimed set);
+//	failed  — the state is fully explored and has no complete schedule
+//	          (the key is in the shard's failed set).
 //
 // A worker that finds a state claimed by another worker skips it
 // instead of waiting (claim-skip). Soundness: the skipping worker
@@ -33,25 +36,25 @@ import "sync"
 // Claims that are never resolved lose only pruning for other workers,
 // never soundness — memo entries are an optimization, not an input to
 // the verdict.
-//
-// The claim bit is bit 63, so keys must leave it free: the parallel
-// search requires packedLayout.bitsUsed() < packedLayoutBits and falls
-// back to the sequential search otherwise.
 
-// cmemoShardBits selects the shard from the top bits of the mixed key;
+// cmemoShardBits selects the shard from the top bits of the key's hash;
 // 64 shards keeps lock contention negligible for any realistic worker
 // count while staying small enough to live in one allocation.
 const (
 	cmemoShardBits = 6
 	cmemoShards    = 1 << cmemoShardBits
-	cmemoClaimBit  = uint64(1) << 63
 )
 
-// cmemoMinSlots is each shard's initial table size; 64 shards × 64
+// cmemoMinSlots is each shard set's initial table size; 64 shards × 64
 // slots matches the sequential set's 4096-state capacity at 3/4 load.
 const cmemoMinSlots = 64
 
-// claimStatus is the outcome of cpackedSet.claim.
+// cmemoMaxRetainKeys bounds what a pooled reset keeps per shard set: a
+// set that held more is dropped rather than cleared, so the pool retains
+// about the sequential set's bound across all shards.
+const cmemoMaxRetainKeys = 768
+
+// claimStatus is the outcome of cmemo.claim.
 type claimStatus int
 
 const (
@@ -65,123 +68,61 @@ const (
 	claimFailed
 )
 
-// cmemoShard is one independently locked open-addressing table. The pad
-// keeps hot shards on distinct cache lines.
+// cmemoShard is one independently locked pair of sets. The pad rounds
+// a shard up to 128 bytes, so hot shards sit on distinct cache lines.
 type cmemoShard struct {
-	mu    sync.Mutex
-	slots []uint64
-	n     int
-	_     [24]byte
+	mu              sync.Mutex
+	claimed, failed solver.MemoSet
+	_               [24]byte
 }
 
-// cpackedSet is the concurrent memo set. The zero value is not ready;
-// call reset first.
-type cpackedSet struct {
+// cmemo is the concurrent memo. The zero value is not ready; call reset
+// first.
+type cmemo struct {
 	shards [cmemoShards]cmemoShard
 }
 
-// reset prepares every shard for a fresh solve, retaining tables up to
-// the same bound as the sequential set (scaled per shard).
-func (cs *cpackedSet) reset() {
-	const maxRetain = packedSetMaxRetainSlots / cmemoShards
-	for i := range cs.shards {
-		sh := &cs.shards[i]
-		if sh.slots == nil || len(sh.slots) > maxRetain {
-			sh.slots = make([]uint64, cmemoMinSlots)
-		} else {
-			clear(sh.slots)
-		}
-		sh.n = 0
-	}
-}
-
-// shardOf picks the shard from the top bits of the mixed key; the low
-// bits index within the shard, so the two never alias.
-func (cs *cpackedSet) shardOf(mixed uint64) *cmemoShard {
-	return &cs.shards[mixed>>(64-cmemoShardBits)]
-}
-
-// claim transitions k from empty to claimed and reports which state it
-// found. Exactly one caller ever receives `claimed` for a key (until
-// the set is reset): the transition happens under the shard lock.
-func (cs *cpackedSet) claim(k uint64) claimStatus {
-	mixed := mixKey(k)
-	sh := cs.shardOf(mixed)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if 4*(sh.n+1) > 3*len(sh.slots) {
-		sh.grow()
-	}
-	mask := uint64(len(sh.slots) - 1)
-	for i := mixed & mask; ; i = (i + 1) & mask {
-		switch sh.slots[i] {
-		case 0:
-			sh.slots[i] = (k + 1) | cmemoClaimBit
-			sh.n++
-			return claimed
-		case (k + 1) | cmemoClaimBit:
-			return claimBusy
-		case k + 1:
-			return claimFailed
-		}
-	}
-}
-
-// markFailed resolves the caller's claim on k: the state is fully
-// explored and refuted. Inserts k as failed directly when no claim
-// exists (the resume-seed path).
-func (cs *cpackedSet) markFailed(k uint64) {
-	mixed := mixKey(k)
-	sh := cs.shardOf(mixed)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if 4*(sh.n+1) > 3*len(sh.slots) {
-		sh.grow()
-	}
-	mask := uint64(len(sh.slots) - 1)
-	for i := mixed & mask; ; i = (i + 1) & mask {
-		switch sh.slots[i] {
-		case 0:
-			sh.slots[i] = k + 1
-			sh.n++
-			return
-		case (k + 1) | cmemoClaimBit, k + 1:
-			sh.slots[i] = k + 1
-			return
-		}
-	}
-}
-
-// grow doubles the shard's table, preserving claim bits. Caller holds
-// the shard lock.
-func (sh *cmemoShard) grow() {
-	old := sh.slots
-	sh.slots = make([]uint64, 2*len(old))
-	mask := uint64(len(sh.slots) - 1)
-	for _, s := range old {
-		if s == 0 {
-			continue
-		}
-		k := (s &^ cmemoClaimBit) - 1
-		for i := mixKey(k) & mask; ; i = (i + 1) & mask {
-			if sh.slots[i] == 0 {
-				sh.slots[i] = s
-				break
+// reset prepares every shard for a fresh solve over keys of words words.
+func (cm *cmemo) reset(words int) {
+	for i := range cm.shards {
+		sh := &cm.shards[i]
+		for _, set := range []*solver.MemoSet{&sh.claimed, &sh.failed} {
+			if set.Len() > cmemoMaxRetainKeys {
+				*set = solver.MemoSet{}
 			}
+			set.Reset(words, cmemoMinSlots)
 		}
 	}
 }
 
-// size returns the number of keys present (claimed or failed) across
-// all shards. Callers must not race it against claims they care about;
-// it exists for stats and tests.
-func (cs *cpackedSet) size() int {
-	n := 0
-	for i := range cs.shards {
-		sh := &cs.shards[i]
-		sh.mu.Lock()
-		n += sh.n
-		sh.mu.Unlock()
+// shardOf picks the shard from the top bits of the key's hash; the sets
+// index by the low bits, so the two never alias.
+func (cm *cmemo) shardOf(key []uint64) *cmemoShard {
+	return &cm.shards[solver.HashKey(key)>>(64-cmemoShardBits)]
+}
+
+// claim transitions key from empty to claimed and reports which state
+// it found. Exactly one caller ever receives `claimed` for a key (until
+// the memo is reset): the transition happens under the shard lock.
+func (cm *cmemo) claim(key []uint64) claimStatus {
+	sh := cm.shardOf(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	switch {
+	case sh.failed.Contains(key):
+		return claimFailed
+	case !sh.claimed.Add(key):
+		return claimBusy
 	}
-	return n
+	return claimed
+}
+
+// markFailed resolves the caller's claim on key: the state is fully
+// explored and refuted. It inserts key as failed directly when no claim
+// exists (the resume-seed path).
+func (cm *cmemo) markFailed(key []uint64) {
+	sh := cm.shardOf(key)
+	sh.mu.Lock()
+	sh.failed.Add(key)
+	sh.mu.Unlock()
 }

@@ -5,15 +5,37 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"memverify/internal/solver"
 )
+
+// k1 is a one-word key.
+func k1(k uint64) []uint64 { return []uint64{k} }
+
+// size counts the keys present (claimed or failed) across all shards.
+func (cm *cmemo) size() int {
+	n := 0
+	for i := range cm.shards {
+		sh := &cm.shards[i]
+		sh.mu.Lock()
+		n += sh.claimed.Len()
+		sh.failed.Each(func(key []uint64) {
+			if !sh.claimed.Contains(key) {
+				n++
+			}
+		})
+		sh.mu.Unlock()
+	}
+	return n
+}
 
 // TestCMemoClaimProtocol pins the three-state protocol on one shard
 // path: first claim wins, a second claim of the same key sees busy, and
 // markFailed converts the claim into a permanent failed entry.
 func TestCMemoClaimProtocol(t *testing.T) {
-	var cs cpackedSet
-	cs.reset()
-	const k = 0x1234
+	var cs cmemo
+	cs.reset(1)
+	k := k1(0x1234)
 	if got := cs.claim(k); got != claimed {
 		t.Fatalf("first claim: got %v, want claimed", got)
 	}
@@ -26,7 +48,7 @@ func TestCMemoClaimProtocol(t *testing.T) {
 	}
 	// markFailed without a prior claim inserts the failed entry directly
 	// (the resume-seed path).
-	const k2 = 0x9999
+	k2 := k1(0x9999)
 	cs.markFailed(k2)
 	if got := cs.claim(k2); got != claimFailed {
 		t.Fatalf("directly-failed key: got %v, want claimFailed", got)
@@ -37,39 +59,43 @@ func TestCMemoClaimProtocol(t *testing.T) {
 }
 
 // TestCMemoParityWithPackedSet: for keys that are only ever
-// claim+markFailed (the sequential usage pattern), the concurrent set
-// must agree exactly with packedSet membership.
+// claim+markFailed (the sequential usage pattern), the concurrent memo
+// must agree exactly with the sequential solver.MemoSet's membership,
+// for one-word and multi-word keys alike.
 func TestCMemoParityWithPackedSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var cs cpackedSet
-	cs.reset()
-	var ps packedSet
-	ps.reset()
-	keys := make([]uint64, 4000)
-	for i := range keys {
-		// Keys must fit 63 bits with the claim bit spare; the parallel
-		// search guarantees this via the layout gate.
-		keys[i] = rng.Uint64() >> 2
-	}
-	for i, k := range keys {
-		if i%2 == 0 {
-			if cs.claim(k) == claimed {
-				cs.markFailed(k)
+	for _, w := range []int{1, 2} {
+		rng := rand.New(rand.NewSource(3))
+		var cs cmemo
+		cs.reset(w)
+		var ps solver.MemoSet
+		ps.Reset(w, 1024)
+		keys := make([][]uint64, 4000)
+		for i := range keys {
+			keys[i] = make([]uint64, w)
+			for j := range keys[i] {
+				keys[i][j] = rng.Uint64() >> 1
 			}
-			ps.add(k)
 		}
-	}
-	for _, k := range keys {
-		want := claimFailed
-		if !ps.contains(k) {
-			want = claimed
+		for i, k := range keys {
+			if i%2 == 0 {
+				if cs.claim(k) == claimed {
+					cs.markFailed(k)
+				}
+				ps.Add(k)
+			}
 		}
-		got := cs.claim(k)
-		if got != want && !(want == claimed && got == claimBusy) {
-			// A key absent from ps may have been claimed by this very
-			// loop on a duplicate; treat busy as "was absent, now
-			// claimed" only for genuine duplicates.
-			t.Fatalf("key %#x: cmemo=%v packed-contains=%v", k, got, ps.contains(k))
+		for _, k := range keys {
+			want := claimFailed
+			if !ps.Contains(k) {
+				want = claimed
+			}
+			got := cs.claim(k)
+			if got != want && !(want == claimed && got == claimBusy) {
+				// A key absent from ps may have been claimed by this very
+				// loop on a duplicate; treat busy as "was absent, now
+				// claimed" only for genuine duplicates.
+				t.Fatalf("w=%d key %#x: cmemo=%v set-contains=%v", w, k, got, ps.Contains(k))
+			}
 		}
 	}
 }
@@ -79,8 +105,8 @@ func TestCMemoParityWithPackedSet(t *testing.T) {
 // corrupted by the rehash.
 func TestCMemoGrowPreservesClaims(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	var cs cpackedSet
-	cs.reset()
+	var cs cmemo
+	cs.reset(1)
 	const n = 50000 // far past the per-shard initial capacity, forces many grows
 	keys := make([]uint64, n)
 	seen := make(map[uint64]bool, n)
@@ -93,11 +119,11 @@ func TestCMemoGrowPreservesClaims(t *testing.T) {
 		keys[i] = k
 	}
 	for i, k := range keys {
-		if got := cs.claim(k); got != claimed {
+		if got := cs.claim(k1(k)); got != claimed {
 			t.Fatalf("key %d: got %v, want claimed", i, got)
 		}
 		if i%3 == 0 {
-			cs.markFailed(k)
+			cs.markFailed(k1(k))
 		}
 	}
 	for i, k := range keys {
@@ -105,7 +131,7 @@ func TestCMemoGrowPreservesClaims(t *testing.T) {
 		if i%3 == 0 {
 			want = claimFailed
 		}
-		if got := cs.claim(k); got != want {
+		if got := cs.claim(k1(k)); got != want {
 			t.Fatalf("after grow, key %d: got %v, want %v", i, got, want)
 		}
 	}
@@ -119,22 +145,22 @@ func TestCMemoGrowPreservesClaims(t *testing.T) {
 // modest tables.
 func TestCMemoReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	var cs cpackedSet
-	cs.reset()
+	var cs cmemo
+	cs.reset(1)
 	for i := 0; i < 10000; i++ {
-		k := rng.Uint64() >> 2
+		k := k1(rng.Uint64() >> 2)
 		if cs.claim(k) == claimed && i%2 == 0 {
 			cs.markFailed(k)
 		}
 	}
-	cs.reset()
+	cs.reset(1)
 	if cs.size() != 0 {
 		t.Fatalf("size after reset=%d, want 0", cs.size())
 	}
 	// Every previously-touched key must claim fresh again.
 	rng = rand.New(rand.NewSource(9))
 	for i := 0; i < 100; i++ {
-		k := rng.Uint64() >> 2
+		k := k1(rng.Uint64() >> 2)
 		if got := cs.claim(k); got != claimed {
 			t.Fatalf("key %#x after reset: got %v, want claimed", k, got)
 		}
@@ -150,8 +176,8 @@ func TestCMemoConcurrentStress(t *testing.T) {
 		goroutines = 8
 		keyspace   = 20000
 	)
-	var cs cpackedSet
-	cs.reset()
+	var cs cmemo
+	cs.reset(1)
 	wins := make([]atomic.Int32, keyspace)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -161,10 +187,10 @@ func TestCMemoConcurrentStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 4*keyspace; i++ {
 				k := uint64(rng.Intn(keyspace))
-				switch cs.claim(k) {
+				switch cs.claim(k1(k)) {
 				case claimed:
 					wins[k].Add(1)
-					cs.markFailed(k)
+					cs.markFailed(k1(k))
 				case claimBusy:
 					// Another goroutine holds the claim mid-window; by
 					// protocol we skip (delegation) — nothing to assert
@@ -185,7 +211,7 @@ func TestCMemoConcurrentStress(t *testing.T) {
 	// Every key some goroutine won must now be failed; keys never
 	// touched must claim fresh.
 	for k := 0; k < keyspace; k++ {
-		got := cs.claim(uint64(k))
+		got := cs.claim(k1(uint64(k)))
 		if wins[k].Load() == 1 && got != claimFailed {
 			t.Fatalf("key %d: won and resolved but reads %v", k, got)
 		}

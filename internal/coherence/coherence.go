@@ -19,7 +19,10 @@
 //   - a complete exponential search that realizes the paper's O(n^k)
 //     bound for k process histories via memoization and an eager
 //     read-scheduling rule, sequential or split across a worker team
-//     (solver.WithParallelSearch);
+//     (solver.WithParallelSearch). It is the package's one exact-search
+//     kernel: VMC is its one-address case, and SearchSC runs it over
+//     every address of an execution for internal/consistency's SC and
+//     VSCC;
 //   - graceful degradation, when that search trips its budget: write-order
 //     hints (§5.2), write-order enumeration, and sound necessary
 //     conditions, ending in an explicit Unknown verdict instead of an

@@ -62,75 +62,41 @@ func TestPackedSearchZeroAllocPerState(t *testing.T) {
 	}
 }
 
-// mutateState cycles the searcher through a deterministic sequence of
-// valid states, shared by both BenchmarkMemoKey variants.
-func mutateState(s *searcher, l *packedLayout, i int) {
-	for h := range s.pos {
-		s.pos[h] = (i >> (3 * h)) & 7 % (len(s.inst.hist[h]) + 1)
-	}
-	if len(l.vals) > 0 {
-		s.cur, s.bound = l.vals[i%len(l.vals)], i%2 == 0
-	}
-}
-
-// BenchmarkMemoKey prices one memo probe+insert on each representation:
-// the packed path (uint64 pack + open-addressing set) against the
-// fallback (varint string key + Go map). The packed path must report
-// 0 allocs/op — the string path pays a key allocation per state.
+// BenchmarkMemoKey prices one memo probe+insert on the packed path:
+// pack the state into its key, probe the set, insert on a miss. It must
+// report 0 allocs/op.
 func BenchmarkMemoKey(b *testing.B) {
 	rng := rand.New(rand.NewSource(46))
 	exec, _ := randomCoherentTrace(rng, 4, 16, 3)
-	inst := project(exec, 0)
-	l := new(packedLayout)
-	if !l.build(inst) {
-		b.Fatal("bench instance must fit the packed layout")
+	var pg program
+	pg.compileInstance(project(exec, 0))
+	s := (&searcher{}).fresh(&pg)
+	var memo solver.MemoSet
+	memo.Reset(pg.layout.Words(), 1024)
+	key := s.keyAt(0)
+	nvals := pg.valOff[1]
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		// Cycle through a deterministic sequence of states.
+		for h := range s.pos {
+			s.pos[h] = (i >> (3 * h)) & 7 % (len(pg.hist[h]) + 1)
+		}
+		s.val[0] = uint32(i % (nvals + 1))
+		s.pack(key)
+		if !memo.Contains(key) {
+			memo.Add(key)
+		}
 	}
-	b.Run("packed", func(b *testing.B) {
-		b.ReportAllocs()
-		s := &searcher{inst: inst, pos: make([]int, len(inst.hist))}
-		var ps packedSet
-		ps.reset()
-		for i := 0; i < b.N; i++ {
-			mutateState(s, l, i)
-			k := l.pack(s.pos, s.cur, s.bound)
-			if !ps.contains(k) {
-				ps.add(k)
-			}
-		}
-	})
-	b.Run("string", func(b *testing.B) {
-		b.ReportAllocs()
-		s := &searcher{inst: inst, pos: make([]int, len(inst.hist))}
-		memo := make(map[string]struct{})
-		for i := 0; i < b.N; i++ {
-			mutateState(s, l, i)
-			k := s.key()
-			if _, seen := memo[k]; !seen {
-				memo[k] = struct{}{}
-			}
-		}
-	})
 }
 
-// BenchmarkSearchAllocs prices a whole general-search solve on each memo
-// representation; run with -benchmem to see the allocation gap the
-// packed path opens (the ns/op gap tracks it).
+// BenchmarkSearchAllocs prices a whole exact-search solve; run with
+// -benchmem to see its per-solve allocations.
 func BenchmarkSearchAllocs(b *testing.B) {
 	exec := incoherentSearchTrace(47, 3, 14)
-	for _, v := range []struct {
-		name string
-		opts *Options
-	}{
-		{"packed", nil},
-		{"string", solver.New(solver.WithoutPackedMemo())},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithOptions(v.opts)).Solve(context.Background(), exec, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), exec, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -31,10 +31,10 @@ import (
 //
 // What is shared, and why it stays sound:
 //
-//   - The memo table (cpackedSet, cmemo.go): a subtree refuted by any
-//     worker prunes all workers. The claim-skip protocol is sound
-//     because "incoherent" is declared only when every task has
-//     completed; see cmemo.go.
+//   - The memo table (cmemo, cmemo.go): a subtree refuted by any worker
+//     prunes all workers. The claim-skip protocol is sound because
+//     "incoherent" is declared only when every task has completed; see
+//     cmemo.go.
 //   - The budget (solver.SharedBudget): every worker charges one atomic
 //     state counter, so MaxStates and the reported Stats.States are
 //     exact — the merged per-worker stats equal the shared counter.
@@ -53,10 +53,10 @@ import (
 //
 // Checkpointing is sequential-only by design: a snapshot of a
 // mid-flight multi-worker memo is not resumable state (claims are not
-// refutations). searchInstance therefore falls back to the sequential
-// path whenever a CheckpointSink is configured, and likewise when the
-// instance overflows the packed layout (the string memo cannot be
-// shared) or memoization is disabled.
+// refutations). searchScratch.search therefore falls back to the
+// sequential path whenever a CheckpointSink is configured, and likewise
+// when memoization is disabled. Every program the kernel runs — VMC's
+// exact rung and SearchSC alike — can take the team.
 
 const (
 	// psearchMinOps: instances below this size stay sequential — the
@@ -77,14 +77,30 @@ const (
 	psearchDonateMinOps = 8
 )
 
-// pTask is one independent subtree: a concrete search state and the
-// schedule prefix that reaches it (projection refs, needed so the
-// winning worker's certificate is complete).
+// pTask is one independent subtree: a concrete search state (positions
+// and value slots) and the schedule prefix that reaches it (program
+// refs, needed so the winning worker's certificate is complete).
 type pTask struct {
 	pos    []int
-	cur    memory.Value
-	bound  bool
+	val    []uint32
 	prefix []memory.Ref
+}
+
+// task captures the searcher's current state as a task.
+func (s *searcher) task() pTask {
+	return pTask{
+		pos:    append([]int(nil), s.pos...),
+		val:    append([]uint32(nil), s.val...),
+		prefix: append([]memory.Ref(nil), s.schedule...),
+	}
+}
+
+// load points the searcher at a task's state.
+func (s *searcher) load(t pTask) {
+	copy(s.pos, t.pos)
+	copy(s.val, t.val)
+	s.schedule = append(s.schedule[:0], t.prefix...)
+	s.candBuf = s.candBuf[:0]
 }
 
 // pWin carries the first complete coherent schedule found.
@@ -95,10 +111,9 @@ type pWin struct {
 // pShared is the state shared by the coordinator and workers of one
 // parallel search.
 type pShared struct {
-	inst   *instance
+	pg     *program
 	opts   *Options
-	layout *packedLayout
-	memo   *cpackedSet
+	memo   *cmemo
 	budget *solver.SharedBudget
 	cancel context.CancelFunc
 
@@ -191,21 +206,13 @@ func (ps *pShared) drained() bool {
 }
 
 // pworker is one search worker: a full searcher (its own position
-// vector, schedule, candidate buffers, stats) plus the shared state.
-// The embedded searcher's budget/packed/memo fields stay nil — the
-// worker charges the shared budget and consults the shared memo.
+// vector, value slots, schedule, candidate buffers, stats) plus the
+// shared state. The embedded searcher's own budget and memo stay unused
+// — the worker charges the shared budget and consults the shared memo.
 type pworker struct {
 	searcher
 	ps *pShared
 	w  int
-}
-
-// loadTask points the worker's searcher at a task's state.
-func (pw *pworker) loadTask(t pTask) {
-	copy(pw.pos, t.pos)
-	pw.cur, pw.bound = t.cur, t.bound
-	pw.schedule = append(pw.schedule[:0], t.prefix...)
-	pw.candBuf = pw.candBuf[:0]
 }
 
 // donate packages the candidates candBuf[from:end) of the current frame
@@ -216,14 +223,9 @@ func (pw *pworker) donate(from, end int) {
 	ts := make([]pTask, 0, end-from)
 	for i := from; i < end; i++ {
 		h := s.candBuf[i]
-		prevCur, prevBound := s.apply(h)
-		ts = append(ts, pTask{
-			pos:    append([]int(nil), s.pos...),
-			cur:    s.cur,
-			bound:  s.bound,
-			prefix: append([]memory.Ref(nil), s.schedule...),
-		})
-		s.undo(h, prevCur, prevBound)
+		prev := s.apply(h)
+		ts = append(ts, s.task())
+		s.undo(h, prev)
 	}
 	pw.ps.submit(pw.w, ts)
 }
@@ -235,10 +237,11 @@ func (pw *pworker) donate(from, end int) {
 func (pw *pworker) pdfs() bool {
 	s := &pw.searcher
 	eager := s.scheduleEagerReads()
-	if d := len(s.schedule); d > s.stats.PeakDepth {
+	d := len(s.schedule)
+	if d > s.stats.PeakDepth {
 		s.stats.PeakDepth = d
 	}
-	if s.done() {
+	if d == s.pg.nops {
 		if s.finalOK() {
 			return true
 		}
@@ -246,8 +249,9 @@ func (pw *pworker) pdfs() bool {
 		return false
 	}
 
-	pkey := s.layout.pack(s.pos, s.cur, s.bound)
-	if st := pw.ps.memo.claim(pkey); st != claimed {
+	key := s.keyAt(d)
+	s.pack(key)
+	if st := pw.ps.memo.claim(key); st != claimed {
 		// Failed: refuted by some worker. Busy: being explored by some
 		// worker whose task must complete before an incoherent verdict
 		// can be declared — either way this subtree needs no second
@@ -259,32 +263,32 @@ func (pw *pworker) pdfs() bool {
 	s.stats.MemoMisses++
 
 	s.stats.States++
-	s.stats.RecordDepth(len(s.schedule))
+	s.stats.RecordDepth(d)
 	if e := pw.ps.budget.Charge(s.stats.States); e != nil {
 		s.abort = e
 		s.undoEagerReads(eager)
 		return false
 	}
-	if s.stats.States&(obsFlushInterval-1) == 0 && s.obsOn {
-		s.pollObs()
+	if s.stats.States&(solver.FlushInterval-1) == 0 && s.On {
+		s.Poll(&s.stats, d)
 	}
 
 	base, end := s.appendCandidates()
 	s.stats.Branches += end - base
 	donated := false
 	if end-base >= 2 && pw.ps.idle.Load() > 0 &&
-		pw.inst.nops-len(s.schedule) >= psearchDonateMinOps {
+		s.pg.nops-d >= psearchDonateMinOps {
 		pw.donate(base+1, end)
 		donated = true
 		end = base + 1
 	}
 	for i := base; i < end; i++ {
 		h := s.candBuf[i]
-		prevCur, prevBound := s.apply(h)
+		prev := s.apply(h)
 		if pw.pdfs() {
 			return true
 		}
-		s.undo(h, prevCur, prevBound)
+		s.undo(h, prev)
 		if s.abort != nil {
 			s.candBuf = s.candBuf[:base]
 			s.undoEagerReads(eager)
@@ -298,7 +302,7 @@ func (pw *pworker) pdfs() bool {
 		// A donated frame's children are owned by other tasks, so its
 		// refutation is unknown here; leaving the claim unresolved loses
 		// one memo entry, never soundness.
-		pw.ps.memo.markFailed(pkey)
+		pw.ps.memo.markFailed(key)
 	}
 	s.undoEagerReads(eager)
 	return false
@@ -319,12 +323,12 @@ func (ps *pShared) run(ctx context.Context, w int, statsOut *solver.Stats) {
 		}
 	}()
 	scratch := scratchPool.Get().(*searchScratch)
-	pw := &pworker{ps: ps, w: w, searcher: scratch.s.fresh(ps.inst)}
-	pw.opts, pw.layout, pw.met = ps.opts, ps.layout, obs.MetricsFrom(ctx)
-	pw.obsOn = pw.met != nil
+	pw := &pworker{ps: ps, w: w, searcher: scratch.s.fresh(ps.pg)}
+	pw.opts, pw.Met = ps.opts, obs.MetricsFrom(ctx)
+	pw.On = pw.Met != nil
 	defer func() {
-		if pw.obsOn {
-			pw.pollObs()
+		if pw.On {
+			pw.Poll(&pw.stats, len(pw.schedule))
 		}
 		*statsOut = pw.stats
 		scratch.s.keep(&pw.searcher)
@@ -341,7 +345,7 @@ func (ps *pShared) run(ctx context.Context, w int, statsOut *solver.Stats) {
 			ps.workersUsed.Add(1)
 			first = false
 		}
-		pw.loadTask(t)
+		pw.load(t)
 		if pw.pdfs() {
 			win := &pWin{schedule: append([]memory.Ref(nil), pw.schedule...)}
 			ps.winner.CompareAndSwap(nil, win)
@@ -365,39 +369,35 @@ func (ps *pShared) run(ctx context.Context, w int, statsOut *solver.Stats) {
 // incoherent).
 func expandFrontier(ps *pShared, target int, stats *solver.Stats) (tasks []pTask, win []memory.Ref, abort *solver.ErrBudgetExceeded) {
 	scratch := scratchPool.Get().(*searchScratch)
-	fresh := scratch.s.fresh(ps.inst)
+	fresh := scratch.s.fresh(ps.pg)
 	es := &fresh
-	es.opts, es.layout = ps.opts, ps.layout
+	es.opts = ps.opts
 	defer func() {
 		scratch.s.keep(es)
 		scratchPool.Put(scratch)
 	}()
 
-	root := pTask{pos: make([]int, len(ps.inst.hist))}
-	if ps.inst.init != nil {
-		root.cur, root.bound = *ps.inst.init, true
-	}
-	queue := []pTask{root}
+	queue := []pTask{es.task()}
 	for pops := 0; len(queue) > 0 && len(queue) < target && pops < psearchExpandFactor*target; pops++ {
 		t := queue[0]
 		queue = queue[1:]
-		copy(es.pos, t.pos)
-		es.cur, es.bound = t.cur, t.bound
-		es.schedule = append(es.schedule[:0], t.prefix...)
+		es.load(t)
 
 		es.scheduleEagerReads()
-		if d := len(es.schedule); d > es.stats.PeakDepth {
+		d := len(es.schedule)
+		if d > es.stats.PeakDepth {
 			es.stats.PeakDepth = d
 		}
-		if es.done() {
+		if d == ps.pg.nops {
 			if es.finalOK() {
 				win = append([]memory.Ref(nil), es.schedule...)
 				break
 			}
 			continue
 		}
-		pkey := ps.layout.pack(es.pos, es.cur, es.bound)
-		if st := ps.memo.claim(pkey); st != claimed {
+		key := es.keyAt(d)
+		es.pack(key)
+		if st := ps.memo.claim(key); st != claimed {
 			// Duplicate frontier state (two parents enqueued it) or a
 			// resume-seeded refutation: prune.
 			es.stats.MemoHits++
@@ -405,7 +405,7 @@ func expandFrontier(ps *pShared, target int, stats *solver.Stats) (tasks []pTask
 		}
 		es.stats.MemoMisses++
 		es.stats.States++
-		es.stats.RecordDepth(len(es.schedule))
+		es.stats.RecordDepth(d)
 		if abort = ps.budget.Charge(es.stats.States); abort != nil {
 			break
 		}
@@ -414,19 +414,14 @@ func expandFrontier(ps *pShared, target int, stats *solver.Stats) (tasks []pTask
 		if end == base {
 			// Dead end: enabled nothing, scheduled nothing — a genuine
 			// refutation, safe to memoize.
-			ps.memo.markFailed(pkey)
+			ps.memo.markFailed(key)
 			continue
 		}
 		for i := base; i < end; i++ {
 			h := es.candBuf[i]
-			prevCur, prevBound := es.apply(h)
-			queue = append(queue, pTask{
-				pos:    append([]int(nil), es.pos...),
-				cur:    es.cur,
-				bound:  es.bound,
-				prefix: append([]memory.Ref(nil), es.schedule...),
-			})
-			es.undo(h, prevCur, prevBound)
+			prev := es.apply(h)
+			queue = append(queue, es.task())
+			es.undo(h, prev)
 		}
 		es.candBuf = es.candBuf[:base]
 		// The expanded state stays claimed: its exploration is delegated
@@ -439,44 +434,40 @@ func expandFrontier(ps *pShared, target int, stats *solver.Stats) (tasks []pTask
 
 // psearchMemoPool recycles the sharded concurrent memo across parallel
 // solves (the tables are the dominant allocation).
-var psearchMemoPool = sync.Pool{New: func() any { return new(cpackedSet) }}
+var psearchMemoPool = sync.Pool{New: func() any { return new(cmemo) }}
 
-// searchInstanceParallel is the parallel counterpart of searchInstance:
+// searchParallel is the parallel counterpart of the sequential kernel:
 // same contract, with the search fanned out across `workers` workers.
-// Callers reach it through Options.ParallelSearch; searchInstance
-// handles the gating and fallback.
-func searchInstanceParallel(ctx context.Context, inst *instance, opts *Options, layout *packedLayout, workers int) (*Result, *solver.ErrBudgetExceeded) {
+// Callers reach it through Options.ParallelSearch;
+// searchScratch.search handles the gating and fallback.
+func searchParallel(ctx context.Context, pg *program, opts *Options, workers int) (*Result, *solver.ErrBudgetExceeded) {
 	start := time.Now()
 	sb := solver.StartShared(ctx, opts)
 	defer sb.Stop()
 	wctx, cancel := context.WithCancel(sb.Context())
 	defer cancel()
 
-	memo := psearchMemoPool.Get().(*cpackedSet)
-	memo.reset()
+	memo := psearchMemoPool.Get().(*cmemo)
+	memo.reset(pg.layout.Words())
 	defer psearchMemoPool.Put(memo)
 
 	ps := &pShared{
-		inst:   inst,
+		pg:     pg,
 		opts:   opts,
-		layout: layout,
 		memo:   memo,
 		budget: sb,
 		cancel: cancel,
 		deques: make([][]pTask, workers),
 	}
 	ps.cond = sync.NewCond(&ps.mu)
+	key := make([]uint64, pg.layout.Words())
 	for _, k := range opts.ResumeMemoSeed() {
-		if pk, ok := layout.parseStringKey(k); ok {
-			memo.markFailed(pk)
+		if pg.parseStringKey(k, key) {
+			memo.markFailed(key)
 		}
 	}
 
-	tr := obs.TracerFrom(ctx)
-	var sp obs.Span
-	if tr != nil {
-		sp, _ = tr.BeginAddr(ctx, "parallel-search", int64(inst.addr))
-	}
+	sp := pg.beginSpan(ctx, obs.TracerFrom(ctx), pg.name.par)
 
 	var expandStats solver.Stats
 	tasks, win, abort := expandFrontier(ps, workers*psearchFanout, &expandStats)
@@ -484,13 +475,10 @@ func searchInstanceParallel(ctx context.Context, inst *instance, opts *Options, 
 
 	finish := func(res *Result, err *solver.ErrBudgetExceeded) (*Result, *solver.ErrBudgetExceeded) {
 		stats.Duration = time.Since(start)
-		if met := obs.MetricsFrom(ctx); met != nil {
-			// Workers flush their own deltas; this covers the
-			// coordinator's expansion phase.
-			met.Flush(int64(expandStats.States), int64(expandStats.MemoHits),
-				int64(expandStats.MemoMisses), int64(expandStats.EagerReads),
-				int64(expandStats.Branches), expandStats.PeakDepth)
-		}
+		// Workers flush their own deltas; this covers the coordinator's
+		// expansion phase.
+		coord := solver.Probe{Met: obs.MetricsFrom(ctx)}
+		coord.Poll(&expandStats, expandStats.PeakDepth)
 		switch {
 		case err != nil:
 			err.Stats = stats
@@ -498,10 +486,10 @@ func searchInstanceParallel(ctx context.Context, inst *instance, opts *Options, 
 			return nil, err
 		case res.Coherent:
 			res.Stats = stats
-			sp.End("coherent", int64(stats.States))
+			sp.End(pg.name.yes, int64(stats.States))
 		default:
 			res.Stats = stats
-			sp.End("incoherent", int64(stats.States))
+			sp.End(pg.name.no, int64(stats.States))
 		}
 		return res, nil
 	}
@@ -514,13 +502,13 @@ func searchInstanceParallel(ctx context.Context, inst *instance, opts *Options, 
 		return finish(&Result{
 			Coherent:  true,
 			Decided:   true,
-			Schedule:  inst.translate(win),
-			Algorithm: "parallel-search",
+			Schedule:  pg.inst.translate(win),
+			Algorithm: pg.name.par,
 		}, nil)
 	}
 	if len(tasks) == 0 {
 		// The breadth-first expansion exhausted the whole tree.
-		return finish(&Result{Coherent: false, Decided: true, Algorithm: "parallel-search"}, nil)
+		return finish(&Result{Coherent: false, Decided: true, Algorithm: pg.name.par}, nil)
 	}
 
 	for i, t := range tasks {
@@ -557,8 +545,8 @@ func searchInstanceParallel(ctx context.Context, inst *instance, opts *Options, 
 		return finish(&Result{
 			Coherent:  true,
 			Decided:   true,
-			Schedule:  inst.translate(w.schedule),
-			Algorithm: "parallel-search",
+			Schedule:  pg.inst.translate(w.schedule),
+			Algorithm: pg.name.par,
 		}, nil)
 	}
 	if be := ps.budget.Err(); be != nil {
@@ -575,5 +563,5 @@ func searchInstanceParallel(ctx context.Context, inst *instance, opts *Options, 
 		cp := solver.ErrBudgetExceeded{Reason: solver.Canceled, Cause: context.Canceled}
 		return finish(nil, &cp)
 	}
-	return finish(&Result{Coherent: false, Decided: true, Algorithm: "parallel-search"}, nil)
+	return finish(&Result{Coherent: false, Decided: true, Algorithm: pg.name.par}, nil)
 }

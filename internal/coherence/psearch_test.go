@@ -99,8 +99,8 @@ func TestParallelSearchEngages(t *testing.T) {
 }
 
 // TestParallelSearchFallsBackSequential pins every documented fallback
-// to the sequential path: a checkpoint sink, memoization off, packed
-// memo off, worker count <= 1, and tiny instances.
+// to the sequential path: a checkpoint sink, memoization off, worker
+// count <= 1, and tiny instances.
 func TestParallelSearchFallsBackSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	exec, _ := randomCoherentTrace(rng, 3, 8, 3)
@@ -111,7 +111,6 @@ func TestParallelSearchFallsBackSequential(t *testing.T) {
 	}{
 		{"sink", &solver.Options{ParallelSearch: 4, CheckpointSink: func(solver.SearchSnapshot) {}}},
 		{"no-memo", solver.New(solver.WithParallelSearch(4), solver.WithoutMemoization())},
-		{"no-packed", solver.New(solver.WithParallelSearch(4), solver.WithoutPackedMemo())},
 		{"one-worker", solver.New(solver.WithParallelSearch(1))},
 	}
 	for _, tc := range cases {

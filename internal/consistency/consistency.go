@@ -6,18 +6,22 @@
 // Verify. The models are:
 //
 //   - SC decides Verifying Sequential Consistency (Definition 6.1;
-//     NP-Complete, Gibbons & Korach) with a memoized search that
-//     generalizes the coherence search to multiple addresses. With
-//     solver.WithWriteOrders the search additionally respects the
+//     NP-Complete, Gibbons & Korach) on the coherence package's
+//     exact-search kernel (coherence.SearchSC): the VMC search with one
+//     value slot per address instead of one, so SC shares its packed
+//     memo, pooled scratch and parallel search (solver.WithParallelSearch).
+//     With solver.WithWriteOrders the search additionally respects the
 //     supplied per-address write orders (the §5.2 memory-system
 //     augmentation applied to VSC — still NP-Complete, §6.3).
 //   - VSCC decides the promise problem Verifying Sequential Consistency
 //     with Coherence (Definition 6.2): coherence of the instance is
-//     established per address first, then VSC is decided — which remains
-//     NP-Complete (§6.3).
+//     established per address first, then VSC is decided on the same
+//     kernel — which remains NP-Complete (§6.3).
 //   - TSO and PSO are operational store-buffer checkers for the Sun
 //     relaxed models named in §6.2, grounding the claim that relaxed
-//     hardware models still embed coherence per location.
+//     hardware models still embed coherence per location. A store
+//     buffer is not a value slot, so they keep their own search, but
+//     they memoize into the same solver.MemoSet.
 //   - LRC checks executions written in the fully synchronized discipline
 //     of Figure 6.1 (every access bracketed by acquire and release),
 //     under which Lazy Release Consistency forces per-address

@@ -2,13 +2,12 @@ package consistency
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
-	"time"
 
 	"memverify/internal/memory"
-	"memverify/internal/obs"
 	"memverify/internal/solver"
 )
 
@@ -58,49 +57,33 @@ type bufferEntry struct {
 // Reads forward from the processor's own newest buffered store to the
 // address, else read memory. Read-modify-writes, fences, acquires and
 // releases require an empty (own) buffer and act on memory directly.
+//
+// Failed states are memoized in a solver.MemoSet under a fixed-width
+// key: the position per processor, the committed-store count per
+// processor (per processor and address under PSO) and the value id per
+// address. A buffer holds exactly its processor's issued stores minus
+// the committed prefix (per address under PSO), because it drains FIFO,
+// so positions and commit counts fix every buffer's contents.
 type tsoSearcher struct {
-	exec   *memory.Execution
-	opts   *Options
-	budget *solver.Budget
-	pso    bool
+	solver.Run
+	exec *memory.Execution
+	opts *Options
+	pso  bool
 
 	addrIndex map[memory.Addr]int
 	pos       []int
 	buffers   [][]bufferEntry // per processor, issue order
 	values    []memory.Value
 	bound     []bool
+	committed []int // per processor (TSO) or per processor × address (PSO)
 	events    []Event
 
-	memo   map[string]struct{}
+	layout solver.Layout    // positions, commit counts, value ids
+	vals   [][]memory.Value // per address: its values, ascending (id = index+1)
+	key    []uint64
+	memo   *solver.MemoSet // nil when memoization is off
 	stats  solver.Stats
 	abort  *solver.ErrBudgetExceeded
-	keyBuf []byte
-
-	// Observability handles (see vscSearcher).
-	tr      *obs.Tracer
-	sp      obs.Span
-	met     *obs.Metrics
-	obsOn   bool
-	flushed obsFlush
-}
-
-// pollObs flushes counter deltas into the shared metrics and emits the
-// budget-poll trace event.
-func (s *tsoSearcher) pollObs() {
-	if s.met != nil {
-		s.met.Flush(
-			int64(s.stats.States-s.flushed.states),
-			int64(s.stats.MemoHits-s.flushed.memoHits),
-			int64(s.stats.MemoMisses-s.flushed.memoMisses),
-			0,
-			int64(s.stats.Branches-s.flushed.branches),
-			len(s.events))
-		s.flushed = obsFlush{states: s.stats.States, memoHits: s.stats.MemoHits,
-			memoMisses: s.stats.MemoMisses, branches: s.stats.Branches}
-	}
-	if s.tr != nil {
-		s.tr.BudgetPoll(s.sp, int64(s.stats.States), len(s.events))
-	}
 }
 
 // verifyTSO checks whether exec is explainable by a Total Store Order
@@ -120,7 +103,7 @@ func verifyPSO(ctx context.Context, exec *memory.Execution, opts *Options) (*Res
 
 func verifyStoreBuffer(ctx context.Context, exec *memory.Execution, opts *Options, pso bool) (res *Result, err error) {
 	// Operational-machine searches recover panics into typed errors like
-	// the VSC searcher does, so a bug in one model's machine cannot crash
+	// the SC search does, so a bug in one model's machine cannot crash
 	// the process that runs it.
 	label := "tso-machine"
 	if pso {
@@ -140,7 +123,6 @@ func verifyStoreBuffer(ctx context.Context, exec *memory.Execution, opts *Option
 		buffers:   make([][]bufferEntry, len(exec.Histories)),
 		values:    make([]memory.Value, len(addrs)),
 		bound:     make([]bool, len(addrs)),
-		memo:      make(map[string]struct{}),
 	}
 	for i, a := range addrs {
 		s.addrIndex[a] = i
@@ -148,29 +130,26 @@ func verifyStoreBuffer(ctx context.Context, exec *memory.Execution, opts *Option
 			s.values[i], s.bound[i] = d, true
 		}
 	}
+	s.compileKey()
+	if opts.Memoize() {
+		s.memo = new(solver.MemoSet)
+		s.memo.Reset(s.layout.Words(), 4*exec.NumOps())
+	}
 	algorithm := "tso-operational"
 	if pso {
 		algorithm = "pso-operational"
 	}
-	start := time.Now()
-	s.budget = solver.Start(ctx, opts)
-	defer s.budget.Stop()
-	s.tr = obs.TracerFrom(ctx)
-	s.met = obs.MetricsFrom(ctx)
-	s.obsOn = s.tr != nil || s.met != nil
-	s.met.SolveBegin()
-	defer s.met.SolveEnd()
-	if s.tr != nil {
-		s.sp, _ = s.tr.Begin(ctx, algorithm)
+	s.Begin(ctx, opts)
+	defer s.Budget.Stop()
+	s.Met.SolveBegin()
+	defer s.Met.SolveEnd()
+	if s.Tr != nil {
+		s.Sp, _ = s.Tr.Begin(ctx, algorithm)
 	}
 	found := s.dfs()
-	s.stats.Duration = time.Since(start)
-	if s.obsOn {
-		s.pollObs()
-	}
+	s.Stop(&s.stats, len(s.events))
 	if s.abort != nil {
-		s.abort.Stats = s.stats
-		s.sp.End("budget: "+s.abort.Reason.String(), int64(s.stats.States))
+		s.End(s.stats, s.abort, "")
 		return nil, s.abort
 	}
 	res = &Result{
@@ -179,37 +158,95 @@ func verifyStoreBuffer(ctx context.Context, exec *memory.Execution, opts *Option
 		Algorithm:  algorithm,
 		Stats:      s.stats,
 	}
+	outcome := "inconsistent"
 	if found {
 		res.Events = append([]Event(nil), s.events...)
-		s.sp.End("consistent", int64(s.stats.States))
-	} else {
-		s.sp.End("inconsistent", int64(s.stats.States))
+		outcome = "consistent"
 	}
+	s.End(s.stats, nil, outcome)
 	return res, nil
 }
 
-func (s *tsoSearcher) key() string {
-	buf := s.keyBuf[:0]
-	for _, p := range s.pos {
-		buf = binary.AppendUvarint(buf, uint64(p))
-	}
-	for _, b := range s.buffers {
-		buf = binary.AppendUvarint(buf, uint64(len(b)))
-		for _, e := range b {
-			buf = binary.AppendVarint(buf, int64(e.addr))
-			buf = binary.AppendVarint(buf, int64(e.val))
-		}
-	}
+// compileKey numbers each address's values and lays out the memo key:
+// one field per processor position, one per commit counter (wide enough
+// for the stores it counts), one per address's value id.
+func (s *tsoSearcher) compileKey() {
+	naddr := len(s.values)
+	s.vals = make([][]memory.Value, naddr)
 	for i := range s.values {
 		if s.bound[i] {
-			buf = append(buf, 1)
-			buf = binary.AppendVarint(buf, int64(s.values[i]))
-		} else {
-			buf = append(buf, 0)
+			s.vals[i] = append(s.vals[i], s.values[i])
 		}
 	}
-	s.keyBuf = buf
-	return string(buf)
+	ncommit := len(s.exec.Histories)
+	if s.pso {
+		ncommit *= naddr
+	}
+	stores := make([]int, ncommit)
+	for p, h := range s.exec.Histories {
+		for _, o := range h {
+			if !o.IsMemory() {
+				continue
+			}
+			i := s.addrIndex[o.Addr]
+			if d, ok := o.Reads(); ok {
+				s.vals[i] = append(s.vals[i], d)
+			}
+			if d, ok := o.Writes(); ok {
+				s.vals[i] = append(s.vals[i], d)
+			}
+			if o.Kind == memory.Write {
+				stores[s.commitIndex(p, i)]++
+			}
+		}
+	}
+	for i := range s.vals {
+		slices.Sort(s.vals[i])
+		s.vals[i] = slices.Compact(s.vals[i])
+	}
+	s.committed = make([]int, ncommit)
+	s.layout.Reset()
+	for _, h := range s.exec.Histories {
+		s.layout.Add(bits.Len(uint(len(h))))
+	}
+	for _, n := range stores {
+		s.layout.Add(bits.Len(uint(n)))
+	}
+	for _, vs := range s.vals {
+		s.layout.Add(bits.Len(uint(len(vs))))
+	}
+	s.key = make([]uint64, s.layout.Words())
+}
+
+// commitIndex is the commit counter of processor p's stores to address
+// slot i.
+func (s *tsoSearcher) commitIndex(p, i int) int {
+	if s.pso {
+		return p*len(s.values) + i
+	}
+	return p
+}
+
+// pack writes the current state's memo key into s.key.
+func (s *tsoSearcher) pack() []uint64 {
+	clear(s.key)
+	f := 0
+	for _, p := range s.pos {
+		s.layout.Put(s.key, f, uint64(p))
+		f++
+	}
+	for _, n := range s.committed {
+		s.layout.Put(s.key, f, uint64(n))
+		f++
+	}
+	for i, vs := range s.vals {
+		if s.bound[i] {
+			id, _ := slices.BinarySearch(vs, s.values[i])
+			s.layout.Put(s.key, f, uint64(id+1))
+		}
+		f++
+	}
+	return s.key
 }
 
 func (s *tsoSearcher) done() bool {
@@ -360,6 +397,8 @@ func (s *tsoSearcher) commit(p, idx int) func() {
 	i := s.addrIndex[e.addr]
 	prevV, prevB := s.values[i], s.bound[i]
 	s.values[i], s.bound[i] = e.val, true
+	c := s.commitIndex(p, i)
+	s.committed[c]++
 	// Remove entry idx, preserving order.
 	rest := append([]bufferEntry(nil), s.buffers[p][idx+1:]...)
 	s.buffers[p] = append(s.buffers[p][:idx], rest...)
@@ -370,42 +409,44 @@ func (s *tsoSearcher) commit(p, idx int) func() {
 		b = append(b[:idx], append([]bufferEntry{e}, b[idx:]...)...)
 		s.buffers[p] = b
 		s.values[i], s.bound[i] = prevV, prevB
+		s.committed[c]--
 	}
 }
 
 func (s *tsoSearcher) dfs() bool {
-	if d := len(s.events); d > s.stats.PeakDepth {
+	d := len(s.events)
+	if d > s.stats.PeakDepth {
 		s.stats.PeakDepth = d
 	}
 	if s.done() {
 		return s.finalOK()
 	}
-	var key string
-	if s.opts.Memoize() {
-		key = s.key()
-		if _, seen := s.memo[key]; seen {
+	var key []uint64
+	if s.memo != nil {
+		key = s.pack()
+		if s.memo.Contains(key) {
 			s.stats.MemoHits++
-			if s.tr != nil {
-				s.tr.MemoHit(s.sp, len(s.events))
+			if s.Tr != nil {
+				s.Tr.MemoHit(s.Sp, d)
 			}
 			return false
 		}
 		s.stats.MemoMisses++
-		if s.tr != nil {
-			s.tr.MemoMiss(s.sp, len(s.events))
+		if s.Tr != nil {
+			s.Tr.MemoMiss(s.Sp, d)
 		}
 	}
 	s.stats.States++
-	s.stats.RecordDepth(len(s.events))
-	if s.tr != nil {
-		s.tr.StateEnter(s.sp, len(s.events), int64(s.stats.States))
+	s.stats.RecordDepth(d)
+	if s.Tr != nil {
+		s.Tr.StateEnter(s.Sp, d, int64(s.stats.States))
 	}
-	if e := s.budget.Charge(s.stats.States); e != nil {
+	if e := s.Budget.Charge(s.stats.States); e != nil {
 		s.abort = e
 		return false
 	}
-	if s.obsOn && s.stats.States&(obsFlushInterval-1) == 0 {
-		s.pollObs()
+	if s.On && s.stats.States&(solver.FlushInterval-1) == 0 {
+		s.Poll(&s.stats, d)
 	}
 
 	for p := range s.exec.Histories {
@@ -432,11 +473,13 @@ func (s *tsoSearcher) dfs() bool {
 		}
 	}
 
-	if s.tr != nil {
-		s.tr.Backtrack(s.sp, len(s.events))
+	if s.Tr != nil {
+		s.Tr.Backtrack(s.Sp, d)
 	}
-	if s.opts.Memoize() {
-		s.memo[key] = struct{}{}
+	if s.memo != nil {
+		// The children overwrote the shared key buffer; the state is
+		// restored, so re-pack it.
+		s.memo.Add(s.pack())
 	}
 	return false
 }

@@ -26,8 +26,10 @@ type Verifier struct {
 // address (CoherenceOnly, LRC, and the promise check of VSCC) — they are
 // forwarded to the nested coherence.Verifier. The whole-execution
 // searches (SC, VSCC's second phase, TSO, PSO) are single searches and
-// honor the budget knobs only. solver.WithWriteOrders constrains the SC
-// search to the supplied per-address write orders (§5.2 augmentation).
+// honor the budget knobs; SC and VSCC run the coherence kernel, so they
+// also honor solver.WithParallelSearch. solver.WithWriteOrders
+// constrains the SC search to the supplied per-address write orders
+// (§5.2 augmentation).
 func NewVerifier(model Model, opts ...solver.ConfigOption) *Verifier {
 	return &Verifier{model: model, cfg: solver.NewConfig(opts...)}
 }
@@ -58,7 +60,10 @@ func (v *Verifier) Verify(ctx context.Context, exec *memory.Execution) (*Result,
 		if v.cfg.WriteOrders != nil {
 			return solveVSCWithWriteOrders(ctx, exec, v.cfg.WriteOrders, opts)
 		}
-		return solveVSC(ctx, exec, opts)
+		if err := exec.Validate(); err != nil {
+			return nil, err
+		}
+		return solveVSC(ctx, exec, nil, opts, "vsc-search")
 	case TSO:
 		return verifyTSO(ctx, exec, opts)
 	case PSO:
@@ -93,7 +98,7 @@ func (v *Verifier) solveVSCC(ctx context.Context, exec *memory.Execution) (*Resu
 	if bad, violated := rep.FirstViolation(); violated {
 		return nil, fmt.Errorf("consistency: VSCC promise violated: address %d has no coherent schedule", bad)
 	}
-	res, err := solveVSC(ctx, exec, v.cfg.Options)
+	res, err := solveVSC(ctx, exec, nil, v.cfg.Options, "vsc-search")
 	if err != nil {
 		return nil, err
 	}

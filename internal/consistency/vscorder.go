@@ -18,39 +18,34 @@ import (
 //
 // orders must contain, for every address of exec, the exact sequence of
 // its writing operations. The search is the VSC search with one extra
-// enabledness rule: a writing operation may only be scheduled when it is
-// the next unconsumed entry of its address's order.
+// enabledness rule: a writing operation may only be scheduled once its
+// predecessor in its address's order has been.
 func solveVSCWithWriteOrders(ctx context.Context, exec *memory.Execution, orders map[memory.Addr][]memory.Ref, opts *Options) (*Result, error) {
 	if err := exec.Validate(); err != nil {
 		return nil, err
 	}
-	addrs := exec.Addresses()
-	// Validate the orders and build: writeRank[ref] = position in its
-	// address's order.
-	writeRank := make(map[memory.Ref]int)
-	for _, a := range addrs {
-		order, ok := orders[a]
-		writers := 0
-		for p, h := range exec.Histories {
-			for i, o := range h {
-				if o.IsMemory() && o.Addr == a {
-					if _, w := o.Writes(); w {
-						writers++
-						_ = i
-						_ = p
-					}
-				}
+	// One pass counts every address's writers; a dense per-op table
+	// catches an operation listed twice.
+	writers := make(map[memory.Addr]int)
+	listed := make([][]bool, len(exec.Histories))
+	for p, h := range exec.Histories {
+		listed[p] = make([]bool, len(h))
+		for _, o := range h {
+			if _, w := o.Writes(); w {
+				writers[o.Addr]++
 			}
 		}
-		if !ok && writers > 0 {
+	}
+	for _, a := range exec.Addresses() {
+		order, ok := orders[a]
+		if !ok && writers[a] > 0 {
 			return nil, fmt.Errorf("consistency: no write order supplied for address %d", a)
 		}
-		if len(order) != writers {
+		if len(order) != writers[a] {
 			return nil, fmt.Errorf("consistency: write order for address %d lists %d operations, execution has %d",
-				a, len(order), writers)
+				a, len(order), writers[a])
 		}
-		seen := make(map[memory.Ref]bool)
-		for rank, r := range order {
+		for _, r := range order {
 			if r.Proc < 0 || r.Proc >= len(exec.Histories) || r.Index < 0 || r.Index >= len(exec.Histories[r.Proc]) {
 				return nil, fmt.Errorf("consistency: write order reference %s out of range", r)
 			}
@@ -61,30 +56,11 @@ func solveVSCWithWriteOrders(ctx context.Context, exec *memory.Execution, orders
 			if _, w := o.Writes(); !w {
 				return nil, fmt.Errorf("consistency: order entry %s (%s) does not write", r, o)
 			}
-			if seen[r] {
+			if listed[r.Proc][r.Index] {
 				return nil, fmt.Errorf("consistency: write order for address %d lists %s twice", a, r)
 			}
-			seen[r] = true
-			writeRank[r] = rank
+			listed[r.Proc][r.Index] = true
 		}
 	}
-
-	s := &vscSearcher{
-		exec:      exec,
-		opts:      opts,
-		addrIndex: make(map[memory.Addr]int, len(addrs)),
-		pos:       make([]int, len(exec.Histories)),
-		values:    make([]memory.Value, len(addrs)),
-		bound:     make([]bool, len(addrs)),
-		memo:      make(map[string]struct{}),
-		writeRank: writeRank,
-		nextRank:  make([]int, len(addrs)),
-	}
-	for i, a := range addrs {
-		s.addrIndex[a] = i
-		if d, ok := exec.Initial[a]; ok {
-			s.values[i], s.bound[i] = d, true
-		}
-	}
-	return s.run(ctx, "vsc-write-order-search")
+	return solveVSC(ctx, exec, orders, opts, "vsc-write-order-search")
 }

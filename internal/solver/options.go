@@ -13,7 +13,12 @@
 //   - Verdict: the interface unifying coherence.Result and
 //     consistency.Result so callers can render one report format;
 //   - Pool: a bounded worker pool with panic isolation, used by the
-//     parallel exact search's worker team.
+//     parallel exact search's worker team;
+//   - MemoSet and Layout: the one failed-state memo every exact search
+//     uses — an open-addressing set of fixed-width keys of one or more
+//     uint64 words, laid out per instance;
+//   - Run and Probe: the bracket around one search (budget, clock,
+//     span) and the one flush of its Stats deltas into live metrics.
 package solver
 
 import (
@@ -52,13 +57,6 @@ type Options struct {
 	// crossover-benchmark knob — the frontline is sound, so disabling it
 	// can only cost time, never change a verdict.
 	DisableFastPath bool
-	// DisablePackedMemo forces the varint-string memo table even when the
-	// instance fits the packed uint64 state layout (ablation and
-	// cross-check knob: the two memo representations must explore
-	// identical state counts and return identical verdicts). The packed
-	// path is the fast default; this knob exists for oracle tests and
-	// for measuring what the packing buys.
-	DisablePackedMemo bool
 	// CheckpointSink, when non-nil, receives search-state snapshots so an
 	// interrupted solve can later resume: periodically (every
 	// CheckpointEvery states, piggybacked on the existing every-64-states
@@ -84,12 +82,14 @@ type Options struct {
 	// ParallelSearch, when > 1, lets a single exact search split its DFS
 	// frontier across this many workers sharing one memo table and one
 	// atomically-charged budget (see internal/coherence's parallel
-	// search). Parallelism never changes verdicts: the workers explore
-	// the same state space, certificates stay valid, and budget aborts
-	// still report exact state counts. 0 or 1 searches sequentially.
-	// Searches that must snapshot (CheckpointSink set) stay sequential —
-	// checkpointing is documented as sequential-only — as do instances
-	// whose memo cannot be shared (string-key fallback).
+	// search). Every search on the coherence kernel takes it: VMC's exact
+	// rung and the SC and VSCC searches. Parallelism never changes
+	// verdicts: the workers explore the same state space, certificates
+	// stay valid, and budget aborts still report exact state counts. 0 or
+	// 1 searches sequentially. Searches that must snapshot
+	// (CheckpointSink set) stay sequential — checkpointing is documented
+	// as sequential-only — as do searches with memoization off and
+	// instances too small to split.
 	ParallelSearch int
 }
 
@@ -128,9 +128,6 @@ func WithoutMemoization() Option { return func(o *Options) { o.DisableMemoizatio
 // WithoutEagerReads disables the eager read-scheduling rule.
 func WithoutEagerReads() Option { return func(o *Options) { o.DisableEagerReads = true } }
 
-// WithoutPackedMemo forces the string-key memo table (cross-check knob).
-func WithoutPackedMemo() Option { return func(o *Options) { o.DisablePackedMemo = true } }
-
 // WithoutFastPath disables the polynomial constraint-propagation
 // frontline (ablation knob; see Options.DisableFastPath).
 func WithoutFastPath() Option { return func(o *Options) { o.DisableFastPath = true } }
@@ -162,10 +159,6 @@ func (o *Options) Memoize() bool { return o == nil || !o.DisableMemoization }
 
 // EagerReads reports whether the eager read rule is on. Nil-safe.
 func (o *Options) EagerReads() bool { return o == nil || !o.DisableEagerReads }
-
-// PackedMemo reports whether the packed uint64 memo representation may
-// be used when the instance fits its layout. Nil-safe.
-func (o *Options) PackedMemo() bool { return o == nil || !o.DisablePackedMemo }
 
 // FastPath reports whether the polynomial frontline is on. Nil-safe.
 func (o *Options) FastPath() bool { return o == nil || !o.DisableFastPath }
