@@ -1005,7 +1005,7 @@ func (s *Server) verifyCoherenceSharded(ctx context.Context, tr *trace.Trace, cf
 	resp := &VerifyResponse{Verdict: "coherent"}
 	var agg solver.Stats
 	var budget *solver.ErrBudgetExceeded
-	for _, a := range tr.Exec.Addresses() { // report in address order
+	for _, a := range tr.Exec.CheckedAddresses() { // report in address order
 		i := indexOf(addrs, a)
 		if errs[i] != nil {
 			be, ok := solver.AsBudgetError(errs[i])

@@ -83,6 +83,20 @@ func TestVerifyIncoherent(t *testing.T) {
 	}
 }
 
+// TestVerifyUntouchedFinalAddress: an address no operation touches is
+// checked when it declares a final value; init x 1 and final x 0 make
+// the trace incoherent at x.
+func TestVerifyUntouchedFinalAddress(t *testing.T) {
+	_, ts := newTestServer(t, serverConfig{workers: 2})
+	resp, vr := postTrace(t, ts, "", "init x 1\nfinal x 0\nP0: W y 1\n")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if vr.Verdict != "incoherent" || vr.Violation != "x" || len(vr.Addrs) != 2 {
+		t.Errorf("unexpected response: %+v", vr)
+	}
+}
+
 func TestVerifyJSONEnvelope(t *testing.T) {
 	_, ts := newTestServer(t, serverConfig{workers: 2})
 	body, _ := json.Marshal(VerifyRequest{Trace: coherentTrace, Model: "sc", Strategy: "auto"})

@@ -63,7 +63,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"syscall"
 	"time"
 
@@ -350,8 +349,7 @@ func (c *coherenceCheck) verifier(opts *coherence.Options) *coherence.Verifier {
 }
 
 func (c *coherenceCheck) run(ctx context.Context, tr *trace.Trace, stdout, stderr io.Writer) int {
-	addrs := tr.Exec.Addresses()
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	addrs := tr.Exec.CheckedAddresses()
 
 	var ckrun *coherence.CheckpointRun
 	if c.ckPath != "" || c.resumePath != "" {

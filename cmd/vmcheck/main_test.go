@@ -52,6 +52,28 @@ func TestIncoherentTraceFlagged(t *testing.T) {
 	}
 }
 
+// TestUntouchedFinalAddress: x declares init 1 and final 0 but no
+// operation touches it, so no schedule can end with x = 0. Every
+// strategy of the coherence check and every consistency model reports
+// the violation.
+func TestUntouchedFinalAddress(t *testing.T) {
+	const untouched = "init x 1\nfinal x 0\nP0: W y 1\n"
+	for _, args := range [][]string{
+		nil,
+		{"-strategy", "fast"},
+		{"-strategy", "exact"},
+		{"-resilient"},
+		{"-model", "sc"},
+		{"-model", "tso"},
+		{"-model", "pso"},
+	} {
+		code, out, _ := runCheck(t, args, untouched)
+		if code != 1 || !strings.Contains(out, "VIOLATION") {
+			t.Errorf("%v: code=%d out=%q, want a violation", args, code, out)
+		}
+	}
+}
+
 func TestSCModel(t *testing.T) {
 	dekker := `init x 0
 init y 0

@@ -192,22 +192,6 @@ func (in *instance) projRef(r memory.Ref) (pr memory.Ref, ok bool) {
 	return memory.Ref{Proc: r.Proc, Index: i}, true
 }
 
-// perHistory returns one zeroed row per history of hist, carved from a
-// single backing array: the dense (proc, index) table the
-// single-address algorithms use instead of maps keyed by memory.Ref.
-func perHistory[T any](hist []memory.History) [][]T {
-	n := 0
-	for _, h := range hist {
-		n += len(h)
-	}
-	flat := make([]T, n)
-	rows := make([][]T, len(hist))
-	for p, h := range hist {
-		rows[p], flat = flat[:len(h):len(h)], flat[len(h):]
-	}
-	return rows
-}
-
 // hasWrites reports whether any operation in the instance writes.
 func (in *instance) hasWrites() bool {
 	for _, h := range in.hist {

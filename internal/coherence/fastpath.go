@@ -16,9 +16,11 @@ package coherence
 //     (the writers of its value, minus ones provably impossible from
 //     program order alone), plus possibly the initial region.
 //   - Determined reads (a single candidate) induce NECESSARY ordering
-//     edges between blocks: program order chains the writers of one
-//     history; a read pins its nearest preceding writer before its
-//     source and its source before its nearest following writer.
+//     edges between blocks: a read pins its nearest preceding writer
+//     before its source and its source before its nearest following
+//     writer. Program order chains the writers of one history; blocks
+//     are numbered per history, so that chain is b → b+1 and is never
+//     stored.
 //   - Vector clocks over the edge set expose which blocks precede which
 //     in every linear extension; that relation prunes candidates of the
 //     still-floating reads, which may determine more reads — repeat to
@@ -28,7 +30,7 @@ package coherence
 // cycle is a sound REJECT. For ACCEPT the frontline never trusts its
 // own reasoning: it derives a concrete write order (a deterministic
 // topological sort), hands it to the complete §5.2 placement algorithm
-// (writeOrderInstance), and the resulting certificate schedule is
+// (writerBlocks.place), and the resulting certificate schedule is
 // re-validated by memory.CheckCoherent before being reported. If
 // placement fails and the edge set admitted exactly one linear
 // extension, that order was the only possible one, so failure is again
@@ -104,9 +106,18 @@ type fastOutcome struct {
 // fastRead is one read operation (including the read half of an RMW)
 // tracked by the checker.
 type fastRead struct {
-	proc, idx int
 	val       memory.Value
-	rmw       bool
+	proc, idx int32
+	// wb counts the writers of its history before it: with the history's
+	// block offset it names the nearest writer on either side, and an
+	// RMW's own block.
+	wb int32
+	// src is a determined read's source block (-1 = the initial region).
+	src int32
+	// c0 and nc locate a floating read's candidate list in
+	// fastChecker.cands.
+	c0, nc int32
+	rmw    bool
 	// canB0 reports whether the initial region is still a candidate
 	// source.
 	canB0 bool
@@ -115,31 +126,27 @@ type fastRead struct {
 	// untracked marks a read whose candidate set blew fastMaxCands; it
 	// participates in placement only.
 	untracked bool
-	// det marks a determined read; src is its source block (-1 = the
-	// initial region).
-	det   bool
-	src   int32
-	cands []int32
+	// det marks a determined read.
+	det bool
 }
 
-// fastChecker carries the constraint state for one instance.
+// fastChecker carries the constraint state for one instance. Blocks are
+// the writers numbered per history in program order (writerBlocks), so
+// program order between one history's writers is the implicit chain
+// b → b+1 and the edge list holds only what determined reads add.
 type fastChecker struct {
 	inst *instance
 	np   int // processes
+	nw   int // writer blocks
+	writerBlocks
 
-	nw      int                    // writer blocks
-	wref    []memory.Ref           // block -> projection ref
-	wProc   []int32                // block -> history index
-	wOrd    []int32                // block -> ordinal among its history's writers
-	blockAt [][]int32              // per history: op index -> block, -1 for pure reads
-	prevW   [][]int32              // per history: nearest writer block strictly before op
-	nextW   [][]int32              // per history: nearest writer block strictly after op
-	valID   map[memory.Value]int32 // written value -> dense value id
-	byVal   [][]int32              // value id -> its writer blocks, ascending
+	valID map[memory.Value]int32 // written value -> dense value id
+	byVal [][]int32              // value id -> its writer blocks, ascending
 
-	reads    []fastRead
-	readAt   [][]int32 // per history: op index -> index into reads, -1 for plain writes
-	floating int       // tracked floating reads
+	reads []fastRead
+	// cands holds the candidate lists of the floating reads back to back.
+	cands    []int32
+	floating int // tracked floating reads
 
 	// Initial-region bookkeeping: with no declared initial value, the
 	// first determined initial-region read binds it.
@@ -150,10 +157,10 @@ type fastChecker struct {
 	b0rmw int32
 	// rmwClaim[b] is the RMW read determined to read block b directly
 	// (-1 none): an RMW must immediately follow its source write, so two
-	// claimants refute.
+	// claimants refute. nil when the instance has no RMW.
 	rmwClaim []int32
 
-	edges  [][2]int32 // necessary ordering edges between blocks
+	edges  [][2]int32 // necessary ordering edges added by determined reads
 	reject string     // first sound refutation ("" while none)
 }
 
@@ -164,14 +171,13 @@ func (c *fastChecker) fail(detail string) {
 	}
 }
 
-// newFastChecker indexes the writers of the instance: block ids, the
-// per-history program-order chains (as necessary edges), and the
-// nearest-writer tables used by the candidate rules.
+// newFastChecker numbers the writers of the instance and buckets them by
+// value.
 func newFastChecker(inst *instance) *fastChecker {
 	// A counting pass sizes the writer, read and edge tables up front (the
-	// edge list holds the program-order chains plus the at most two edges
-	// each read determines), so the indexing pass never grows a slice.
-	nw, nr := 0, 0
+	// edge list holds at most two edges per read), so the indexing never
+	// grows a slice.
+	nw, nr, rmw := 0, 0, false
 	for _, hist := range inst.hist {
 		for _, o := range hist {
 			if _, ok := o.Reads(); ok {
@@ -180,68 +186,40 @@ func newFastChecker(inst *instance) *fastChecker {
 			if _, ok := o.Writes(); ok {
 				nw++
 			}
+			rmw = rmw || o.Kind == memory.ReadModifyWrite
 		}
 	}
 	c := &fastChecker{
-		inst:    inst,
-		np:      len(inst.hist),
-		b0rmw:   -1,
-		wref:    make([]memory.Ref, 0, nw),
-		wProc:   make([]int32, 0, nw),
-		wOrd:    make([]int32, 0, nw),
-		blockAt: perHistory[int32](inst.hist),
-		prevW:   perHistory[int32](inst.hist),
-		nextW:   perHistory[int32](inst.hist),
-		valID:   make(map[memory.Value]int32),
-		reads:   make([]fastRead, 0, nr),
-		readAt:  perHistory[int32](inst.hist),
-		edges:   make([][2]int32, 0, nw+2*nr),
+		inst:         inst,
+		np:           len(inst.hist),
+		nw:           nw,
+		writerBlocks: newWriterBlocks(inst, nw),
+		b0rmw:        -1,
+		valID:        make(map[memory.Value]int32),
+		reads:        make([]fastRead, 0, nr),
+		edges:        make([][2]int32, 0, 2*nr),
 	}
-	wValID := make([]int32, 0, nw) // block -> id of the value it writes
-	var perVal []int32             // value id -> writer count
-	for h, hist := range inst.hist {
-		ba := c.blockAt[h]
-		ord := int32(0)
-		var last int32 = -1
-		for i, o := range hist {
-			ba[i] = -1
-			if d, ok := o.Writes(); ok {
-				b := int32(c.nw)
-				c.nw++
-				id, seen := c.valID[d]
-				if !seen {
+	// Give every value a dense id. A run of same-valued writes in one
+	// history costs one map lookup.
+	wValID := make([]int32, nw) // block -> id of the value it writes
+	var perVal []int32          // value id -> writer count
+	for h := 0; h < c.np; h++ {
+		var last memory.Value
+		id := int32(-1)
+		hist := inst.hist[h]
+		for b := c.woff[h]; b < c.woff[h+1]; b++ {
+			d, _ := hist[c.wOp[b]].Writes()
+			if id < 0 || d != last {
+				var seen bool
+				if id, seen = c.valID[d]; !seen {
 					id = int32(len(perVal))
 					c.valID[d] = id
 					perVal = append(perVal, 0)
 				}
-				perVal[id]++
-				c.wref = append(c.wref, memory.Ref{Proc: h, Index: i})
-				c.wProc = append(c.wProc, int32(h))
-				c.wOrd = append(c.wOrd, ord)
-				wValID = append(wValID, id)
-				ba[i] = b
-				ord++
-				if last >= 0 {
-					// Program order chains the writers of one history.
-					c.edges = append(c.edges, [2]int32{last, b})
-				}
-				last = b
+				last = d
 			}
-		}
-		pw, nx := c.prevW[h], c.nextW[h]
-		run := int32(-1)
-		for i := range hist {
-			pw[i] = run
-			if ba[i] >= 0 {
-				run = ba[i]
-			}
-		}
-		run = -1
-		for i := len(hist) - 1; i >= 0; i-- {
-			nx[i] = run
-			if ba[i] >= 0 {
-				run = ba[i]
-			}
+			perVal[id]++
+			wValID[b] = id
 		}
 	}
 	// Bucket the blocks by value, carving every list out of one array;
@@ -254,9 +232,11 @@ func newFastChecker(inst *instance) *fastChecker {
 	for b, id := range wValID {
 		c.byVal[id] = append(c.byVal[id], int32(b))
 	}
-	c.rmwClaim = make([]int32, c.nw)
-	for b := range c.rmwClaim {
-		c.rmwClaim[b] = -1
+	if rmw {
+		c.rmwClaim = make([]int32, nw)
+		for b := range c.rmwClaim {
+			c.rmwClaim[b] = -1
+		}
 	}
 	return c
 }
@@ -267,6 +247,36 @@ func (c *fastChecker) writersOf(d memory.Value) []int32 {
 		return c.byVal[id]
 	}
 	return nil
+}
+
+// prevW is the nearest writer block of r's history strictly before r
+// (-1 none).
+func (c *fastChecker) prevW(r *fastRead) int32 {
+	if r.wb == 0 {
+		return -1
+	}
+	return c.woff[r.proc] + r.wb - 1
+}
+
+// own is an RMW's own block.
+func (c *fastChecker) own(r *fastRead) int32 { return c.woff[r.proc] + r.wb }
+
+// nextW is the nearest writer block of r's history strictly after r
+// (-1 none).
+func (c *fastChecker) nextW(r *fastRead) int32 {
+	b := c.woff[r.proc] + r.wb
+	if r.rmw {
+		b++
+	}
+	if b >= c.woff[r.proc+1] {
+		return -1
+	}
+	return b
+}
+
+// candidates is the candidate list of floating read r.
+func (c *fastChecker) candidates(r *fastRead) []int32 {
+	return c.cands[r.c0 : r.c0+r.nc]
 }
 
 // collectReads builds the candidate source set of every read and
@@ -283,37 +293,44 @@ func (c *fastChecker) writersOf(d memory.Value) []int32 {
 // and the value is compatible with the declared initial value (if any).
 func (c *fastChecker) collectReads() {
 	for h, hist := range c.inst.hist {
+		first, end := c.woff[h], c.woff[h+1]
+		wb := int32(0)
 		for i, o := range hist {
 			d, ok := o.Reads()
 			if !ok {
-				c.readAt[h][i] = -1
+				if _, ok := o.Writes(); ok {
+					wb++
+				}
 				continue
 			}
-			c.readAt[h][i] = int32(len(c.reads))
-			r := fastRead{proc: h, idx: i, val: d, rmw: o.Kind == memory.ReadModifyWrite, src: -1}
-			pw := c.prevW[h][i]
+			r := fastRead{proc: int32(h), idx: int32(i), wb: wb, val: d, rmw: o.Kind == memory.ReadModifyWrite, src: -1}
+			if r.rmw {
+				wb++
+			}
+			pw := c.prevW(&r)
 			r.canB0 = pw < 0 && (c.inst.init == nil || *c.inst.init == d)
 			own := int32(-1)
 			if r.rmw {
-				own = c.blockAt[h][i]
+				own = c.own(&r)
 			}
 			writers := c.writersOf(d)
-			var cands []int32
+			c0 := int32(len(c.cands))
 			for _, w := range writers {
 				if w == own {
 					continue
 				}
-				if c.wProc[w] == int32(h) && w != pw {
+				if w >= first && w < end && w != pw {
 					continue
 				}
-				cands = append(cands, w)
-				if len(cands) > fastMaxCands {
+				c.cands = append(c.cands, w)
+				if int32(len(c.cands))-c0 > fastMaxCands {
 					break
 				}
 			}
+			n := int32(len(c.cands)) - c0
 			ri := len(c.reads)
 			switch {
-			case len(cands) == 0 && !r.canB0:
+			case n == 0 && !r.canB0:
 				c.reads = append(c.reads, r)
 				switch {
 				case len(writers) == 0 && c.inst.init != nil && *c.inst.init != d:
@@ -324,17 +341,20 @@ func (c *fastChecker) collectReads() {
 					c.fail(fmt.Sprintf("P%d op %d reads %d: every write of the value is unreachable from it", h, i, d))
 				}
 				return
-			case len(cands) > fastMaxCands:
+			case n > fastMaxCands:
 				r.untracked = true
 				c.reads = append(c.reads, r)
-			case len(cands) == 0:
+				c.cands = c.cands[:c0]
+			case n == 0:
 				c.reads = append(c.reads, r)
 				c.determine(ri, -1)
-			case len(cands) == 1 && !r.canB0:
+			case n == 1 && !r.canB0:
 				c.reads = append(c.reads, r)
-				c.determine(ri, cands[0])
+				src := c.cands[c0]
+				c.cands = c.cands[:c0]
+				c.determine(ri, src)
 			default:
-				r.cands = cands
+				r.c0, r.nc = c0, n
 				r.floating = true
 				c.floating++
 				c.reads = append(c.reads, r)
@@ -355,9 +375,9 @@ func (c *fastChecker) determine(ri int, src int32) {
 		r.floating = false
 		c.floating--
 	}
-	r.det, r.src, r.cands = true, src, nil
+	r.det, r.src, r.nc = true, src, 0
 	h, i := r.proc, r.idx
-	pw := c.prevW[h][i]
+	pw := c.prevW(r)
 
 	if src < 0 { // the initial region
 		if pw >= 0 {
@@ -389,14 +409,14 @@ func (c *fastChecker) determine(ri int, src int32) {
 		c.edges = append(c.edges, [2]int32{pw, src})
 	}
 	if r.rmw {
-		own := c.blockAt[h][i]
+		own := c.own(r)
 		if prev := c.rmwClaim[src]; prev >= 0 && prev != int32(ri) {
 			c.fail("two read-modify-writes directly read the same write")
 			return
 		}
 		c.rmwClaim[src] = int32(ri)
 		c.edges = append(c.edges, [2]int32{src, own})
-	} else if nx := c.nextW[h][i]; nx >= 0 && nx != src {
+	} else if nx := c.nextW(r); nx >= 0 && nx != src {
 		c.edges = append(c.edges, [2]int32{src, nx})
 	}
 }
@@ -442,36 +462,45 @@ func heapPop(h *[]int32) int32 {
 	return top
 }
 
+// chained reports whether block b has a program-order successor b+1.
+func (c *fastChecker) chained(b int32) bool { return b+1 < c.woff[c.wProc[b]+1] }
+
 // buildCSR converts the edge list to compressed adjacency plus
-// in-degrees. Duplicate edges are kept; Kahn's accounting stays
-// consistent with them.
+// in-degrees, the implicit program-order chains counted in. Duplicate
+// edges are kept; Kahn's accounting stays consistent with them.
 func (c *fastChecker) buildCSR() (start, dst, indeg []int32) {
 	start = make([]int32, c.nw+1)
 	indeg = make([]int32, c.nw)
+	for h := 0; h < c.np; h++ {
+		for b := c.woff[h] + 1; b < c.woff[h+1]; b++ {
+			indeg[b] = 1
+		}
+	}
 	for _, e := range c.edges {
-		start[e[0]+1]++
+		start[e[0]]++
 		indeg[e[1]]++
 	}
-	for i := 0; i < c.nw; i++ {
-		start[i+1] += start[i]
+	// start[b] becomes the end of b's row, then each fill steps it back
+	// to the row's beginning.
+	for b := 1; b <= c.nw; b++ {
+		start[b] += start[b-1]
 	}
 	dst = make([]int32, len(c.edges))
-	fill := append([]int32(nil), start[:c.nw]...)
 	for _, e := range c.edges {
-		dst[fill[e[0]]] = e[1]
-		fill[e[0]]++
+		start[e[0]]--
+		dst[start[e[0]]] = e[1]
 	}
 	return start, dst, indeg
 }
 
 // fastTopo computes a deterministic (lowest-block-first) topological
-// order of the necessary-edge graph. acyclic is false when a cycle
-// blocks completion; unique reports that the ready set was a singleton
-// at every step, i.e. the graph admits exactly one linear extension.
-// holdBack (-1 = none) names a block to emit as late as possible — the
-// designated final-value writer — without affecting acyclic/unique.
-func (c *fastChecker) fastTopo(start, dst, indegIn []int32, holdBack int32) (order []int32, acyclic, unique bool) {
-	indeg := append([]int32(nil), indegIn...)
+// order of the necessary-edge graph, consuming indeg. acyclic is false
+// when a cycle blocks completion; unique reports that the ready set was
+// a singleton at every step, i.e. the graph admits exactly one linear
+// extension. holdBack (-1 = none) names a block to emit as late as
+// possible — the designated final-value writer — without affecting
+// acyclic/unique.
+func (c *fastChecker) fastTopo(start, dst, indeg []int32, holdBack int32) (order []int32, acyclic, unique bool) {
 	var h []int32
 	for b := c.nw - 1; b >= 0; b-- {
 		if indeg[b] == 0 {
@@ -480,6 +509,12 @@ func (c *fastChecker) fastTopo(start, dst, indegIn []int32, holdBack int32) (ord
 	}
 	order = make([]int32, 0, c.nw)
 	unique = true
+	release := func(w int32) {
+		indeg[w]--
+		if indeg[w] == 0 {
+			heapPush(&h, w)
+		}
+	}
 	for len(h) > 0 {
 		if len(h) > 1 {
 			unique = false
@@ -491,38 +526,44 @@ func (c *fastChecker) fastTopo(start, dst, indegIn []int32, holdBack int32) (ord
 			b = next
 		}
 		order = append(order, b)
+		if c.chained(b) {
+			release(b + 1)
+		}
 		for j := start[b]; j < start[b+1]; j++ {
-			w := dst[j]
-			indeg[w]--
-			if indeg[w] == 0 {
-				heapPush(&h, w)
-			}
+			release(dst[j])
 		}
 	}
 	return order, len(order) == c.nw, unique
 }
 
+// wOrd is block b's ordinal among its history's writers.
+func (c *fastChecker) wOrd(b int32) int32 { return b - c.woff[c.wProc[b]] }
+
 // clocks computes the vector-clock table over a topological order:
 // vc[b·np+p] is the highest writer ordinal (1-based) of history p known
 // to precede-or-equal block b in every linear extension. Because the
-// writers of one history are chained by necessary edges, writer u
-// precedes block w in every extension iff vc[w][proc(u)] ≥ ord(u)+1
-// (and u ≠ w).
+// writers of one history are chained, writer u precedes block w in every
+// extension iff vc[w][proc(u)] ≥ ord(u)+1 (and u ≠ w).
 func (c *fastChecker) clocks(order []int32, start, dst []int32) []int32 {
 	vc := make([]int32, c.nw*c.np)
-	for b := 0; b < c.nw; b++ {
-		vc[b*c.np+int(c.wProc[b])] = c.wOrd[b] + 1
+	for b := int32(0); int(b) < c.nw; b++ {
+		vc[int(b)*c.np+int(c.wProc[b])] = c.wOrd(b) + 1
+	}
+	merge := func(row []int32, w int32) {
+		wrow := vc[int(w)*c.np : int(w+1)*c.np]
+		for p, v := range row {
+			if v > wrow[p] {
+				wrow[p] = v
+			}
+		}
 	}
 	for _, b := range order {
 		row := vc[int(b)*c.np : int(b+1)*c.np]
+		if c.chained(b) {
+			merge(row, b+1)
+		}
 		for j := start[b]; j < start[b+1]; j++ {
-			w := dst[j]
-			wrow := vc[int(w)*c.np : int(w+1)*c.np]
-			for p, v := range row {
-				if v > wrow[p] {
-					wrow[p] = v
-				}
-			}
+			merge(row, dst[j])
 		}
 	}
 	return vc
@@ -531,7 +572,7 @@ func (c *fastChecker) clocks(order []int32, start, dst []int32) []int32 {
 // strictlyBefore reports that block u precedes block w in every linear
 // extension of the necessary edges (per the clocks table vc).
 func (c *fastChecker) strictlyBefore(vc []int32, u, w int32) bool {
-	return u != w && vc[int(w)*c.np+int(c.wProc[u])] >= c.wOrd[u]+1
+	return u != w && vc[int(w)*c.np+int(c.wProc[u])] >= c.wOrd(u)+1
 }
 
 // pruneRound runs one propagate-and-prune iteration: topo-sort the
@@ -552,42 +593,74 @@ func (c *fastChecker) pruneRound() (changed bool) {
 	}
 	vc := c.clocks(order, start, dst)
 
-	const none = int32(-3) // pd/nd encoding: -3 no determined neighbor, -1 initial region, ≥0 block
-	for h, hist := range c.inst.hist {
-		readAt := c.readAt[h]
-		// nd[i]: the nearest determined operation at index > i — a writer
+	// A determined operation is a writer (its block) or a determined read
+	// (its source). pd and nd encode the nearest one before and after a
+	// read: -3 none, -1 the initial region, ≥0 a block. Reads are walked
+	// history by history in program order.
+	const none = int32(-3)
+	// at is what a read contributes as a determined operation: its own
+	// block for an RMW, its source when determined, else none.
+	at := func(r *fastRead) int32 {
+		switch {
+		case r.rmw:
+			return c.own(r)
+		case r.det:
+			return r.src
+		}
+		return none
+	}
+	nd := make([]int32, len(c.reads))
+	for k0 := 0; k0 < len(c.reads); {
+		k1 := k0 + 1
+		for k1 < len(c.reads) && c.reads[k1].proc == c.reads[k0].proc {
+			k1++
+		}
+		// adjacent reports that no writer stands between reads k-1 and k
+		// of the history (k > k0): k has as many writers before it as k-1
+		// has up to and including itself (an RMW is its own writer).
+		adjacent := func(k int) bool {
+			prev := &c.reads[k-1]
+			through := prev.wb
+			if prev.rmw {
+				through++
+			}
+			return c.reads[k].wb == through
+		}
+		// nd[k]: the nearest determined operation after read k — a writer
 		// pins region(read) ≤ position(writer), a determined read pins
 		// region(read) ≤ position(its source).
-		nd := make([]int32, len(hist))
-		run := none
-		for i := len(hist) - 1; i >= 0; i-- {
-			nd[i] = run
-			if b := c.blockAt[h][i]; b >= 0 {
-				run = b
-				continue
-			}
-			if ri := readAt[i]; ri >= 0 && c.reads[ri].det {
-				run = c.reads[ri].src
+		for k := k1 - 1; k >= k0; k-- {
+			nd[k] = none
+			if k+1 < k1 && adjacent(k+1) {
+				if nd[k] = at(&c.reads[k+1]); nd[k] == none {
+					nd[k] = nd[k+1]
+				}
+			} else if nx := c.nextW(&c.reads[k]); nx >= 0 {
+				nd[k] = nx
 			}
 		}
 		pd := none
-		for i := range hist {
-			ri := int(readAt[i])
-			isRead := ri >= 0
-			if isRead && c.reads[ri].floating {
-				if c.pruneRead(ri, pd, nd[i], vc) {
+		for k := k0; k < k1; k++ {
+			r := &c.reads[k]
+			if k == k0 || !adjacent(k) {
+				pd = none
+				if pw := c.prevW(r); pw >= 0 {
+					pd = pw
+				}
+			}
+			if r.floating {
+				if c.pruneRead(k, pd, nd[k], vc) {
 					changed = true
 				}
 				if c.reject != "" {
 					return changed
 				}
 			}
-			if b := c.blockAt[h][i]; b >= 0 {
-				pd = b
-			} else if isRead && c.reads[ri].det {
-				pd = c.reads[ri].src
+			if a := at(r); a != none {
+				pd = a
 			}
 		}
+		k0 = k1
 	}
 	return changed
 }
@@ -607,8 +680,9 @@ func (c *fastChecker) pruneRead(ri int, pd, nd int32, vc []int32) (changed bool)
 	if r.canB0 && c.inst.init == nil && c.b0bound && c.b0val != r.val {
 		r.canB0, changed = false, true
 	}
-	keep := r.cands[:0]
-	for _, cand := range r.cands {
+	cands := c.candidates(r)
+	keep := cands[:0]
+	for _, cand := range cands {
 		switch {
 		case nd == -1:
 			// A later operation of this history reads the initial value:
@@ -622,9 +696,9 @@ func (c *fastChecker) pruneRead(ri int, pd, nd int32, vc []int32) (changed bool)
 			keep = append(keep, cand)
 		}
 	}
-	r.cands = keep
+	r.nc = int32(len(keep))
 
-	n := len(r.cands)
+	n := len(keep)
 	if r.canB0 {
 		n++
 	}
@@ -632,8 +706,8 @@ func (c *fastChecker) pruneRead(ri int, pd, nd int32, vc []int32) (changed bool)
 	case 0:
 		c.fail(fmt.Sprintf("P%d op %d reads %d: no admissible source write remains", r.proc, r.idx, r.val))
 	case 1:
-		if len(r.cands) == 1 {
-			c.determine(ri, r.cands[0])
+		if len(keep) == 1 {
+			c.determine(ri, keep[0])
 		} else {
 			c.determine(ri, -1)
 		}
@@ -685,10 +759,7 @@ func fastInstance(ctx context.Context, inst *instance, opts *Options) (*fastOutc
 	if c.nw == 0 {
 		// No writes: the empty write order is the only one, so the §5.2
 		// placement is a complete decision procedure here.
-		r, err := writeOrderInstance(inst, nil)
-		if err != nil {
-			return finish(fastInconclusive, nil, "placement error: "+err.Error())
-		}
+		r := c.place(inst, nil, nil)
 		if r.Coherent {
 			return finish(fastAccept, r, "")
 		}
@@ -728,14 +799,11 @@ func fastInstance(ctx context.Context, inst *instance, opts *Options) (*fastOutc
 	// decide it. The designated final-value writer is emitted as late as
 	// the constraints allow, but only one with no required successor can
 	// ever be last.
+	start, dst, indeg := c.buildCSR()
 	holdBack := int32(-1)
 	if inst.final != nil {
-		outdeg := make([]int32, c.nw)
-		for _, e := range c.edges {
-			outdeg[e[0]]++
-		}
 		for _, b := range c.writersOf(*inst.final) {
-			if outdeg[b] == 0 {
+			if !c.chained(b) && start[b] == start[b+1] {
 				holdBack = b
 				break
 			}
@@ -745,22 +813,18 @@ func fastInstance(ctx context.Context, inst *instance, opts *Options) (*fastOutc
 				fmt.Sprintf("every write of the declared final value %d has a required successor write", *inst.final))
 		}
 	}
-	start, dst, indeg := c.buildCSR()
 	order, acyclic, unique := c.fastTopo(start, dst, indeg, holdBack)
 	if !acyclic {
 		return finish(fastReject, fastRejectResult(), "necessary ordering constraints form a cycle")
 	}
-	refs := make([]memory.Ref, len(order))
-	for i, b := range order {
-		refs[i] = c.wref[b]
-	}
 	if e := interrupted(); e != nil {
 		return nil, e
 	}
-	r, err := writeOrderInstance(inst, refs)
+	region, err := c.checkOrder(order)
 	if err != nil {
 		return finish(fastInconclusive, nil, "placement error: "+err.Error())
 	}
+	r := c.place(inst, order, region)
 	if r.Coherent {
 		return finish(fastAccept, r, "")
 	}

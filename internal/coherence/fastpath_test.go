@@ -2,11 +2,15 @@ package coherence
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"memverify/internal/memory"
+	"memverify/internal/reduction"
+	"memverify/internal/sat"
 	"memverify/internal/solver"
 	"memverify/internal/workload"
 )
@@ -372,4 +376,224 @@ func TestFastPathRelayFamily(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameFastOutcome fails unless the fast path and its reference
+// (fastpath_reference_test.go) give the same verdict, detail and result
+// on address a of exec, certificate included.
+func sameFastOutcome(t testing.TB, label string, exec *memory.Execution, a memory.Addr) *fastOutcome {
+	t.Helper()
+	ctx := context.Background()
+	got, e1 := fastPath(ctx, exec, project(exec, a), nil)
+	want, e2 := refFastPath(ctx, exec, project(exec, a), nil)
+	if e1 != nil || e2 != nil {
+		t.Fatalf("%s: budget error without a budget: %v / %v", label, e1, e2)
+	}
+	if got.verdict != want.verdict || got.detail != want.detail || got.stats.States != want.stats.States {
+		t.Fatalf("%s: fast path says %s (%q, %d states), reference says %s (%q, %d states)\nhistories=%v init=%v final=%v",
+			label, got.verdict, got.detail, got.stats.States, want.verdict, want.detail, want.stats.States,
+			exec.Histories, exec.Initial, exec.Final)
+	}
+	if (got.result == nil) != (want.result == nil) {
+		t.Fatalf("%s: result %+v, reference result %+v", label, got.result, want.result)
+	}
+	if got.result != nil {
+		g, w := *got.result, *want.result
+		g.Stats.Duration, w.Stats.Duration = 0, 0
+		if !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: result %+v, reference result %+v", label, g, w)
+		}
+	}
+	return got
+}
+
+// sameWriteOrderResult fails unless writeOrderInstance and its reference
+// agree on the error or on the result for one write order in
+// projection refs.
+func sameWriteOrderResult(t testing.TB, label string, inst *instance, order []memory.Ref) {
+	t.Helper()
+	got, err1 := writeOrderInstance(inst, order)
+	want, err2 := refWriteOrderInstance(inst, order)
+	if fmt.Sprint(err1) != fmt.Sprint(err2) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: order %v: placement gives %+v, %v; reference gives %+v, %v", label, order, got, err1, want, err2)
+	}
+}
+
+// TestFastPathMatchesReference: the fast path's lean tables change no
+// answer. On the oracle corpora — random tiny instances, generated
+// traces with every injected violation kind, the relay family with and
+// without its phantom read, and the Fig 4.1/5.1/5.2 reductions — every
+// verdict, REJECT detail and certificate equals the reference checker's.
+// The §5.2 placement is held to its reference the same way on recorded
+// write orders and on broken ones, error messages included.
+func TestFastPathMatchesReference(t *testing.T) {
+	var corpus []*memory.Execution
+	rng := rand.New(rand.NewSource(53))
+	for i := 0; i < 500; i++ {
+		if exec := randomInstance(rng); exec.Validate() == nil {
+			corpus = append(corpus, exec)
+		}
+	}
+	for _, kind := range workload.ViolationKinds() {
+		for i := 0; i < 12; i++ {
+			exec, _ := workload.GenerateCoherent(rng, workload.GenConfig{
+				Processors: 2 + i%3, OpsPerProc: 6 + i, Addresses: 1 + i%3, Values: 3,
+				WriteFraction: 0.4, RMWFraction: 0.1 * float64(i%3),
+			})
+			corpus = append(corpus, exec)
+			if mut, err := workload.Inject(rng, exec, kind); err == nil {
+				corpus = append(corpus, mut)
+			}
+		}
+	}
+	for _, phantom := range []bool{false, true} {
+		for _, cfg := range []workload.RelayConfig{
+			{Processors: 2, Rounds: 3, Decoys: 0},
+			{Processors: 3, Rounds: 4, Decoys: 1},
+			{Processors: 4, Rounds: 139, Decoys: 16},
+		} {
+			cfg.Phantom = phantom
+			corpus = append(corpus, workload.GenerateRelay(cfg))
+		}
+	}
+	for i := 0; i < 4; i++ {
+		q := sat.RandomKSAT(rng, 3, 3+i, 3)
+		for _, build := range []func(*sat.Formula) (*reduction.VMCInstance, error){
+			reduction.SATToVMC, reduction.ThreeSATToVMCRestricted, reduction.ThreeSATToVMCRMW,
+		} {
+			inst, err := build(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			corpus = append(corpus, inst.Exec)
+		}
+	}
+
+	verdicts := map[fastVerdict]int{}
+	for n, exec := range corpus {
+		for _, a := range exec.Addresses() {
+			label := fmt.Sprintf("instance %d addr %d", n, a)
+			out := sameFastOutcome(t, label, exec, a)
+			verdicts[out.verdict]++
+
+			// Placement on the certificate's own write order, and on that
+			// order broken six ways.
+			if out.verdict != fastAccept {
+				continue
+			}
+			inst := project(exec, a)
+			var order []memory.Ref
+			for _, r := range out.result.Schedule {
+				if _, ok := exec.Op(r).Writes(); ok {
+					pr, _ := inst.projRef(r)
+					order = append(order, pr)
+				}
+			}
+			sameWriteOrderResult(t, label, inst, order)
+			if len(order) < 2 {
+				continue
+			}
+			swapped := append([]memory.Ref(nil), order...)
+			swapped[0], swapped[len(swapped)-1] = swapped[len(swapped)-1], swapped[0]
+			sameWriteOrderResult(t, label+" swapped", inst, swapped)
+			sameWriteOrderResult(t, label+" duplicated", inst, append([]memory.Ref{order[1]}, order...))
+			sameWriteOrderResult(t, label+" short", inst, order[1:])
+			bad := memory.Ref{Proc: 0, Index: 1 << 20}
+			sameWriteOrderResult(t, label+" out of range", inst, append(order[:1:1], bad))
+			sameWriteOrderResult(t, label+" duplicated then out of range", inst, append(order[:1:1], order[0], bad))
+			for p, h := range inst.hist {
+				for i, o := range h {
+					if _, ok := o.Writes(); !ok {
+						read := memory.Ref{Proc: p, Index: i}
+						sameWriteOrderResult(t, label+" lists a read", inst, append(order[:1:1], read, order[1]))
+					}
+				}
+			}
+		}
+	}
+	for _, v := range []fastVerdict{fastAccept, fastReject, fastInconclusive} {
+		if verdicts[v] == 0 {
+			t.Errorf("no instance reached verdict %s: %v", v, verdicts)
+		}
+	}
+}
+
+// Fuzzed fast-path instances are single-address and small enough for
+// the brute-force oracle when they have at most fuzzFastOracleOps ops.
+const (
+	fuzzFastProcs     = 4
+	fuzzFastOps       = 6
+	fuzzFastValues    = 4
+	fuzzFastOracleOps = 10
+)
+
+// decodeFastInstance maps fuzz bytes to a single-address execution. Byte
+// 0 picks the process count; then per process a length byte and one byte
+// per op (kind = b%3 of R, W, RMW; value b/3%4; an RMW takes its stored
+// value from the next byte); then a flag byte declaring an initial
+// (bit 0) and a final (bit 1) value, each taken from the next byte.
+// Missing bytes read as zero.
+func decodeFastInstance(data []byte) *memory.Execution {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	exec := &memory.Execution{}
+	for p := 1 + int(next()%fuzzFastProcs); p > 0; p-- {
+		var h memory.History
+		for i := int(next() % (fuzzFastOps + 1)); i > 0; i-- {
+			b := next()
+			v := memory.Value(b / 3 % fuzzFastValues)
+			switch b % 3 {
+			case 0:
+				h = append(h, memory.R(0, v))
+			case 1:
+				h = append(h, memory.W(0, v))
+			default:
+				h = append(h, memory.RW(0, v, memory.Value(next()%fuzzFastValues)))
+			}
+		}
+		exec.Histories = append(exec.Histories, h)
+	}
+	flags := next()
+	if flags&1 != 0 {
+		exec.SetInitial(0, memory.Value(next()%fuzzFastValues))
+	}
+	if flags&2 != 0 {
+		exec.SetFinal(0, memory.Value(next()%fuzzFastValues))
+	}
+	return exec
+}
+
+// FuzzFastPathAgreement: on fuzzed single-address instances the fast
+// path equals its reference (verdict, detail, certificate), every
+// ACCEPT's certificate passes memory.CheckCoherent, and every decided
+// verdict on at most ten operations matches brute force.
+func FuzzFastPathAgreement(f *testing.F) {
+	f.Add([]byte{1, 2, 1, 4, 2, 0, 0, 1, 0})                       // W 0, W 1 | R 0, R 0, init 0
+	f.Add([]byte{2, 2, 1, 7, 1, 5, 3, 0, 3, 0, 3})                 // three histories, RMW, init+final
+	f.Add([]byte{0, 3, 2, 1, 2, 2, 0, 2, 2})                       // RW 0 1, RW 0 2, R 0, final 2
+	f.Add([]byte{3, 6, 1, 4, 7, 10, 0, 3, 6, 0, 3, 6, 9, 1, 1, 0}) // W 0..3, R 0, R 1 | R 0..3, W 0, W 0
+	f.Fuzz(func(t *testing.T, data []byte) {
+		exec := decodeFastInstance(data)
+		if exec.Validate() != nil {
+			return
+		}
+		out := sameFastOutcome(t, "fuzz", exec, 0)
+		if out.verdict == fastAccept {
+			if err := memory.CheckCoherent(exec, 0, out.result.Schedule); err != nil {
+				t.Fatalf("ACCEPT certificate fails: %v\nhistories=%v init=%v final=%v", err, exec.Histories, exec.Initial, exec.Final)
+			}
+		}
+		if out.verdict != fastInconclusive && exec.NumOps() <= fuzzFastOracleOps {
+			if want, _ := bruteForceCoherent(exec, 0); want != out.result.Coherent {
+				t.Fatalf("fast path says %v (%s), brute force says %v\nhistories=%v init=%v final=%v",
+					out.result.Coherent, out.detail, want, exec.Histories, exec.Initial, exec.Final)
+			}
+		}
+	})
 }

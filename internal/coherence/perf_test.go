@@ -3,10 +3,12 @@ package coherence
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"memverify/internal/memory"
 	"memverify/internal/solver"
+	"memverify/internal/workload"
 )
 
 // incoherentSearchTrace builds a deterministic instance that forces the
@@ -98,5 +100,84 @@ func BenchmarkSearchAllocs(b *testing.B) {
 		if _, err := NewVerifier(solver.WithStrategy(solver.StrategyExact)).Solve(context.Background(), exec, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// relayAllocConfig is the 10⁵-op relay of the fast path's allocation
+// guard: the perfbench relay cut to a tenth of its rounds.
+var relayAllocConfig = workload.RelayConfig{Processors: 4, Rounds: 1390, Decoys: 16}
+
+// TestFastPathRelayAllocs is the allocation guard for the fast path: a
+// relay verified with StrategyFast allocates a bounded number of bytes
+// per trace operation and a bounded number of times however long the
+// trace is. The coherent relay pays for the writer tables, placement
+// and its certificate (about 69 B and 100 allocations); the phantom
+// variant stops at the REJECT rules (about 24 B). An allocation per read
+// fails the count bound; stored program-order chains together with a
+// per-write ref copy of the write order fail the byte bound.
+func TestFastPathRelayAllocs(t *testing.T) {
+	ctx := context.Background()
+	v := NewVerifier(solver.WithStrategy(solver.StrategyFast))
+	for _, tc := range []struct {
+		phantom        bool
+		want           ResilientVerdict
+		maxBytesPerOp  float64
+		maxAllocations float64
+	}{
+		{phantom: false, want: VerdictCoherent, maxBytesPerOp: 100, maxAllocations: 200},
+		{phantom: true, want: VerdictIncoherent, maxBytesPerOp: 40, maxAllocations: 200},
+	} {
+		cfg := relayAllocConfig
+		cfg.Phantom = tc.phantom
+		exec := workload.GenerateRelay(cfg)
+		verify := func() {
+			rep, err := v.Verify(ctx, exec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Verdict != tc.want {
+				t.Fatalf("phantom=%v: verdict %s, want %s", tc.phantom, rep.Verdict, tc.want)
+			}
+		}
+		verify()
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			verify()
+		}
+		runtime.ReadMemStats(&after)
+		perOp := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(exec.NumOps())
+		allocs := testing.AllocsPerRun(runs, verify)
+		t.Logf("phantom=%v: %d ops, %.1f B/op, %.0f allocations", tc.phantom, exec.NumOps(), perOp, allocs)
+		if perOp > tc.maxBytesPerOp {
+			t.Errorf("phantom=%v: Verify allocated %.1f bytes per trace op, want at most %.0f", tc.phantom, perOp, tc.maxBytesPerOp)
+		}
+		if allocs > tc.maxAllocations {
+			t.Errorf("phantom=%v: Verify made %.0f allocations, want at most %.0f", tc.phantom, allocs, tc.maxAllocations)
+		}
+	}
+}
+
+// BenchmarkFastPathRelay prices a StrategyFast Verify of the 10⁵-op
+// relay, coherent and with its phantom read.
+func BenchmarkFastPathRelay(b *testing.B) {
+	for _, phantom := range []bool{false, true} {
+		cfg := relayAllocConfig
+		cfg.Phantom = phantom
+		exec := workload.GenerateRelay(cfg)
+		name := "accept"
+		if phantom {
+			name = "reject"
+		}
+		b.Run(name, func(b *testing.B) {
+			v := NewVerifier(solver.WithStrategy(solver.StrategyFast))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := v.Verify(context.Background(), exec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

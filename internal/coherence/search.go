@@ -2,7 +2,6 @@ package coherence
 
 import (
 	"context"
-	"slices"
 	"sync"
 
 	"memverify/internal/memory"
@@ -106,14 +105,7 @@ func SearchSC(ctx context.Context, exec *memory.Execution, orders map[memory.Add
 	// An address no operation touches still has a slot when it declares
 	// a final value: with a declared initial value that differs, no
 	// schedule can end with the final one (memory.CheckSC agrees).
-	addrs := exec.Addresses()
-	touched := len(addrs)
-	for a := range exec.Final {
-		if _, ok := slices.BinarySearch(addrs[:touched], a); !ok {
-			addrs = append(addrs, a)
-		}
-	}
-	slices.Sort(addrs)
+	addrs := exec.CheckedAddresses()
 	init := make([]declared, len(addrs))
 	final := make([]declared, len(addrs))
 	for s, a := range addrs {

@@ -181,7 +181,7 @@ func (v *Verifier) Verify(ctx context.Context, exec *memory.Execution) (*Report,
 func (v *Verifier) verifySequential(ctx context.Context, exec *memory.Execution) (*Report, error) {
 	rep := &Report{}
 	var ar AddrReport
-	for _, a := range exec.Addresses() {
+	for _, a := range exec.CheckedAddresses() {
 		if err := v.decide(ctx, exec, project(exec, a), v.cfg.Options, &ar); err != nil {
 			return rep, err
 		}
@@ -216,7 +216,7 @@ func (v *Verifier) verifySequential(ctx context.Context, exec *memory.Execution)
 // addresses solve sequentially as before. Parallelism never changes
 // verdicts, so this is purely a scheduling decision.
 func (v *Verifier) verifyParallel(ctx context.Context, exec *memory.Execution, workers int) (*Report, error) {
-	addrs := exec.Addresses()
+	addrs := exec.CheckedAddresses()
 	if workers > len(addrs) {
 		workers = len(addrs)
 	}
@@ -306,7 +306,7 @@ func (v *Verifier) verifyCheckpoint(ctx context.Context, exec *memory.Execution,
 	}
 	rep := &Report{}
 	var ar AddrReport
-	for _, a := range exec.Addresses() {
+	for _, a := range exec.CheckedAddresses() {
 		if r, ok := run.Lookup(a); ok {
 			ar = AddrReport{Addr: a, Verdict: VerdictCoherent, Rung: RungExact, Result: r, Stats: r.Stats}
 			if !r.Coherent {
@@ -351,13 +351,14 @@ func (v *Verifier) verifyCheckpointFile(ctx context.Context, exec *memory.Execut
 	return rep, err
 }
 
-// AddressesByHardness returns the execution's addresses ordered
-// largest-projection-first (ties by ascending address) — the LPT
+// AddressesByHardness returns the execution's checked addresses
+// (memory.Execution.CheckedAddresses) ordered largest-projection-first
+// (ties by ascending address) — the LPT
 // dispatch order used by parallel verification. The verification
 // service uses it to shard a request's per-address work across its
 // global worker fleet in the same order.
 func AddressesByHardness(exec *memory.Execution) []memory.Addr {
-	addrs := exec.Addresses()
+	addrs := exec.CheckedAddresses()
 	sizes := projectionSizes(exec)
 	out := make([]memory.Addr, len(addrs))
 	for i, idx := range hardnessOrder(addrs, sizes) {

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -98,7 +99,7 @@ func TestFacadeCheckpointParity(t *testing.T) {
 
 // TestVerifierReportShape pins the Report invariants the service relies
 // on: Addrs sorted ascending, aggregate stats equal to the per-address
-// sum, and AddressesByHardness a permutation of Addresses.
+// sum, and AddressesByHardness a permutation of CheckedAddresses.
 func TestVerifierReportShape(t *testing.T) {
 	for _, tc := range parityTraces(t, 8) {
 		rep, err := NewVerifier().Verify(context.Background(), tc.exec)
@@ -116,7 +117,7 @@ func TestVerifierReportShape(t *testing.T) {
 			t.Errorf("aggregate stats mismatch:\n%+v\n%+v", agg, rep.Stats)
 		}
 		byHard := AddressesByHardness(tc.exec)
-		if len(byHard) != len(tc.exec.Addresses()) {
+		if len(byHard) != len(tc.exec.CheckedAddresses()) {
 			t.Fatalf("AddressesByHardness dropped addresses")
 		}
 		seen := map[memory.Addr]bool{}
@@ -126,5 +127,46 @@ func TestVerifierReportShape(t *testing.T) {
 			}
 			seen[a] = true
 		}
+	}
+}
+
+// TestVerifyUntouchedFinalAddress: an address no operation touches is
+// still checked when it declares a final value. With init x 1 and
+// final x 0 no schedule can end with x = 0, so every strategy, the
+// worker fan-out and the checkpointed loop report x incoherent; with
+// init x 0 the same trace is coherent at both addresses.
+func TestVerifyUntouchedFinalAddress(t *testing.T) {
+	ctx := context.Background()
+	const x, y = memory.Addr(0), memory.Addr(1)
+	for _, initX := range []memory.Value{1, 0} {
+		exec := memory.NewExecution(memory.History{memory.W(y, 1)}).SetInitial(x, initX).SetFinal(x, 0)
+		want := VerdictIncoherent
+		if initX == 0 {
+			want = VerdictCoherent
+		}
+		if got := AddressesByHardness(exec); !reflect.DeepEqual(got, []memory.Addr{y, x}) {
+			t.Fatalf("AddressesByHardness = %v, want [y x]", got)
+		}
+		check := func(label string, rep *Report, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("init x %d, %s: %v", initX, label, err)
+			}
+			if rep.Verdict != want || len(rep.Addrs) != 2 || rep.Addrs[0].Addr != x || rep.Addrs[0].Verdict != want {
+				t.Fatalf("init x %d, %s: verdict %s with addresses %+v, want %s at x", initX, label, rep.Verdict, rep.Addrs, want)
+			}
+		}
+		for _, spelling := range presetSpellings {
+			strat, err := solver.ParseStrategy(spelling)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2} {
+				rep, err := NewVerifier(solver.WithStrategy(strat), solver.WithWorkers(workers)).Verify(ctx, exec)
+				check(fmt.Sprintf("%s with %d workers", spelling, workers), rep, err)
+			}
+		}
+		rep, err := NewVerifier().VerifyCheckpoint(ctx, exec, nil)
+		check("checkpointed", rep, err)
 	}
 }

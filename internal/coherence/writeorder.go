@@ -3,6 +3,7 @@ package coherence
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"memverify/internal/memory"
@@ -68,56 +69,129 @@ func (in *instance) toProjectionRefs(refs []memory.Ref, addr memory.Addr) ([]mem
 	return out, nil
 }
 
-// validateWriteOrder checks that order lists every writing op of the
-// instance exactly once, respecting program order. It returns the region
-// table of the order: regionOf[p][i] is b+1 for the writer at order[b],
-// and 0 for every op that does not write.
-func (in *instance) validateWriteOrder(order []memory.Ref) (regionOf [][]int32, err error) {
-	writers := 0
-	for _, h := range in.hist {
-		for _, o := range h {
+// writerBlocks numbers the writing operations of an instance history by
+// history, each in program order: block woff[p]+j is the j-th writer of
+// history p. Program order between the writers of one history is then
+// the chain b → b+1 of consecutive blocks, which no table has to store.
+type writerBlocks struct {
+	woff  []int32 // history -> its first block; woff[len(hist)] is the writer count
+	wOp   []int32 // block -> op index in its history
+	wProc []int32 // block -> history
+}
+
+// newWriterBlocks numbers the nw writers of inst.
+func newWriterBlocks(inst *instance, nw int) writerBlocks {
+	wb := writerBlocks{
+		woff:  make([]int32, len(inst.hist)+1),
+		wOp:   make([]int32, nw),
+		wProc: make([]int32, nw),
+	}
+	b := 0
+	for h, hist := range inst.hist {
+		wb.woff[h] = int32(b)
+		for i, o := range hist {
 			if _, ok := o.Writes(); ok {
-				writers++
+				wb.wOp[b], wb.wProc[b] = int32(i), int32(h)
+				b++
 			}
 		}
 	}
-	regionOf = perHistory[int32](in.hist)
-	last := make([]int, len(in.hist)) // history -> last listed index
+	wb.woff[len(inst.hist)] = int32(b)
+	return wb
+}
+
+// size is the number of writers.
+func (wb *writerBlocks) size() int { return len(wb.wOp) }
+
+// ref is the projection ref of block b.
+func (wb *writerBlocks) ref(b int32) memory.Ref {
+	return memory.Ref{Proc: int(wb.wProc[b]), Index: int(wb.wOp[b])}
+}
+
+// blockOf is the block of the writer at op i of history p.
+func (wb *writerBlocks) blockOf(p, i int) int32 {
+	lo, hi := wb.woff[p], wb.woff[p+1]
+	return lo + int32(sort.Search(int(hi-lo), func(j int) bool { return wb.wOp[lo+int32(j)] >= int32(i) }))
+}
+
+// blockRegions checks that order lists no block twice and the blocks of
+// each history in program order, and returns its region table: region[b]
+// is 1 + the position of block b in order, the region its write opens.
+func (wb *writerBlocks) blockRegions(order []int32) ([]int32, error) {
+	region := make([]int32, wb.size())
+	last := make([]int32, len(wb.woff)-1) // history -> its last listed block
 	for p := range last {
 		last[p] = -1
 	}
-	for b, r := range order {
+	for k, b := range order {
+		if b < 0 || int(b) >= len(region) {
+			return nil, fmt.Errorf("coherence: write order block %d out of range", b)
+		}
+		if region[b] != 0 {
+			return nil, fmt.Errorf("coherence: write order lists %s twice", wb.ref(b))
+		}
+		region[b] = int32(k + 1)
+		p := wb.wProc[b]
+		if b <= last[p] {
+			return nil, fmt.Errorf("coherence: write order violates program order at %s", wb.ref(b))
+		}
+		last[p] = b
+	}
+	return region, nil
+}
+
+// checkOrder is blockRegions for a whole write order: the order must
+// also list every writer.
+func (wb *writerBlocks) checkOrder(order []int32) ([]int32, error) {
+	region, err := wb.blockRegions(order)
+	if err == nil && len(order) != wb.size() {
+		err = fmt.Errorf("coherence: write order lists %d operations, instance has %d writing operations",
+			len(order), wb.size())
+	}
+	return region, err
+}
+
+// validateWriteOrder checks that order, in projection refs, lists every
+// writing op of the instance exactly once, respecting program order. It
+// returns the order as blocks of wb and its region table. Of several
+// faults it reports the first entry's.
+func (in *instance) validateWriteOrder(wb *writerBlocks, order []memory.Ref) (blocks, region []int32, err error) {
+	blocks = make([]int32, 0, len(order))
+	for _, r := range order {
 		if r.Proc < 0 || r.Proc >= len(in.hist) || r.Index < 0 || r.Index >= len(in.hist[r.Proc]) {
-			return nil, fmt.Errorf("coherence: write order reference %s out of range", r)
+			err = fmt.Errorf("coherence: write order reference %s out of range", r)
+		} else if _, ok := in.hist[r.Proc][r.Index].Writes(); !ok {
+			err = fmt.Errorf("coherence: write order entry %s (%s) does not write", r, in.hist[r.Proc][r.Index])
 		}
-		o := in.hist[r.Proc][r.Index]
-		if _, ok := o.Writes(); !ok {
-			return nil, fmt.Errorf("coherence: write order entry %s (%s) does not write", r, o)
+		if err != nil {
+			if _, earlier := wb.blockRegions(blocks); earlier != nil {
+				err = earlier
+			}
+			return nil, nil, err
 		}
-		if regionOf[r.Proc][r.Index] != 0 {
-			return nil, fmt.Errorf("coherence: write order lists %s twice", r)
-		}
-		regionOf[r.Proc][r.Index] = int32(b + 1)
-		if r.Index <= last[r.Proc] {
-			return nil, fmt.Errorf("coherence: write order violates program order at %s", r)
-		}
-		last[r.Proc] = r.Index
+		blocks = append(blocks, wb.blockOf(r.Proc, r.Index))
 	}
-	if len(order) != writers {
-		return nil, fmt.Errorf("coherence: write order lists %d operations, instance has %d writing operations",
-			len(order), writers)
+	if region, err = wb.checkOrder(blocks); err != nil {
+		return nil, nil, err
 	}
-	return regionOf, nil
+	return blocks, region, nil
 }
 
 // writeOrderInstance runs the §5.2 algorithm over a projected instance.
 // order holds projection refs of the writing operations.
-func writeOrderInstance(inst *instance, order []memory.Ref) (r *Result, err error) {
-	defer func() { stampOps(r, inst) }()
-	regionOf, err := inst.validateWriteOrder(order)
+func writeOrderInstance(inst *instance, order []memory.Ref) (*Result, error) {
+	wb := newWriterBlocks(inst, countWriters(inst))
+	blocks, region, err := inst.validateWriteOrder(&wb, order)
 	if err != nil {
 		return nil, err
 	}
+	return wb.place(inst, blocks, region), nil
+}
+
+// place runs the §5.2 algorithm over a validated block order with its
+// region table. The certificate is in original refs.
+func (wb *writerBlocks) place(inst *instance, order, region []int32) (r *Result) {
+	defer func() { stampOps(r, inst) }()
 
 	// The pre-write region's value may be forced by a declared initial
 	// value or by a read-modify-write standing first in the write order.
@@ -130,8 +204,8 @@ func writeOrderInstance(inst *instance, order []memory.Ref) (r *Result, err erro
 	switch {
 	case inst.init != nil:
 		candidates = []*memory.Value{inst.init}
-	case len(order) > 0 && inst.hist[order[0].Proc][order[0].Index].Kind == memory.ReadModifyWrite:
-		candidates = []*memory.Value{&inst.hist[order[0].Proc][order[0].Index].Data}
+	case len(order) > 0 && inst.hist[wb.wProc[order[0]]][wb.wOp[order[0]]].Kind == memory.ReadModifyWrite:
+		candidates = []*memory.Value{&inst.hist[wb.wProc[order[0]]][wb.wOp[order[0]]].Data}
 	default:
 		isCandidate := make(map[memory.Value]bool)
 		for _, h := range inst.hist {
@@ -150,37 +224,37 @@ func writeOrderInstance(inst *instance, order []memory.Ref) (r *Result, err erro
 		}
 	}
 	for _, init := range candidates {
-		if sched, ok := placeReads(inst, order, regionOf, init); ok {
-			return &Result{Coherent: true, Decided: true, Schedule: inst.translate(sched), Algorithm: "write-order"}, nil
+		if sched, ok := wb.placeReads(inst, order, region, init); ok {
+			return &Result{Coherent: true, Decided: true, Schedule: sched, Algorithm: "write-order"}
 		}
 	}
-	return &Result{Coherent: false, Decided: true, Algorithm: "write-order"}, nil
+	return &Result{Coherent: false, Decided: true, Algorithm: "write-order"}
 }
 
 // placeReads attempts to extend the write order into a full coherent
 // schedule with the pre-write region bound to init (nil means the region
-// matches no read). regionOf is the order's region table from
-// validateWriteOrder. It returns the schedule in projection refs.
-func placeReads(inst *instance, order []memory.Ref, regionOf [][]int32, init *memory.Value) ([]memory.Ref, bool) {
-	nw := len(order)
+// matches no read). region is the order's region table. It returns the
+// schedule in original refs.
+func (wb *writerBlocks) placeReads(inst *instance, order, region []int32, init *memory.Value) (memory.Schedule, bool) {
+	nw := int32(len(order))
 	// value[b] is the memory value in force in region b: region 0
 	// precedes all writes; region b (1-based) follows the b-th write.
+	// Only region 0 can be unbound.
 	value := make([]memory.Value, nw+1)
-	valueBound := make([]bool, nw+1)
-	if init != nil {
-		value[0], valueBound[0] = *init, true
+	bound0 := init != nil
+	if bound0 {
+		value[0] = *init
 	}
-	for b, r := range order {
-		o := inst.hist[r.Proc][r.Index]
+	for k, b := range order {
+		o := inst.hist[wb.wProc[b]][wb.wOp[b]]
 		// A read-modify-write embedded in the write order must read the
 		// value in force before it.
 		if dr, ok := o.Reads(); ok {
-			if !valueBound[b] || value[b] != dr {
+			if (k == 0 && !bound0) || value[k] != dr {
 				return nil, false
 			}
 		}
-		dw, _ := o.Writes()
-		value[b+1], valueBound[b+1] = dw, true
+		value[k+1], _ = o.Writes()
 	}
 
 	// Final value: the last write must store it; with no writes, a bound
@@ -189,71 +263,68 @@ func placeReads(inst *instance, order []memory.Ref, regionOf [][]int32, init *me
 		if nw > 0 && value[nw] != *inst.final {
 			return nil, false
 		}
-		if nw == 0 && valueBound[0] && value[0] != *inst.final {
+		if nw == 0 && bound0 && value[0] != *inst.final {
 			return nil, false
 		}
 	}
 
-	// Insert reads: regionAt[h][i] is the region read (h, i) lands in,
-	// and size[b] counts the reads of region b.
-	regionAt := perHistory[int32](inst.hist)
-	size := make([]int, nw+1)
+	// Insert reads: at lists the region of every read, history by
+	// history in program order, and size[b] counts the reads of region b.
+	// A read is placed in the first region of its value from its
+	// history's current region up to, not including, the region of its
+	// history's next writer.
+	at := make([]int32, 0, inst.nops-int(nw))
+	size := make([]int32, nw+1)
 	for h, hist := range inst.hist {
-		regions := regionOf[h]
-		// A read at i must be placed in a region strictly below limit, the
-		// region of the first writer of its history after i (nw+1 if
-		// none); nextW is that writer's index.
-		curRegion, limit, nextW := 0, 0, -1
-		for i, o := range hist {
-			if rg := regions[i]; rg > 0 {
-				curRegion = int(rg)
+		next, end := wb.woff[h], wb.woff[h+1] // the history's next writer block
+		cur := int32(0)
+		for _, o := range hist {
+			if _, ok := o.Writes(); ok {
+				cur = region[next]
+				next++
 				continue
 			}
-			if nextW <= i {
-				for nextW = i + 1; nextW < len(hist) && regions[nextW] == 0; nextW++ {
-				}
-				limit = nw + 1
-				if nextW < len(hist) {
-					limit = int(regions[nextW])
-				}
+			limit := nw + 1
+			if next < end {
+				limit = region[next]
 			}
-			d := o.Data
-			placed := false
-			for b := curRegion; b < limit && b <= nw; b++ {
-				if valueBound[b] && value[b] == d {
-					regionAt[h][i] = int32(b)
-					size[b]++
-					curRegion = b
-					placed = true
-					break
-				}
+			b := cur
+			for b < limit && ((b == 0 && !bound0) || value[b] != o.Data) {
+				b++
 			}
-			if !placed {
+			if b == limit {
 				return nil, false
 			}
+			at = append(at, b)
+			size[b]++
+			cur = b
 		}
 	}
 
 	// Emit the schedule: region 0 reads, then each write followed by its
-	// region's reads. next[b] is the slot of region b's next read; filling
-	// the slots in (history, program order) keeps every history's reads
-	// in program order within a region.
-	sched := make([]memory.Ref, inst.nops)
-	next, pos := size, 0
-	for b := 0; b <= nw; b++ {
+	// region's reads. size[b] becomes the slot of region b's next read;
+	// filling the slots in (history, program order) keeps every
+	// history's reads in program order within a region.
+	sched := make(memory.Schedule, inst.nops)
+	pos := int32(0)
+	for b := int32(0); b <= nw; b++ {
 		if b > 0 {
-			sched[pos] = order[b-1]
+			w := order[b-1]
+			sched[pos] = inst.origRef(int(wb.wProc[w]), int(wb.wOp[w]))
 			pos++
 		}
-		next[b], pos = pos, pos+size[b]
+		size[b], pos = pos, pos+size[b]
 	}
+	k := 0
 	for h, hist := range inst.hist {
-		for i := range hist {
-			if regionOf[h][i] == 0 {
-				b := regionAt[h][i]
-				sched[next[b]] = memory.Ref{Proc: h, Index: i}
-				next[b]++
+		for i, o := range hist {
+			if _, ok := o.Writes(); ok {
+				continue
 			}
+			b := at[k]
+			k++
+			sched[size[b]] = inst.origRef(h, i)
+			size[b]++
 		}
 	}
 	return sched, true
@@ -285,7 +356,8 @@ func CheckRMWWriteOrder(ctx context.Context, exec *memory.Execution, addr memory
 	if err != nil {
 		return nil, err
 	}
-	if _, err := inst.validateWriteOrder(order); err != nil {
+	wb := newWriterBlocks(inst, countWriters(inst))
+	if _, _, err := inst.validateWriteOrder(&wb, order); err != nil {
 		return nil, err
 	}
 	incoherent := &Result{Coherent: false, Decided: true, Algorithm: "rmw-write-order"}

@@ -113,7 +113,9 @@ func verifyStoreBuffer(ctx context.Context, exec *memory.Execution, opts *Option
 	if err := exec.Validate(); err != nil {
 		return nil, err
 	}
-	addrs := exec.Addresses()
+	// An address no operation touches has a slot when it declares a
+	// final value: finalOK holds it to its declared initial value.
+	addrs := exec.CheckedAddresses()
 	s := &tsoSearcher{
 		exec:      exec,
 		opts:      opts,
@@ -265,11 +267,7 @@ func (s *tsoSearcher) done() bool {
 
 func (s *tsoSearcher) finalOK() bool {
 	for a, want := range s.exec.Final {
-		i, ok := s.addrIndex[a]
-		if !ok {
-			continue
-		}
-		if s.bound[i] && s.values[i] != want {
+		if i := s.addrIndex[a]; s.bound[i] && s.values[i] != want {
 			return false
 		}
 	}
@@ -488,7 +486,7 @@ func (s *tsoSearcher) dfs() bool {
 // given buffer discipline, re-running the operational semantics
 // deterministically. It is used to check the verifiers' witnesses.
 func ReplayEvents(exec *memory.Execution, events []Event, pso bool) error {
-	addrs := exec.Addresses()
+	addrs := exec.CheckedAddresses()
 	addrIndex := make(map[memory.Addr]int, len(addrs))
 	values := make([]memory.Value, len(addrs))
 	bound := make([]bool, len(addrs))
@@ -599,11 +597,7 @@ func ReplayEvents(exec *memory.Execution, events []Event, pso bool) error {
 	}
 	sort.Slice(final, func(i, j int) bool { return final[i] < final[j] })
 	for _, a := range final {
-		i, ok := addrIndex[a]
-		if !ok {
-			continue
-		}
-		if bound[i] && values[i] != exec.Final[a] {
+		if i := addrIndex[a]; bound[i] && values[i] != exec.Final[a] {
 			return fmt.Errorf("consistency: final value of address %d is %d, want %d", a, values[i], exec.Final[a])
 		}
 	}

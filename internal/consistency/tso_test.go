@@ -147,6 +147,45 @@ func TestTSOFinalValues(t *testing.T) {
 	}
 }
 
+// TestStoreBufferUntouchedFinalAddress: an address no operation touches
+// keeps its declared initial value, so a different declared final value
+// refutes TSO and PSO, and fails the replay of any witness; with the
+// final value equal to the initial one, or no initial value declared,
+// the address passes.
+func TestStoreBufferUntouchedFinalAddress(t *testing.T) {
+	ctx := context.Background()
+	const x, y = memory.Addr(0), memory.Addr(1)
+	for _, tc := range []struct {
+		name string
+		exec *memory.Execution
+		want bool
+	}{
+		{"init 1 final 0", memory.NewExecution(memory.History{memory.W(y, 1)}).SetInitial(x, 1).SetFinal(x, 0), false},
+		{"init 0 final 0", memory.NewExecution(memory.History{memory.W(y, 1)}).SetInitial(x, 0).SetFinal(x, 0), true},
+		{"final 0 only", memory.NewExecution(memory.History{memory.W(y, 1)}).SetFinal(x, 0), true},
+	} {
+		for _, m := range []struct {
+			model Model
+			pso   bool
+		}{{TSO, false}, {PSO, true}} {
+			res, err := NewVerifier(m.model).Verify(ctx, tc.exec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Consistent != tc.want {
+				t.Errorf("%s: %v says consistent=%v, want %v", tc.name, m.model, res.Consistent, tc.want)
+			}
+			// The witness of the one schedule there is: issue and commit
+			// the write to y.
+			w := memory.Ref{Proc: 0, Index: 0}
+			err = ReplayEvents(tc.exec, []Event{{Kind: EventIssue, Ref: w}, {Kind: EventCommit, Ref: w}}, m.pso)
+			if (err == nil) != tc.want {
+				t.Errorf("%s: replay under %v: %v, want accepted=%v", tc.name, m.model, err, tc.want)
+			}
+		}
+	}
+}
+
 // Property: SC implies TSO implies PSO on random executions (the models
 // are strictly ordered in permissiveness).
 func TestModelHierarchy(t *testing.T) {

@@ -2,6 +2,7 @@ package memory
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -110,6 +111,25 @@ func (e *Execution) Addresses() []Addr {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// CheckedAddresses returns the sorted set of addresses a verdict must
+// cover: every address a data-memory operation touches, and every
+// address a final value names. An address no operation touches still
+// constrains the execution when its declared final value differs from
+// its declared initial value: no schedule can end with it.
+func (e *Execution) CheckedAddresses() []Addr {
+	addrs := e.Addresses()
+	touched := len(addrs)
+	for a := range e.Final {
+		if _, ok := slices.BinarySearch(addrs[:touched], a); !ok {
+			addrs = append(addrs, a)
+		}
+	}
+	if len(addrs) > touched {
+		slices.Sort(addrs)
+	}
+	return addrs
 }
 
 // Refs returns every operation reference in the execution, grouped by
