@@ -426,7 +426,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		solve(b, context.Background())
 	})
 	b.Run("metrics", func(b *testing.B) {
-		ctx := obs.With(context.Background(), &obs.Observer{Metrics: obs.NewMetrics()})
+		ctx := obs.With(context.Background(), &obs.Observer{Registry: obs.NewRegistry()})
 		solve(b, ctx)
 	})
 	b.Run("jsonl", func(b *testing.B) {
@@ -437,8 +437,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		jl := obs.NewJSONL(io.Discard)
 		ctx := obs.With(context.Background(), &obs.Observer{
-			Tracer:  obs.NewTracer(jl),
-			Metrics: obs.NewMetrics(),
+			Tracer:   obs.NewTracer(jl),
+			Registry: obs.NewRegistry(),
 		})
 		solve(b, ctx)
 	})

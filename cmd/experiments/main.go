@@ -66,15 +66,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer cancel()
 	}
 	if *debugAddr != "" {
-		m := obs.NewMetrics()
-		srv, err := obs.ServeDebug(*debugAddr, m)
+		reg := obs.NewRegistry()
+		srv, err := obs.ServeDebug(*debugAddr, reg)
 		if err != nil {
 			fmt.Fprintf(stderr, "experiments: %v\n", err)
 			return 2
 		}
 		fmt.Fprintf(stderr, "experiments: debug endpoints on http://%s/debug/\n", srv.Addr)
 		defer srv.Close()
-		ctx = obs.With(ctx, &obs.Observer{Metrics: m})
+		ctx = obs.With(ctx, &obs.Observer{Registry: reg})
 	}
 	if err := exp.Run(ctx, stdout, exp.Config{Seed: *seed, Quick: *quick}, ids...); err != nil {
 		fmt.Fprintf(stderr, "experiments: %v\n", err)

@@ -44,12 +44,13 @@ func planFrom(ctx context.Context) *chaosPlan {
 
 // chaosMiddleware turns fault assignments into injected faults on
 // /v1/verify when the server runs with chaos enabled. Assignments come
-// from the X-Chaos-Fault header (the load generator owns the seeded
-// schedule and stamps it per request) or, when the server was given
-// its own rate, from the seeded injector. Connection-level kinds (500,
-// drop) fire here; worker-level kinds (panic, slow, degrade) ride the
-// context into the solve path. Every fired fault is logged by the
-// injector and counted per kind in the registry.
+// from the X-Chaos-Fault header (the client owns the seeded schedule
+// and stamps it per request, as TestChaosAvailability does) or, when
+// the server was given its own rate, from the seeded injector.
+// Connection-level kinds (500, drop) fire here; worker-level kinds
+// (panic, slow, degrade) ride the context into the solve path. Every
+// fired fault is logged by the injector and counted per kind in the
+// registry.
 func (s *Server) chaosMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !s.cfg.chaosEnabled || r.URL.Path != "/v1/verify" {

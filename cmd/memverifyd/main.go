@@ -28,16 +28,12 @@
 //	                      gauges, counters)
 //	GET  /debug/requests  in-flight request table + N slowest requests
 //	                      with stage breakdowns
-//	GET  /debug/vars      expvar (solver metrics included)
+//	GET  /debug/vars      expvar (the registry, search counters included)
 //	GET  /debug/pprof     pprof profiles
 //
-// With -loadgen the binary instead boots an in-process server, drives a
-// randomized workload against it through the resilient internal/client
-// over real HTTP, scrapes /metrics for the server-side stage quantiles,
-// and writes a combined report (BENCH_PR8.json schema
-// "memverifyd-loadgen/v3") to -loadgen-out; -loadgen-chaos additionally
-// drives the seeded fault schedule and reports availability,
-// success-after-retry, shed and degraded rates under it.
+// The binary carries no load generator: perfbench's service workloads
+// measure it, and TestChaosAvailability holds its availability under
+// the seeded fault schedule.
 package main
 
 import (
@@ -81,15 +77,6 @@ func main() {
 		chaosSeed = flag.Int64("chaos-seed", 1, "chaos: fault schedule seed")
 		chaosRate = flag.Float64("chaos-rate", 0, "chaos: server-side per-kind fault rate (0 = header-driven only)")
 		chaosSlow = flag.Duration("chaos-slow", 200*time.Millisecond, "chaos: stall injected by a slow-solve fault")
-
-		loadgen      = flag.Bool("loadgen", false, "run the load generator against an in-process server and exit")
-		loadgenN     = flag.Int("loadgen-requests", 400, "loadgen: total requests")
-		loadgenConc  = flag.Int("loadgen-conc", 8, "loadgen: concurrent clients")
-		loadgenOut   = flag.String("loadgen-out", "BENCH_PR8.json", "loadgen: report path")
-		loadgenSeed  = flag.Int64("loadgen-seed", 1, "loadgen: workload seed")
-		loadgenChaos = flag.Bool("loadgen-chaos", false, "loadgen: run the chaos harness (seeded fault schedule + resilient client)")
-		loadgenRate  = flag.Float64("loadgen-chaos-rate", 0.05, "loadgen: fraction of requests assigned a fault")
-		loadgenDL    = flag.Duration("loadgen-deadline", 0, "loadgen: per-request client deadline (0 = none)")
 	)
 	flag.Parse()
 
@@ -127,37 +114,6 @@ func main() {
 			f.Close()
 		}()
 		cfg.traceSink = jl
-	}
-
-	if *loadgen {
-		// Loadgen keeps admission wide open relative to its own
-		// concurrency: the report measures verification throughput, not
-		// self-inflicted backpressure.
-		if cfg.maxInflight < 2**loadgenConc {
-			cfg.maxInflight = 2 * *loadgenConc
-		}
-		if *loadgenChaos {
-			// The chaos harness needs the injection layer on and the
-			// brownout off: degraded verdicts must come only from the
-			// seeded schedule so two same-seed runs report identical
-			// counts.
-			cfg.chaosEnabled = true
-			cfg.chaosSeed = *chaosSeed
-			cfg.brownoutHigh = 0
-		}
-		if err := runLoadgen(cfg, loadgenConfig{
-			requests:  *loadgenN,
-			conc:      *loadgenConc,
-			out:       *loadgenOut,
-			seed:      *loadgenSeed,
-			chaos:     *loadgenChaos,
-			chaosRate: *loadgenRate,
-			deadline:  *loadgenDL,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "memverifyd:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	srv := newServer(cfg)

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -73,9 +75,10 @@ type serverConfig struct {
 	// drainTick is the drain-rate estimator's observation window.
 	drainTick time.Duration
 	// chaosEnabled turns on the seeded fault-injection layer on
-	// /v1/verify: faults arrive either on the X-Chaos-Fault header (the
-	// loadgen's schedule) or, when chaosRate > 0, from the server's own
-	// seeded injector. chaosSlow is the stall injected by a "slow" fault.
+	// /v1/verify: faults arrive either on the X-Chaos-Fault header (a
+	// client's seeded schedule) or, when chaosRate > 0, from the
+	// server's own seeded injector. chaosSlow is the stall injected by a
+	// "slow" fault.
 	chaosEnabled bool
 	chaosSeed    int64
 	chaosRate    float64
@@ -167,7 +170,6 @@ type Server struct {
 	inflight chan struct{}
 	cache    *resultCache
 	stats    serverStats
-	metrics  *obs.Metrics
 	mux      *http.ServeMux
 	// root is the served handler: recovery and chaos middleware wrapped
 	// around the mux.
@@ -218,7 +220,6 @@ func newServer(cfg serverConfig) *Server {
 		queue:    make(chan func(), cfg.queueDepth),
 		inflight: make(chan struct{}, cfg.maxInflight),
 		cache:    newResultCache(cfg.cacheSize),
-		metrics:  obs.NewMetrics(),
 		mux:      http.NewServeMux(),
 		stop:     make(chan struct{}),
 		reg:      reg,
@@ -239,8 +240,10 @@ func newServer(cfg serverConfig) *Server {
 	}
 
 	// Registry: stage and request latency histograms, service counters,
-	// and live saturation gauges. The counters double as the /v1/stats
+	// live saturation gauges, and the search counters every request's
+	// solvers flush into. The service counters double as the /v1/stats
 	// payload, so both surfaces read the same registers.
+	reg.Search() // listed from boot, not from the first solve
 	reg.SetHelp("memverifyd_stage_duration_seconds",
 		"Request latency by stage: parse, cache, queue (per shard), solve (per shard), merge.")
 	for _, st := range stageNames {
@@ -335,7 +338,7 @@ func newServer(cfg serverConfig) *Server {
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.Handle("/metrics", obs.PromHandler(reg))
 	s.mux.HandleFunc("/debug/requests", s.handleDebugRequests)
-	s.mux.Handle("/debug/", obs.DebugHandler(s.metrics))
+	s.mux.Handle("/debug/", obs.DebugHandler(reg))
 	s.root = s.recoveryMiddleware(s.chaosMiddleware(s.mux))
 	for i := 0; i < cfg.workers; i++ {
 		s.wg.Add(1)
@@ -619,7 +622,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	ctx := obs.WithRequestID(r.Context(), reqID)
-	ctx = obs.With(ctx, &obs.Observer{Tracer: s.tracer, Metrics: s.metrics})
+	ctx = obs.With(ctx, &obs.Observer{Tracer: s.tracer, Registry: s.reg})
 	span, ctx := s.tracer.Begin(ctx, "request")
 	defer func() { span.End(outcome, 0) }()
 
@@ -1005,8 +1008,14 @@ func (s *Server) verifyCoherenceSharded(ctx context.Context, tr *trace.Trace, cf
 	resp := &VerifyResponse{Verdict: "coherent"}
 	var agg solver.Stats
 	var budget *solver.ErrBudgetExceeded
-	for _, a := range tr.Exec.CheckedAddresses() { // report in address order
-		i := indexOf(addrs, a)
+	// Report in address order: the shard slots sorted by their address.
+	slots := make([]int, len(addrs))
+	for i := range slots {
+		slots[i] = i
+	}
+	slices.SortFunc(slots, func(x, y int) int { return cmp.Compare(addrs[x], addrs[y]) })
+	for _, i := range slots {
+		a := addrs[i]
 		if errs[i] != nil {
 			be, ok := solver.AsBudgetError(errs[i])
 			if !ok {
@@ -1108,15 +1117,6 @@ func indicesOf(marks []bool) []int {
 		}
 	}
 	return out
-}
-
-func indexOf(addrs []memory.Addr, a memory.Addr) int {
-	for i, x := range addrs {
-		if x == a {
-			return i
-		}
-	}
-	return -1
 }
 
 func orDefault(s, def string) string {

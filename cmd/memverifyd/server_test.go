@@ -8,8 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -405,6 +403,33 @@ func TestCancellationMidRequest(t *testing.T) {
 	}
 }
 
+// TestWideRequestAddressOrder: a 20,000-address request answers with
+// every address, in address order, although its shards run largest
+// first (every seventh address has an extra read).
+func TestWideRequestAddressOrder(t *testing.T) {
+	const n = 20000
+	var b strings.Builder
+	for k := 0; k < n; k++ {
+		fmt.Fprintf(&b, "P0: W a%d 1\nP1: R a%d 1\n", k, k)
+		if k%7 == 3 {
+			fmt.Fprintf(&b, "P2: R a%d 1\n", k)
+		}
+	}
+	_, ts := newTestServer(t, serverConfig{workers: 2})
+	resp, vr := postTrace(t, ts, "", b.String())
+	if resp.StatusCode != http.StatusOK || vr.Verdict != "coherent" {
+		t.Fatalf("status %d verdict %q", resp.StatusCode, vr.Verdict)
+	}
+	if len(vr.Addrs) != n {
+		t.Fatalf("%d addresses reported, want %d", len(vr.Addrs), n)
+	}
+	for k, ar := range vr.Addrs {
+		if want := fmt.Sprintf("a%d", k); ar.Addr != want || ar.Verdict != "coherent" {
+			t.Fatalf("address %d reported as %+v, want %s coherent", k, ar, want)
+		}
+	}
+}
+
 func TestHealthzAndStats(t *testing.T) {
 	_, ts := newTestServer(t, serverConfig{workers: 2})
 	postTrace(t, ts, "", coherentTrace)
@@ -431,57 +456,6 @@ func TestHealthzAndStats(t *testing.T) {
 		t.Fatalf("debug/vars: %v %v", err, resp)
 	}
 	resp.Body.Close()
-}
-
-// TestLoadgenSmoke runs the load generator end to end on a small
-// workload and validates the report it writes.
-func TestLoadgenSmoke(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bench.json")
-	err := runLoadgen(
-		serverConfig{workers: 4, maxInflight: 32},
-		loadgenConfig{requests: 60, conc: 4, out: out, seed: 1},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep benchReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != "memverifyd-loadgen/v3" {
-		t.Errorf("schema %q", rep.Schema)
-	}
-	if rep.Requests+rep.Errors+rep.Rejected != 60 {
-		t.Errorf("sample accounting: %+v", rep)
-	}
-	if rep.Errors != 0 {
-		t.Errorf("loadgen saw %d errors", rep.Errors)
-	}
-	if rep.Throughput <= 0 || rep.Latency.P50 <= 0 || rep.Latency.P99 < rep.Latency.P50 {
-		t.Errorf("implausible latency/throughput: %+v", rep)
-	}
-	if rep.Cache.Hits == 0 {
-		t.Errorf("no cache hits on a repeating workload: %+v", rep.Cache)
-	}
-	if rep.Verdicts["coherent"] == 0 || rep.Verdicts["incoherent"] == 0 {
-		t.Errorf("verdict mix missing a class: %v", rep.Verdicts)
-	}
-	// v2: the server-side stage quantiles scraped from /metrics.
-	if rep.Server.ScrapeSamples == 0 {
-		t.Errorf("no /metrics samples scraped")
-	}
-	for _, stage := range []string{"parse", "queue", "solve", "merge"} {
-		if rep.Server.Stages[stage].Count == 0 {
-			t.Errorf("stage %q has no observations: %+v", stage, rep.Server.Stages)
-		}
-	}
-	if rep.Server.Request.Count != int64(rep.Requests) {
-		t.Errorf("request histogram count %d, want %d completed", rep.Server.Request.Count, rep.Requests)
-	}
 }
 
 func ExampleVerifyResponse() {

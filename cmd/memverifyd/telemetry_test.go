@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -123,15 +126,17 @@ func spanNamesForReq(t *testing.T, trace, id string) map[string]int {
 	return out
 }
 
-// TestMetricsEndpoint drives a few requests and scrapes /metrics: the
-// exposition must parse (strict parser from promscrape.go), the stage
-// histograms must have observations, and the gauges and counters the
-// ISSUE names must be present.
-func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, serverConfig{workers: 2})
-	postTrace(t, ts, "", coherentTrace)
-	postTrace(t, ts, "", coherentTrace) // cache hit: no solve stage
-	postTrace(t, ts, "", incoherentTrace)
+// Line shapes of the Prometheus text exposition format, version 0.0.4
+// (the regexes of internal/obs's TestPromExpositionValid).
+var (
+	promCommentRe = regexp.MustCompile(`^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .+$`)
+	promSampleRe  = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*"(,[a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")*\})? (NaN|[+-]?Inf|[-+0-9.eE]+)$`)
+)
+
+// scrapeMetrics GETs /metrics, fails the test on any line outside the
+// exposition grammar, and returns the exposition.
+func scrapeMetrics(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -144,33 +149,92 @@ func TestMetricsEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("content type %q", ct)
 	}
-	samples, err := parsePromText(string(body))
-	if err != nil {
-		t.Fatalf("exposition does not parse: %v", err)
+	text := string(body)
+	for n, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		if !promCommentRe.MatchString(line) && !promSampleRe.MatchString(line) {
+			t.Errorf("metrics line %d outside the exposition grammar: %q", n+1, line)
+		}
 	}
-	byName := map[string]int{}
-	for _, s := range samples {
-		byName[s.name]++
+	return text
+}
+
+// sampleValue returns the value of the exposition line for series, the
+// metric name with its label block, and whether the line exists.
+func sampleValue(text, series string) (float64, bool) {
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			return f, err == nil
+		}
 	}
+	return 0, false
+}
+
+// TestMetricsEndpoint drives a few requests and scrapes /metrics: every
+// line must be in the exposition grammar, the stage histograms must have
+// observations, and the service gauges and counters must be present.
+func TestMetricsEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, serverConfig{workers: 2})
+	postTrace(t, ts, "", coherentTrace)
+	postTrace(t, ts, "", coherentTrace) // cache hit: no solve stage
+	postTrace(t, ts, "", incoherentTrace)
+	text := scrapeMetrics(t, ts)
 	for _, name := range []string{
 		"memverifyd_requests_total", "memverifyd_cache_hits_total",
 		"memverifyd_queue_depth", "memverifyd_in_flight",
 		"memverifyd_workers_busy", "memverifyd_worker_utilization",
 		"memverifyd_workers", "memverifyd_cache_len",
+		"memverify_search_states_total", "memverify_address_solves_begun_total",
 	} {
-		if byName[name] == 0 {
+		if _, ok := sampleValue(text, name); !ok {
 			t.Errorf("metric %s missing from exposition", name)
 		}
 	}
-	stages := collectHistograms(samples, "memverifyd_stage_duration_seconds", "stage")
 	for _, stage := range []string{"parse", "cache", "queue", "solve", "merge"} {
-		h, ok := stages[stage]
-		if !ok || h.count == 0 {
+		if n, _ := sampleValue(text, `memverifyd_stage_duration_seconds_count{stage="`+stage+`"}`); n == 0 {
 			t.Errorf("stage %q histogram empty", stage)
 		}
 	}
-	if h, ok := collectHistograms(samples, "memverifyd_request_duration_seconds", "")[""]; !ok || h.count != 3 {
-		t.Errorf("request histogram: %+v", h)
+	if n, _ := sampleValue(text, "memverifyd_request_duration_seconds_count"); n != 3 {
+		t.Errorf("request histogram count %v, want 3", n)
+	}
+}
+
+// TestSearchCountersOneSet sends a request that runs the exact search
+// and checks /metrics and /debug/vars read the same search registers.
+func TestSearchCountersOneSet(t *testing.T) {
+	_, ts := newTestServer(t, serverConfig{workers: 2})
+	if _, vr := postTrace(t, ts, "?strategy=exact", coherentTrace); vr.Verdict != "coherent" || vr.Stats.States == 0 {
+		t.Fatalf("exact request: %+v", vr)
+	}
+	text := scrapeMetrics(t, ts)
+	if n, _ := sampleValue(text, "memverify_search_states_total"); n == 0 {
+		t.Fatalf("no search states in /metrics:\n%s", text)
+	}
+	resp, err := http.Get(ts.URL + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var vars struct {
+		Memverify map[string]any `json:"memverify"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for _, line := range strings.Split(text, "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || !strings.HasPrefix(name, "memverify_") {
+			continue
+		}
+		seen++
+		if got, _ := vars.Memverify[name].(float64); strconv.FormatFloat(got, 'g', -1, 64) != val {
+			t.Errorf("%s: /metrics %s, /debug/vars %v", name, val, vars.Memverify[name])
+		}
+	}
+	if seen < 9 {
+		t.Errorf("only %d search series in /metrics", seen)
 	}
 }
 

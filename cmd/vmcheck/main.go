@@ -190,9 +190,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	cfg := solver.NewConfig(cfgOpts...)
 
 	// Observability wiring: an event tracer feeds the JSONL writer
-	// and/or the -explain collector; a metrics set feeds the progress
-	// reporter and the debug endpoint. Absent every flag, the context
-	// carries no observer and the solvers run at full speed.
+	// and/or the -explain collector; one registry's search counters feed
+	// the progress reporter and the debug endpoint. Absent every flag,
+	// the context carries no observer and the solvers run at full speed.
 	var (
 		collector *obs.Collector
 		sinks     []obs.Sink
@@ -221,17 +221,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		o.Tracer = obs.NewTracer(obs.Multi(sinks...))
 	}
 	if *progress || *debugAddr != "" {
-		o.Metrics = obs.NewMetrics()
+		o.Registry = obs.NewRegistry()
 	}
-	if o.Tracer != nil || o.Metrics != nil {
-		ctx = obs.With(ctx, &o)
-	}
+	ctx = obs.With(ctx, &o)
 	if *progress {
-		p := obs.StartProgress(stderr, o.Metrics, *progressEvery, int64(*maxStates))
+		p := obs.StartProgress(stderr, o.Registry, *progressEvery, int64(*maxStates))
 		defer p.Stop()
 	}
 	if *debugAddr != "" {
-		srv, err := obs.ServeDebug(*debugAddr, o.Metrics)
+		srv, err := obs.ServeDebug(*debugAddr, o.Registry)
 		if err != nil {
 			fmt.Fprintf(stderr, "vmcheck: %v\n", err)
 			return 2

@@ -158,6 +158,29 @@ order x P0[0] P0[1]
 	}
 }
 
+// TestUseOrderErrorNamesTraceRefs: a faulty order line is reported by
+// the refs the trace wrote, not by the refs of the address's projection
+// (P0[1] is the first x op of P0, after its write of y).
+func TestUseOrderErrorNamesTraceRefs(t *testing.T) {
+	const ops = `init x 0
+init y 0
+P0: W y 5
+P0: W x 1
+P0: W x 2
+P1: R x 1
+`
+	for order, want := range map[string]string{
+		"P0[1] P0[1]": "write order lists P0[1] twice",
+		"P0[2] P0[1]": "write order violates program order at P0[1]",
+		"P0[1] P1[0]": "write order entry P1[0] (R(0, 1)) does not write",
+	} {
+		code, _, errOut := runCheck(t, []string{"-use-order"}, ops+"order x "+order+"\n")
+		if code != 2 || !strings.Contains(errOut, want) {
+			t.Errorf("order %s: code=%d stderr=%q, want 2 and %q", order, code, errOut, want)
+		}
+	}
+}
+
 func TestCertificatePrinted(t *testing.T) {
 	code, out, _ := runCheck(t, []string{"-cert"}, coherentTrace)
 	if code != 0 || !strings.Contains(out, "W(0, 1)") {

@@ -113,7 +113,7 @@ func TestInjectorForceCounts(t *testing.T) {
 	}
 }
 
-// TestBuildScheduleDeterministic pins the loadgen-side assignment: same
+// TestBuildScheduleDeterministic pins the client-side assignment: same
 // seed, same plan; different seed, (almost surely) different plan; the
 // empirical rate is near the configured one.
 func TestBuildScheduleDeterministic(t *testing.T) {

@@ -259,14 +259,14 @@ func stampOps(r *Result, inst *instance) {
 // context it returns a no-op span and the unchanged context at the cost
 // of one context lookup.
 func beginSolve(ctx context.Context, name string, addr memory.Addr) (obs.Span, context.Context) {
-	obs.MetricsFrom(ctx).SolveBegin()
+	obs.SearchFrom(ctx).SolveBegin()
 	return obs.TracerFrom(ctx).BeginAddr(ctx, name, int64(addr))
 }
 
 // endSolve closes a solve span with the outcome (verdict + deciding
 // algorithm, or the abort reason) and marks the solve finished.
 func endSolve(ctx context.Context, sp obs.Span, r *Result, err error) {
-	obs.MetricsFrom(ctx).SolveEnd()
+	obs.SearchFrom(ctx).SolveEnd()
 	switch {
 	case err != nil:
 		detail := "error: " + err.Error()

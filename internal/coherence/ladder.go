@@ -144,7 +144,7 @@ func presetFor(s solver.Strategy, opts *Options) preset {
 func (v *Verifier) decide(ctx context.Context, exec *memory.Execution, inst *instance, opts *Options, ar *AddrReport) error {
 	p := presetFor(v.cfg.Strategy, opts)
 	sp, ctx := beginSolve(ctx, p.span, inst.addr)
-	defer obs.MetricsFrom(ctx).SolveEnd()
+	defer obs.SearchFrom(ctx).SolveEnd()
 	*ar = AddrReport{Addr: inst.addr}
 	if e := v.climb(ctx, sp, p, exec, inst, opts, ar); e != nil {
 		e = withAddr(e, inst.addr)

@@ -179,10 +179,11 @@ func TestLadderCountsEveryRung(t *testing.T) {
 		memory.History{memory.W(0, 2)},
 		memory.History{memory.R(0, 1), memory.R(0, 2), memory.R(0, 1)},
 	).SetInitial(0, 0)
-	m := obs.NewMetrics()
-	ctx := obs.With(context.Background(), &obs.Observer{Metrics: m})
+	reg := obs.NewRegistry()
+	ctx := obs.With(context.Background(), &obs.Observer{Registry: reg})
+	m := reg.Search()
 	for _, strat := range []solver.Strategy{solver.StrategyFast, solver.StrategyResilient} {
-		before := m.Snapshot()
+		begun, done := m.SolvesBegun.Value(), m.SolvesDone.Value()
 		ar, err := NewVerifier(solver.WithStrategy(strat)).SolveAddr(ctx, exec, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -194,10 +195,8 @@ func TestLadderCountsEveryRung(t *testing.T) {
 			t.Errorf("%v: report counts %d states beyond the deciding search, want the frontline's %d",
 				strat, got, exec.NumOps())
 		}
-		after := m.Snapshot()
-		if after.Solves-before.Solves != 1 || after.SolvesDone-before.SolvesDone != 1 {
-			t.Errorf("%v: %d solves begun, %d done, want 1 each", strat,
-				after.Solves-before.Solves, after.SolvesDone-before.SolvesDone)
+		if b, d := m.SolvesBegun.Value()-begun, m.SolvesDone.Value()-done; b != 1 || d != 1 {
+			t.Errorf("%v: %d solves begun, %d done, want 1 each", strat, b, d)
 		}
 	}
 }

@@ -324,7 +324,7 @@ func (ps *pShared) run(ctx context.Context, w int, statsOut *solver.Stats) {
 	}()
 	scratch := scratchPool.Get().(*searchScratch)
 	pw := &pworker{ps: ps, w: w, searcher: scratch.s.fresh(ps.pg)}
-	pw.opts, pw.Met = ps.opts, obs.MetricsFrom(ctx)
+	pw.opts, pw.Met = ps.opts, obs.SearchFrom(ctx)
 	pw.On = pw.Met != nil
 	defer func() {
 		if pw.On {
@@ -477,7 +477,7 @@ func searchParallel(ctx context.Context, pg *program, opts *Options, workers int
 		stats.Duration = time.Since(start)
 		// Workers flush their own deltas; this covers the coordinator's
 		// expansion phase.
-		coord := solver.Probe{Met: obs.MetricsFrom(ctx)}
+		coord := solver.Probe{Met: obs.SearchFrom(ctx)}
 		coord.Poll(&expandStats, expandStats.PeakDepth)
 		switch {
 		case err != nil:

@@ -99,7 +99,7 @@ func searchInstance(ctx context.Context, inst *instance, opts *Options) (*Result
 // with the partial Stats.
 func SearchSC(ctx context.Context, exec *memory.Execution, orders map[memory.Addr][]memory.Ref, opts *Options, name string) (res *Result, err error) {
 	defer solver.RecoverToError(ctx, name, &err)
-	met := obs.MetricsFrom(ctx)
+	met := obs.SearchFrom(ctx)
 	met.SolveBegin()
 	defer met.SolveEnd()
 	// An address no operation touches still has a slot when it declares
@@ -352,31 +352,27 @@ func (s *searcher) undo(h int, prev uint32) {
 	}
 }
 
-// scheduleEagerReads repeatedly schedules every passive op at the head
-// of a history, returning the number scheduled. Such ops never need to
-// be delayed: they do not change the state, so a completion exists after
+// scheduleEagerReads schedules every passive op at the head of a
+// history, returning the number scheduled. Such ops never need to be
+// delayed: they do not change the state, so a completion exists after
 // scheduling them iff one existed before, and any schedule can be
-// rearranged to place them at the first point they are enabled.
+// rearranged to place them at the first point they are enabled. One
+// sweep finds them all: passivity depends only on the value slots, which
+// scheduling a passive op leaves as they were.
 func (s *searcher) scheduleEagerReads() int {
 	if !s.opts.EagerReads() {
 		return 0
 	}
 	n := 0
-	for {
-		progress := false
-		for h, row := range s.pg.hist {
-			for s.pos[h] < len(row) && s.passive(&row[s.pos[h]]) {
-				s.schedule = append(s.schedule, memory.Ref{Proc: h, Index: s.pos[h]})
-				s.pos[h]++
-				n++
-				s.stats.EagerReads++
-				progress = true
-			}
-		}
-		if !progress {
-			return n
+	for h, row := range s.pg.hist {
+		for s.pos[h] < len(row) && s.passive(&row[s.pos[h]]) {
+			s.schedule = append(s.schedule, memory.Ref{Proc: h, Index: s.pos[h]})
+			s.pos[h]++
+			n++
 		}
 	}
+	s.stats.EagerReads += n
+	return n
 }
 
 // undoEagerReads pops n eagerly scheduled ops.

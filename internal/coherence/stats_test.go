@@ -67,15 +67,15 @@ func TestParallelStatsMatchSerial(t *testing.T) {
 	}
 }
 
-// TestParallelMetricsAggregation attaches live Metrics to a parallel
-// verification and checks the shared counters reconcile exactly with
+// TestParallelMetricsAggregation attaches a registry to a parallel
+// verification and checks its search counters reconcile exactly with
 // the per-address solver.Stats: total states equal the merged sum (no
 // delta flushed twice, none lost) and the solve counter matches the
 // address count.
 func TestParallelMetricsAggregation(t *testing.T) {
 	exec := generalSearchExec(3)
-	m := obs.NewMetrics()
-	ctx := obs.With(context.Background(), &obs.Observer{Metrics: m})
+	reg := obs.NewRegistry()
+	ctx := obs.With(context.Background(), &obs.Observer{Registry: reg})
 	par, err := verifyMap(ctx, exec, nil, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -87,24 +87,24 @@ func TestParallelMetricsAggregation(t *testing.T) {
 		}
 		sum.Merge(r.Stats)
 	}
-	s := m.Snapshot()
-	if s.States != int64(sum.States) {
-		t.Errorf("metrics states = %d, merged solver stats say %d", s.States, sum.States)
+	m := reg.Search()
+	if got := m.States.Value(); got != int64(sum.States) {
+		t.Errorf("metrics states = %d, merged solver stats say %d", got, sum.States)
 	}
-	if s.MemoHits != int64(sum.MemoHits) || s.MemoMisses != int64(sum.MemoMisses) {
+	if m.MemoHits.Value() != int64(sum.MemoHits) || m.MemoMisses.Value() != int64(sum.MemoMisses) {
 		t.Errorf("metrics memo = %d/%d, merged stats say %d/%d",
-			s.MemoHits, s.MemoMisses, sum.MemoHits, sum.MemoMisses)
+			m.MemoHits.Value(), m.MemoMisses.Value(), sum.MemoHits, sum.MemoMisses)
 	}
-	if s.EagerReads != int64(sum.EagerReads) {
-		t.Errorf("metrics eager reads = %d, merged stats say %d", s.EagerReads, sum.EagerReads)
+	if got := m.EagerReads.Value(); got != int64(sum.EagerReads) {
+		t.Errorf("metrics eager reads = %d, merged stats say %d", got, sum.EagerReads)
 	}
-	if s.Branches != int64(sum.Branches) {
-		t.Errorf("metrics branches = %d, merged stats say %d", s.Branches, sum.Branches)
+	if got := m.Branches.Value(); got != int64(sum.Branches) {
+		t.Errorf("metrics branches = %d, merged stats say %d", got, sum.Branches)
 	}
-	if int64(sum.PeakDepth) > s.PeakDepth {
-		t.Errorf("metrics peak depth = %d below solver peak %d", s.PeakDepth, sum.PeakDepth)
+	if got := m.PeakDepth.Value(); int64(sum.PeakDepth) > got {
+		t.Errorf("metrics peak depth = %d below solver peak %d", got, sum.PeakDepth)
 	}
-	if s.Solves != 3 || s.SolvesDone != 3 {
-		t.Errorf("metrics solves = %d/%d, want 3/3 (one per address)", s.SolvesDone, s.Solves)
+	if m.SolvesBegun.Value() != 3 || m.SolvesDone.Value() != 3 {
+		t.Errorf("metrics solves = %d/%d, want 3/3 (one per address)", m.SolvesDone.Value(), m.SolvesBegun.Value())
 	}
 }

@@ -56,14 +56,35 @@ func SolveWithWriteOrder(ctx context.Context, exec *memory.Execution, addr memor
 	return r, err
 }
 
-// toProjectionRefs translates original execution refs to projection refs.
+// toProjectionRefs translates a write order in original execution refs
+// to projection refs. It checks each entry as the caller wrote it, so a
+// fault names the caller's ref: an entry must be a writing operation of
+// addr, listed once, after the listed entries of its history that
+// precede it in program order. Of several faults it reports the first
+// entry's; whether every writer is listed is left to validateWriteOrder.
 func (in *instance) toProjectionRefs(refs []memory.Ref, addr memory.Addr) ([]memory.Ref, error) {
 	out := make([]memory.Ref, len(refs))
+	off := make([]int, len(in.hist)+1) // history -> its first slot in listed
+	for p, h := range in.hist {
+		off[p+1] = off[p] + len(h)
+	}
+	listed := make([]bool, off[len(in.hist)])
+	next := make([]int, len(in.hist)) // history -> 1 + its last listed op
 	for i, r := range refs {
 		pr, ok := in.projRef(r)
 		if !ok {
 			return nil, fmt.Errorf("coherence: write order entry %s is not an operation of address %d", r, addr)
 		}
+		p, j := pr.Proc, pr.Index
+		switch _, writes := in.hist[p][j].Writes(); {
+		case !writes:
+			return nil, fmt.Errorf("coherence: write order entry %s (%s) does not write", r, in.hist[p][j])
+		case listed[off[p]+j]:
+			return nil, fmt.Errorf("coherence: write order lists %s twice", r)
+		case j < next[p]:
+			return nil, fmt.Errorf("coherence: write order violates program order at %s", r)
+		}
+		listed[off[p]+j], next[p] = true, j+1
 		out[i] = pr
 	}
 	return out, nil

@@ -101,6 +101,45 @@ func TestWriteOrderValidatesInput(t *testing.T) {
 	}
 }
 
+// TestWriteOrderErrorsNameCallerRefs: on a two-address execution the
+// projection of address 1 renumbers P0's ops, and a faulty write order
+// must still be reported by the refs the caller gave.
+func TestWriteOrderErrorsNameCallerRefs(t *testing.T) {
+	exec := memory.NewExecution(
+		memory.History{memory.W(0, 5), memory.W(1, 1), memory.W(1, 2)},
+		memory.History{memory.R(1, 1)},
+	).SetInitial(0, 0).SetInitial(1, 0)
+	for _, tc := range []struct {
+		order []memory.Ref
+		want  string
+	}{
+		{[]memory.Ref{{Proc: 0, Index: 1}, {Proc: 0, Index: 1}}, "coherence: write order lists P0[1] twice"},
+		{[]memory.Ref{{Proc: 0, Index: 2}, {Proc: 0, Index: 1}}, "coherence: write order violates program order at P0[1]"},
+		{[]memory.Ref{{Proc: 0, Index: 1}, {Proc: 1, Index: 0}}, "coherence: write order entry P1[0] (R(1, 1)) does not write"},
+	} {
+		_, err := SolveWithWriteOrder(context.Background(), exec, 1, tc.order, nil)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("order %v: error %v, want %q", tc.order, err, tc.want)
+		}
+	}
+
+	rmw := memory.NewExecution(
+		memory.History{memory.RW(0, 0, 5), memory.RW(1, 0, 1), memory.RW(1, 1, 2)},
+	)
+	for _, tc := range []struct {
+		order []memory.Ref
+		want  string
+	}{
+		{[]memory.Ref{{Proc: 0, Index: 2}, {Proc: 0, Index: 2}}, "coherence: write order lists P0[2] twice"},
+		{[]memory.Ref{{Proc: 0, Index: 2}, {Proc: 0, Index: 1}}, "coherence: write order violates program order at P0[1]"},
+	} {
+		_, err := CheckRMWWriteOrder(context.Background(), rmw, 1, tc.order)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("RMW order %v: error %v, want %q", tc.order, err, tc.want)
+		}
+	}
+}
+
 // With no declared initial value, the pre-write value candidates are
 // tried in first-seen history order, so repeated solves of one instance
 // return one certificate. Both candidates (1 and 2) are coherent here.

@@ -5,18 +5,23 @@
 //
 //   - a JSONL trace writer (NewJSONL) behind the vmcheck -trace flag;
 //   - a sampling progress reporter (StartProgress) behind -progress,
-//     fed by lock-free atomic Metrics counters;
+//     fed by a Registry's lock-free search counters;
 //   - an expvar + net/http/pprof debug endpoint (ServeDebug) behind
 //     -debug-addr on vmcheck and cmd/experiments.
 //
+// A Registry of counters, gauges and histograms is the one metrics
+// substrate: PromHandler serves it at /metrics, DebugHandler renders it
+// under the expvar name "memverify", and its SearchCounters are what the
+// solvers flush into.
+//
 // Emitters reach the layer through a context: entry points call
-// TracerFrom / MetricsFrom once per solve and keep the (possibly nil)
+// TracerFrom / SearchFrom once per solve and keep the (possibly nil)
 // handles in their searcher state. Every Tracer and Span method is
 // nil-safe, so the disabled path costs one pointer test per event site
 // and zero allocations — the hot DFS loops stay within the <5%
-// regression budget measured by BenchmarkObsOverhead. Metrics are
-// updated in batches at the searcher's existing every-64-states budget
-// poll, never per state.
+// regression budget measured by BenchmarkObsOverhead. Search counters
+// are updated in batches at the searcher's existing every-64-states
+// budget poll, never per state.
 //
 // The package deliberately imports only the standard library: solver,
 // coherence, consistency, sat, mesi and directory all emit into it
@@ -176,11 +181,11 @@ func Multi(sinks ...Sink) Sink {
 }
 
 // Observer bundles the per-run observability handles carried through a
-// context: an event tracer and a set of live metrics counters. Either
-// field may be nil.
+// context: an event tracer and the registry the search counters live
+// in. Either field may be nil.
 type Observer struct {
-	Tracer  *Tracer
-	Metrics *Metrics
+	Tracer   *Tracer
+	Registry *Registry
 }
 
 type observerKey struct{}
@@ -188,9 +193,9 @@ type spanKey struct{}
 type requestIDKey struct{}
 
 // With attaches an observer to the context. Solver entry points pick it
-// up with TracerFrom / MetricsFrom.
+// up with TracerFrom / SearchFrom.
 func With(ctx context.Context, o *Observer) context.Context {
-	if o == nil || (o.Tracer == nil && o.Metrics == nil) {
+	if o == nil || (o.Tracer == nil && o.Registry == nil) {
 		return ctx
 	}
 	return context.WithValue(ctx, observerKey{}, o)
@@ -207,15 +212,6 @@ func From(ctx context.Context) *Observer {
 func TracerFrom(ctx context.Context) *Tracer {
 	if o := From(ctx); o != nil {
 		return o.Tracer
-	}
-	return nil
-}
-
-// MetricsFrom returns the context's metrics, or nil. A nil *Metrics is
-// a valid no-op receiver for every Metrics method.
-func MetricsFrom(ctx context.Context) *Metrics {
-	if o := From(ctx); o != nil {
-		return o.Metrics
 	}
 	return nil
 }

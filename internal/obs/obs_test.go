@@ -222,15 +222,16 @@ func TestNilSafety(t *testing.T) {
 	tr.Directory("x", 0, 0, 0)
 	tr.SAT(sp, "x", 0)
 
-	var m *Metrics
-	m.Flush(1, 1, 1, 1, 1, 1)
-	m.SolveBegin()
-	m.SolveEnd()
-	if s := m.Snapshot(); s != (Snapshot{}) {
-		t.Errorf("nil metrics snapshot = %+v, want zeros", s)
+	var r *Registry
+	c := r.Search()
+	if c != nil {
+		t.Errorf("nil registry has search counters %+v", c)
 	}
+	c.Flush(1, 1, 1, 1, 1, 1)
+	c.SolveBegin()
+	c.SolveEnd()
 
-	if TracerFrom(ctx) != nil || MetricsFrom(ctx) != nil || From(ctx) != nil {
+	if TracerFrom(ctx) != nil || SearchFrom(ctx) != nil || From(ctx) != nil {
 		t.Error("bare context should yield nil observer handles")
 	}
 	if With(ctx, nil) != ctx || With(ctx, &Observer{}) != ctx {
@@ -242,13 +243,13 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestObserverContext(t *testing.T) {
-	o := &Observer{Tracer: NewTracer(NewCollector()), Metrics: NewMetrics()}
+	o := &Observer{Tracer: NewTracer(NewCollector()), Registry: NewRegistry()}
 	ctx := With(context.Background(), o)
 	if TracerFrom(ctx) != o.Tracer {
 		t.Error("TracerFrom lost the tracer")
 	}
-	if MetricsFrom(ctx) != o.Metrics {
-		t.Error("MetricsFrom lost the metrics")
+	if SearchFrom(ctx) != o.Registry.Search() || SearchFrom(ctx) == nil {
+		t.Error("SearchFrom lost the registry's search counters")
 	}
 }
 
@@ -275,47 +276,51 @@ func TestMulti(t *testing.T) {
 	}
 }
 
-// --- Metrics ---
+// --- Search counters ---
 
 func TestMetricsFlushAndSnapshot(t *testing.T) {
-	m := NewMetrics()
+	r := NewRegistry()
+	m := r.Search()
 	m.SolveBegin()
 	m.Flush(64, 10, 30, 5, 80, 7)
 	m.Flush(36, 10, 10, 0, 20, 3) // depth went down; peak must not
-	s := m.Snapshot()
-	if s.States != 100 || s.MemoHits != 20 || s.MemoMisses != 40 ||
-		s.EagerReads != 5 || s.Branches != 100 {
-		t.Errorf("snapshot = %+v", s)
+	if m.States.Value() != 100 || m.MemoHits.Value() != 20 || m.MemoMisses.Value() != 40 ||
+		m.EagerReads.Value() != 5 || m.Branches.Value() != 100 {
+		t.Errorf("counters = %d/%d/%d/%d/%d", m.States.Value(), m.MemoHits.Value(),
+			m.MemoMisses.Value(), m.EagerReads.Value(), m.Branches.Value())
 	}
-	if s.Depth != 3 {
-		t.Errorf("depth = %d, want last flushed 3", s.Depth)
+	if d := m.Depth.Value(); d != 3 {
+		t.Errorf("depth = %d, want last flushed 3", d)
 	}
-	if s.PeakDepth != 7 {
-		t.Errorf("peak depth = %d, want 7", s.PeakDepth)
+	if d := m.PeakDepth.Value(); d != 7 {
+		t.Errorf("peak depth = %d, want 7", d)
 	}
-	if got := s.MemoHitRate(); got != 20.0/60.0 {
-		t.Errorf("memo hit-rate = %v, want %v", got, 20.0/60.0)
+	if m.SolvesBegun.Value() != 1 || m.SolvesDone.Value() != 0 {
+		t.Errorf("solves = %d/%d, want 0/1", m.SolvesDone.Value(), m.SolvesBegun.Value())
 	}
-	if s.Solves != 1 || s.SolvesDone != 0 {
-		t.Errorf("solves = %d/%d, want 0/1", s.SolvesDone, s.Solves)
-	}
-	if s.SolveStates != 100 {
-		t.Errorf("solve states = %d, want 100", s.SolveStates)
+	if s := m.SolveStates(); s != 100 {
+		t.Errorf("solve states = %d, want 100", s)
 	}
 
 	// A second solve rebases the per-solve state count.
 	m.SolveEnd()
 	m.SolveBegin()
 	m.Flush(10, 0, 0, 0, 0, 1)
-	s = m.Snapshot()
-	if s.States != 110 || s.SolveStates != 10 {
-		t.Errorf("after rebase: states=%d solve-states=%d, want 110, 10", s.States, s.SolveStates)
+	if m.States.Value() != 110 || m.SolveStates() != 10 {
+		t.Errorf("after rebase: states=%d solve-states=%d, want 110, 10", m.States.Value(), m.SolveStates())
 	}
-	if s.Solves != 2 || s.SolvesDone != 1 {
-		t.Errorf("solves = %d/%d, want 1/2", s.SolvesDone, s.Solves)
+	if m.SolvesBegun.Value() != 2 || m.SolvesDone.Value() != 1 {
+		t.Errorf("solves = %d/%d, want 1/2", m.SolvesDone.Value(), m.SolvesBegun.Value())
 	}
-	if (Snapshot{}).MemoHitRate() != 0 {
-		t.Error("memo hit-rate with no lookups should be 0")
+	if r.Search() != m {
+		t.Error("a registry resolved its search counters twice")
+	}
+	out := promText(t, r)
+	for _, line := range []string{"memverify_search_states_total 110\n", "memverify_search_solve_states 10\n",
+		"memverify_address_solves_begun_total 2\n", "memverify_search_peak_depth 7\n"} {
+		if !strings.Contains(out, line) {
+			t.Errorf("exposition lacks %q:\n%s", line, out)
+		}
 	}
 }
 
@@ -324,12 +329,12 @@ func TestMetricsFlushAndSnapshot(t *testing.T) {
 // TestProgressReport drives report directly with controlled clocks so
 // the rate is deterministic.
 func TestProgressReport(t *testing.T) {
-	m := NewMetrics()
+	m := NewRegistry().Search()
 	m.SolveBegin()
 	m.Flush(640, 30, 70, 0, 0, 9)
 	t0 := time.Now()
 	var buf bytes.Buffer
-	p := &Progress{w: &buf, m: m, limit: 1000, prevAt: t0}
+	p := &Progress{w: &buf, c: m, limit: 1000, prevAt: t0}
 	p.report(t0.Add(2 * time.Second))
 	want := "obs: states=640 rate=320/s depth=9 peak=9 memo-hit=30.0% solves=0/1 budget-left=360/1000\n"
 	if got := buf.String(); got != want {
@@ -359,10 +364,10 @@ func TestProgressReport(t *testing.T) {
 // idempotent and prints a final line when work happened after the last
 // tick.
 func TestProgressStartStop(t *testing.T) {
-	m := NewMetrics()
+	r := NewRegistry()
 	var buf bytes.Buffer
-	p := StartProgress(&buf, m, time.Hour, 0)
-	m.Flush(5, 0, 0, 0, 0, 1)
+	p := StartProgress(&buf, r, time.Hour, 0)
+	r.Search().Flush(5, 0, 0, 0, 0, 1)
 	p.Stop()
 	p.Stop() // must not panic or double-print
 	if got := buf.String(); strings.Count(got, "\n") != 1 || !strings.Contains(got, "states=5") {
@@ -371,7 +376,7 @@ func TestProgressStartStop(t *testing.T) {
 
 	// No work at all: no final line.
 	buf.Reset()
-	p = StartProgress(&buf, NewMetrics(), time.Hour, 0)
+	p = StartProgress(&buf, NewRegistry(), time.Hour, 0)
 	p.Stop()
 	if buf.Len() != 0 {
 		t.Errorf("idle Stop printed %q", buf.String())
@@ -499,9 +504,9 @@ func TestKindString(t *testing.T) {
 // --- Debug endpoint ---
 
 func TestDebugHandler(t *testing.T) {
-	m := NewMetrics()
-	m.Flush(7, 0, 0, 0, 0, 2)
-	h := DebugHandler(m)
+	r := NewRegistry()
+	r.Search().Flush(7, 0, 0, 0, 0, 2)
+	h := DebugHandler(r)
 
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/vars", nil))
@@ -512,8 +517,14 @@ func TestDebugHandler(t *testing.T) {
 	if !strings.Contains(body, `"memverify"`) {
 		t.Errorf("/debug/vars missing memverify var: %s", body)
 	}
-	if !strings.Contains(body, `"states": 7`) && !strings.Contains(body, `"states":7`) {
+	if !strings.Contains(body, `"memverify_search_states_total":7`) {
 		t.Errorf("/debug/vars missing states counter: %s", body)
+	}
+	var vars map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &vars); err != nil {
+		t.Errorf("/debug/vars is not JSON: %v", err)
+	} else if _, ok := vars["memstats"]; !ok {
+		t.Errorf("/debug/vars lost expvar's own variables: %s", body)
 	}
 
 	rec = httptest.NewRecorder()
@@ -530,8 +541,7 @@ func TestDebugHandler(t *testing.T) {
 }
 
 func TestServeDebug(t *testing.T) {
-	m := NewMetrics()
-	srv, err := ServeDebug("127.0.0.1:0", m)
+	srv, err := ServeDebug("127.0.0.1:0", NewRegistry())
 	if err != nil {
 		t.Fatalf("ServeDebug: %v", err)
 	}

@@ -19,6 +19,9 @@ type Registry struct {
 	byID    map[string]*instrument
 	ordered []*instrument
 	help    map[string]string
+
+	searchOnce sync.Once
+	search     *SearchCounters
 }
 
 // instrumentKind discriminates the exposition type.

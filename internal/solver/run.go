@@ -12,12 +12,13 @@ import (
 const FlushInterval = 64
 
 // Probe connects one search to the observers on its context: the span
-// its trace events go to and the metrics its Stats flush into. With
-// neither attached On is false and every hook costs one test.
+// its trace events go to and the registry search counters its Stats
+// flush into. With neither attached On is false and every hook costs one
+// test.
 type Probe struct {
 	Tr  *obs.Tracer
 	Sp  obs.Span
-	Met *obs.Metrics
+	Met *obs.SearchCounters
 	On  bool
 
 	flushed Stats // counters at the last Poll
@@ -25,13 +26,13 @@ type Probe struct {
 
 // Attach resolves the observers on ctx and resets the flush baseline.
 func (p *Probe) Attach(ctx context.Context) {
-	*p = Probe{Tr: obs.TracerFrom(ctx), Met: obs.MetricsFrom(ctx)}
+	*p = Probe{Tr: obs.TracerFrom(ctx), Met: obs.SearchFrom(ctx)}
 	p.On = p.Tr != nil || p.Met != nil
 }
 
-// Poll adds st's counters since the last Poll to the metrics and emits
-// the budget-poll event; depth is the current schedule length. Searches
-// call it every FlushInterval states and once when they stop.
+// Poll adds st's counters since the last Poll to the search counters
+// and emits the budget-poll event; depth is the current schedule length.
+// Searches call it every FlushInterval states and once when they stop.
 func (p *Probe) Poll(st *Stats, depth int) {
 	if p.Met != nil {
 		p.Met.Flush(
