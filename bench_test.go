@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"memverify/internal/coherence"
@@ -503,28 +502,6 @@ func BenchmarkDiagnose(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkVerifyParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(20))
-	exec, _ := workload.GenerateCoherent(rng, workload.GenConfig{
-		Processors: 4, OpsPerProc: 400, Addresses: 8, Values: 4, WriteFraction: 0.4,
-	})
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := coherence.NewVerifier().Verify(context.Background(), exec); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		v := coherence.NewVerifier(solver.WithWorkers(runtime.NumCPU()))
-		for i := 0; i < b.N; i++ {
-			if _, err := v.Verify(context.Background(), exec); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func BenchmarkVSCWithWriteOrders(b *testing.B) {

@@ -110,7 +110,7 @@ func TestDeadlineStrikesMidSearch(t *testing.T) {
 			return err
 		}},
 		{"coherence.VerifyExecutionParallel", func(ctx context.Context) error {
-			_, err := coherence.NewVerifier(solver.WithWorkers(4)).Verify(ctx, inst.Exec)
+			_, err := coherence.NewVerifier(solver.WithBudget(solver.WithParallelSearch(4))).Verify(ctx, inst.Exec)
 			return err
 		}},
 		{"coherence.VerifyExecutionPortfolio", func(ctx context.Context) error {
@@ -236,7 +236,7 @@ func TestCancellationEveryEntryPoint(t *testing.T) {
 		{"coherence.Coherent", func() error { _, err := coherence.NewVerifier().Verify(ctx, simple); return err }},
 		{"coherence.VerifyExecution", func() error { _, err := coherence.NewVerifier().Verify(ctx, simple); return err }},
 		{"coherence.VerifyExecutionParallel", func() error {
-			_, err := coherence.NewVerifier(solver.WithWorkers(2)).Verify(ctx, simple)
+			_, err := coherence.NewVerifier(solver.WithBudget(solver.WithParallelSearch(2))).Verify(ctx, simple)
 			return err
 		}},
 		{"coherence.VerifyExecutionPortfolio", func() error { _, err := portfolioSpelling(t).Verify(ctx, simple); return err }},

@@ -195,24 +195,6 @@ func buildSuite(quick bool) ([]benchCase, error) {
 		cases = append(cases, solveCase(fmt.Sprintf("fig53-constant-processes/n=%d", n), n <= 100, exec, 0, nil))
 	}
 
-	{
-		rng := rand.New(rand.NewSource(20))
-		exec, _ := workload.GenerateCoherent(rng, workload.GenConfig{
-			Processors: 4, OpsPerProc: 400, Addresses: 8, Values: 4, WriteFraction: 0.4,
-		})
-		serial := coherence.NewVerifier()
-		parallel := coherence.NewVerifier(solver.WithWorkers(runtime.NumCPU()))
-		cases = append(cases,
-			benchCase{name: "verify-parallel/serial", op: func() error {
-				_, err := serial.Verify(context.Background(), exec)
-				return err
-			}},
-			benchCase{name: "verify-parallel/parallel", op: func() error {
-				_, err := parallel.Verify(context.Background(), exec)
-				return err
-			}},
-		)
-	}
 	return cases, nil
 }
 
@@ -585,8 +567,8 @@ func batchBurst(execs, addrs, opsPerProc int) []coherence.BatchJob {
 
 // measureBurst times runs sweeps of the burst in one mode ("loop" or
 // "batch") and fills a report entry from the median sweep. Both modes
-// run single-threaded (Config.Workers = 1): the ratio isolates per-job
-// overhead, not scheduling.
+// run on one goroutine: the ratio isolates per-job overhead, not
+// scheduling.
 func measureBurst(mode string, runs int, execs int, jobs []coherence.BatchJob) (batchBenchEntry, error) {
 	v := coherence.NewVerifier()
 	durs := make([]time.Duration, runs)

@@ -19,7 +19,6 @@ func TestSuiteShape(t *testing.T) {
 		"fig51-restricted/m=2":           false,
 		"fig52-rmw/m=3":                  false,
 		"fig53-constant-processes/n=200": false,
-		"verify-parallel/parallel":       false,
 	}
 	quick := 0
 	for _, c := range cases {

@@ -123,8 +123,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "memverifyd:", err)
 		os.Exit(1)
 	}
+	eff := cfg.withDefaults()
 	fmt.Printf("memverifyd listening on http://%s (workers=%d inflight=%d queue=%d cache=%d)\n",
-		ln.Addr(), cfg.withDefaults().workers, cfg.withDefaults().maxInflight, cfg.queueDepth, cfg.cacheSize)
+		ln.Addr(), eff.workers, eff.maxInflight, eff.queueDepth, max(eff.cacheSize, 0))
 	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	// SIGINT/SIGTERM shut down gracefully so the deferred cleanups run —
 	// without this, killing the service truncates the buffered -trace

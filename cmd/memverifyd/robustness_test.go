@@ -576,7 +576,7 @@ type chaosOutcome struct {
 // retries land on a healthy path, which is what availability measures.
 func runChaos(t *testing.T, c chaosCase) chaosOutcome {
 	t.Helper()
-	srv, ts := newTestServer(t, serverConfig{workers: 4, maxInflight: c.maxInflight,
+	srv, ts := newTestServer(t, serverConfig{workers: 4, maxInflight: c.maxInflight, cacheSize: 1024,
 		chaosEnabled: true, chaosSeed: c.seed, chaosSlow: c.slow})
 	const seed = 1 // workload and client seed
 	pool := chaosPool(seed)

@@ -41,7 +41,8 @@ type serverConfig struct {
 	maxInflight int
 	// queueDepth bounds the shard queue between handlers and the fleet.
 	queueDepth int
-	// cacheSize bounds the result cache (entries).
+	// cacheSize bounds the result cache (entries); 0 disables it, as
+	// the -cache flag says.
 	cacheSize int
 	// maxStatesCap / timeoutCap are server-side ceilings clamped onto
 	// every request's budget (0 = no ceiling); maxStatesDefault /
@@ -94,9 +95,6 @@ func (c serverConfig) withDefaults() serverConfig {
 	}
 	if c.queueDepth <= 0 {
 		c.queueDepth = 256
-	}
-	if c.cacheSize == 0 {
-		c.cacheSize = 1024
 	}
 	if c.retryAfterMax <= 0 {
 		c.retryAfterMax = 30 * time.Second
@@ -277,7 +275,7 @@ func newServer(cfg serverConfig) *Server {
 	reg.SetHelp("memverifyd_deadline_expired_total", "Requests answered 504: deadline expired.")
 	reg.SetHelp("memverifyd_expired_drops_total",
 		"Shards discarded at dequeue because their request's context was already dead.")
-	reg.SetHelp("memverifyd_degraded_total", "Requests served in brownout (downgraded strategy/budgets).")
+	reg.SetHelp("memverifyd_degraded_total", "Requests served in brownout (their own strategy under shrunken budgets).")
 	reg.SetHelp("memverifyd_panics_total", "Handler panics recovered by the HTTP middleware.")
 	reg.SetHelp("memverifyd_worker_panics_total", "Fleet worker panics recovered mid-shard.")
 	reg.SetHelp("memverifyd_solves_total", "Solver invocations actually started on fleet workers.")
@@ -885,11 +883,16 @@ const (
 	batchMinAddrs = 2
 )
 
-// planBatch marks which hardness-ordered addresses ride the pooled batch
-// driver. coherence.SolveBatch climbs the same escalation ladder as
-// SolveAddr under every strategy, so only an address's size decides.
-func (s *Server) planBatch(exec *memory.Execution, addrs []memory.Addr) []bool {
-	inBatch := make([]bool, len(addrs))
+// planShards orders the request's checked addresses largest projection
+// first, ties by ascending address — LPT order: the potentially
+// exponential searches start before a tail of trivial addresses instead
+// of queueing behind it — and marks which of them ride the pooled batch
+// driver. One pass counts every address's memory operations; an address
+// that only declares a final value has size 0 and is kept.
+// coherence.SolveBatch climbs the same escalation ladder as SolveAddr
+// under every strategy, so only an address's size decides its shard.
+func planShards(exec *memory.Execution) (addrs []memory.Addr, inBatch []bool) {
+	addrs = exec.CheckedAddresses()
 	sizes := make(map[memory.Addr]int, len(addrs))
 	for _, h := range exec.Histories {
 		for _, o := range h {
@@ -898,6 +901,13 @@ func (s *Server) planBatch(exec *memory.Execution, addrs []memory.Addr) []bool {
 			}
 		}
 	}
+	slices.SortFunc(addrs, func(x, y memory.Addr) int {
+		if c := cmp.Compare(sizes[y], sizes[x]); c != 0 {
+			return c
+		}
+		return cmp.Compare(x, y)
+	})
+	inBatch = make([]bool, len(addrs))
 	n := 0
 	for i, a := range addrs {
 		if sizes[a] <= batchMaxOps {
@@ -906,25 +916,23 @@ func (s *Server) planBatch(exec *memory.Execution, addrs []memory.Addr) []bool {
 		}
 	}
 	if n < batchMinAddrs {
-		return make([]bool, len(addrs))
+		clear(inBatch)
 	}
-	return inBatch
+	return addrs, inBatch
 }
 
 // verifyCoherenceSharded fans the per-address VMC checks of one request
-// out over the shared worker fleet, largest projection first (the LPT
-// order parallel verification uses), so one hot request cannot
-// monopolize the fleet against concurrent small ones. Two PR 10
-// refinements: the request's litmus-sized addresses are solved as a
-// single fleet shard through the pooled batch driver (planBatch), and
+// out over the shared worker fleet, largest projection first
+// (planShards), so one hot request cannot monopolize the fleet against
+// concurrent small ones. The request's litmus-sized addresses are
+// solved as a single fleet shard through the pooled batch driver, and
 // with -psearch the hardest address splits its search across a worker
 // team sharing one memo table.
 func (s *Server) verifyCoherenceSharded(ctx context.Context, tr *trace.Trace, cfgOpts []solver.ConfigOption, tm *reqTimings, live *liveReq) (*VerifyResponse, error) {
 	v := coherence.NewVerifier(cfgOpts...)
-	addrs := coherence.AddressesByHardness(tr.Exec)
+	addrs, inBatch := planShards(tr.Exec)
 	reports := make([]*coherence.AddrReport, len(addrs))
 	errs := make([]error, len(addrs))
-	inBatch := s.planBatch(tr.Exec, addrs)
 
 	// The team verifier is used for the hardest shard only (addrs[0], the
 	// LPT head): giving every shard a team would multiply the request's

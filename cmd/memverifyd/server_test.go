@@ -8,14 +8,17 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"memverify/internal/memory"
 	"memverify/internal/reduction"
 	"memverify/internal/sat"
 	"memverify/internal/trace"
+	"memverify/internal/workload"
 )
 
 const coherentTrace = `init x 0
@@ -170,7 +173,7 @@ func TestBackpressure(t *testing.T) {
 }
 
 func TestCacheHit(t *testing.T) {
-	s, ts := newTestServer(t, serverConfig{workers: 2})
+	s, ts := newTestServer(t, serverConfig{workers: 2, cacheSize: 1024})
 	_, first := postTrace(t, ts, "", coherentTrace)
 	resp, second := postTrace(t, ts, "", coherentTrace)
 	if resp.StatusCode != http.StatusOK {
@@ -217,7 +220,7 @@ order x P1[0] P0[0]
 // use_order is in play — the second must get its own (opposite)
 // verdict, not the first one's cached answer.
 func TestCacheKeyIncludesWriteOrders(t *testing.T) {
-	_, ts := newTestServer(t, serverConfig{workers: 2})
+	_, ts := newTestServer(t, serverConfig{workers: 2, cacheSize: 1024})
 	resp, first := postTrace(t, ts, "?model=sc&use_order=true", orderedTraceGood)
 	if resp.StatusCode != http.StatusOK || first.Verdict != "consistent" {
 		t.Fatalf("good order: status %d %+v", resp.StatusCode, first)
@@ -242,7 +245,7 @@ func TestCacheKeyIncludesWriteOrders(t *testing.T) {
 // TestCacheKeyCanonicalSpellings proves equivalent model/strategy
 // spellings share one cache entry instead of fragmenting the LRU.
 func TestCacheKeyCanonicalSpellings(t *testing.T) {
-	s, ts := newTestServer(t, serverConfig{workers: 2})
+	s, ts := newTestServer(t, serverConfig{workers: 2, cacheSize: 1024})
 	postTrace(t, ts, "", coherentTrace) // model "", strategy ""
 	_, second := postTrace(t, ts, "?model=COHERENCE&strategy=auto", coherentTrace)
 	if !second.Cached {
@@ -349,7 +352,7 @@ func hardTrace(t *testing.T) string {
 }
 
 func TestUndecidedOnBudget(t *testing.T) {
-	s, ts := newTestServer(t, serverConfig{workers: 2})
+	s, ts := newTestServer(t, serverConfig{workers: 2, cacheSize: 1024})
 	resp, vr := postTrace(t, ts, "?max_states=200", hardTrace(t))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -464,4 +467,116 @@ func ExampleVerifyResponse() {
 	b, _ := json.Marshal(resp)
 	fmt.Println(string(b))
 	// Output: {"verdict":"coherent","model":"Coherence","strategy":"auto","stats":{"states":0,"memo_hits":0,"branches":0,"duration_ms":0},"cached":false,"elapsed_ms":0}
+}
+
+// getStats decodes GET /v1/stats.
+func getStats(t *testing.T, ts *httptest.Server) map[string]any {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	return stats
+}
+
+// TestCacheDisabled: a cache size of 0 — the -cache 0 flag — disables
+// the result cache, so a repeated trace is solved again.
+func TestCacheDisabled(t *testing.T) {
+	_, ts := newTestServer(t, serverConfig{workers: 2, cacheSize: 0})
+	_, first := postTrace(t, ts, "", coherentTrace)
+	_, second := postTrace(t, ts, "", coherentTrace)
+	if first.Cached || second.Cached || second.Verdict != "coherent" {
+		t.Errorf("cache 0: first cached=%v, second cached=%v verdict %q", first.Cached, second.Cached, second.Verdict)
+	}
+	if stats := getStats(t, ts); stats["cache_len"].(float64) != 0 || stats["cache_hits"].(float64) != 0 {
+		t.Errorf("cache 0: cache_len %v, cache_hits %v, want 0 and 0", stats["cache_len"], stats["cache_hits"])
+	}
+}
+
+// TestHardnessOrder: planShards orders addresses by projection size
+// descending, ties by address ascending — a deterministic LPT schedule —
+// and keeps every checked address exactly once, including one that
+// only declares a final value (size 0, so last). Every address here is
+// litmus-sized, so all of them ride the batch shard.
+func TestHardnessOrder(t *testing.T) {
+	exec := memory.NewExecution(
+		memory.History{memory.W(2, 1), memory.W(2, 2), memory.W(2, 3), memory.W(0, 1), memory.W(0, 2)},
+		memory.History{memory.W(2, 4), memory.W(1, 1), memory.W(3, 1), memory.W(3, 2)},
+	).SetFinal(5, 0) // sizes 2, 1, 4, 2 and 0 at address 5
+	addrs, inBatch := planShards(exec)
+	if want := []memory.Addr{2, 0, 3, 1, 5}; !slices.Equal(addrs, want) {
+		t.Fatalf("hardness order = %v, want %v", addrs, want)
+	}
+	if !slices.Equal(inBatch, []bool{true, true, true, true, true}) {
+		t.Errorf("batch plan = %v, want every address batched", inBatch)
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		exec, _ := workload.GenerateCoherent(rand.New(rand.NewSource(seed)), workload.GenConfig{
+			Processors: 3, OpsPerProc: 12, Addresses: 4, Values: 3,
+		})
+		addrs, _ := planShards(exec)
+		sorted := slices.Clone(addrs)
+		slices.Sort(sorted)
+		if !slices.Equal(sorted, exec.CheckedAddresses()) {
+			t.Fatalf("seed %d: plan %v is not a permutation of the checked addresses %v", seed, addrs, exec.CheckedAddresses())
+		}
+	}
+}
+
+// TestPSearchTeam drives the -psearch head-of-queue team: a request
+// whose hardest address needs the exact search and has more than
+// batchMaxOps operations (so it is not batched) — a Fig 4.1 reduction of
+// an unsatisfiable 3-variable formula, which solves in milliseconds.
+// The team answers what a sequential server answers, the address is
+// decided by the parallel search, and /v1/stats reports the configured
+// team size and, as the effective one, the widest team the response
+// shows.
+func TestPSearchTeam(t *testing.T) {
+	var clauses []sat.Clause
+	for bits := 0; bits < 8; bits++ {
+		c := sat.Clause{}
+		for k := 0; k < 3; k++ {
+			l := sat.Lit(k + 1)
+			if bits&(1<<k) != 0 {
+				l = l.Neg()
+			}
+			c = append(c, l)
+		}
+		clauses = append(clauses, c)
+	}
+	inst, err := reduction.SATToVMC(sat.NewFormula(clauses...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := inst.Exec.NumOps(); n <= batchMaxOps {
+		t.Fatalf("instance has %d ops, want more than %d so it is not batched", n, batchMaxOps)
+	}
+	var buf bytes.Buffer
+	if err := trace.Write(&buf, trace.New(inst.Exec)); err != nil {
+		t.Fatal(err)
+	}
+	_, seqTS := newTestServer(t, serverConfig{workers: 2})
+	_, seq := postTrace(t, seqTS, "", buf.String())
+	_, teamTS := newTestServer(t, serverConfig{workers: 2, psearch: 2})
+	resp, team := postTrace(t, teamTS, "", buf.String())
+	if resp.StatusCode != http.StatusOK || team.Verdict != seq.Verdict || team.Verdict != "incoherent" {
+		t.Fatalf("status %d: team verdict %q, sequential %q, want incoherent from both", resp.StatusCode, team.Verdict, seq.Verdict)
+	}
+	if len(team.Addrs) != 1 || team.Addrs[0].Algorithm != "parallel-search" || seq.Addrs[0].Algorithm != "general-search" {
+		t.Fatalf("algorithms: team %+v, sequential %+v", team.Addrs, seq.Addrs)
+	}
+	widest := 0
+	for _, ar := range team.Addrs {
+		widest = max(widest, ar.Workers)
+	}
+	stats := getStats(t, teamTS)
+	if stats["search_workers"].(float64) != 2 || stats["search_workers_effective"].(float64) != float64(widest) {
+		t.Errorf("search_workers %v, search_workers_effective %v, want 2 and %d",
+			stats["search_workers"], stats["search_workers_effective"], widest)
+	}
 }

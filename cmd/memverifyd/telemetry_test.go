@@ -174,7 +174,7 @@ func sampleValue(text, series string) (float64, bool) {
 // line must be in the exposition grammar, the stage histograms must have
 // observations, and the service gauges and counters must be present.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, serverConfig{workers: 2})
+	_, ts := newTestServer(t, serverConfig{workers: 2, cacheSize: 1024})
 	postTrace(t, ts, "", coherentTrace)
 	postTrace(t, ts, "", coherentTrace) // cache hit: no solve stage
 	postTrace(t, ts, "", incoherentTrace)

@@ -339,16 +339,12 @@ type coherenceCheck struct {
 // resilient reports whether the config asks for the degradation ladder.
 func (c *coherenceCheck) resilient() bool { return c.cfg.Strategy == solver.StrategyResilient }
 
-// verifier builds the per-address facade, overriding the per-solve
-// options (the checkpointed loop derives a per-address variant carrying
-// the resume memo and snapshot sink).
-func (c *coherenceCheck) verifier(opts *coherence.Options) *coherence.Verifier {
-	return coherence.NewVerifier(solver.WithConfig(c.cfg), solver.WithOptions(opts))
-}
-
+// run decides every address through the coherence Verifier's address
+// loop, which validates and projects the trace once and, with
+// -checkpoint or -resume, replays, seeds and records through the
+// checkpoint run; -use-order loops over the §5.2 write-order algorithm
+// instead. Each address's outcome is printed as it arrives.
 func (c *coherenceCheck) run(ctx context.Context, tr *trace.Trace, stdout, stderr io.Writer) int {
-	addrs := tr.Exec.CheckedAddresses()
-
 	var ckrun *coherence.CheckpointRun
 	if c.ckPath != "" || c.resumePath != "" {
 		if c.resumePath != "" {
@@ -381,63 +377,37 @@ func (c *coherenceCheck) run(ctx context.Context, tr *trace.Trace, stdout, stder
 		return true, true
 	}
 
-	bad := 0
-	for _, a := range addrs {
-		if ckrun != nil {
-			if res, ok := ckrun.Lookup(a); ok {
-				report(stdout, tr.Name(a), res, tr.Exec, c.stats, c.cert)
-				if !res.Coherent {
-					bad++
-				}
-				continue
+	// visit prints one address's outcome and reports whether the run
+	// goes on; when it does not, the run exits with code. A solve's
+	// latency runs from the previous visit, so the first address also
+	// carries the loop's one validation and projection pass.
+	bad, n, code, stopped := 0, 0, 0, false
+	solveStart := time.Now()
+	visit := func(ar *coherence.AddrReport, err error) bool {
+		n++
+		a := ar.Addr
+		defer func() { solveStart = time.Now() }()
+		if ar.Replayed {
+			report(stdout, tr.Name(a), ar.Result, tr.Exec, c.stats, c.cert)
+			if !ar.Result.Coherent {
+				bad++
 			}
+			return true
 		}
-		opts := c.cfg.Options
-		if ckrun != nil {
-			opts = ckrun.Configure(a, c.cfg.Options)
+		c.lat.ObserveSince(solveStart)
+		if err != nil {
+			code, stopped = c.handleSolveErr(tr, a, err, writeCk, stdout, stderr, &bad)
+			return !stopped
 		}
-
-		solveStart := time.Now()
 		if c.resilient() {
-			ar, err := c.verifier(opts).SolveAddr(ctx, tr.Exec, a)
-			c.lat.ObserveSince(solveStart)
-			if err != nil {
-				if code, stop := c.handleSolveErr(tr, a, err, writeCk, stdout, stderr, &bad); stop {
-					return code
-				}
-				continue
-			}
 			reportResilient(stdout, tr.Name(a), ar, tr.Exec, c.stats, c.cert)
 			if ar.Verdict != coherence.VerdictCoherent {
 				bad++
 			}
-			continue
+			return true
 		}
-
-		var res *coherence.Result
-		var err error
-		if c.useOrder {
-			order, ok := tr.WriteOrders[a]
-			if !ok && countWrites(tr.Exec, a) > 0 {
-				fmt.Fprintf(stderr, "vmcheck: no write order recorded for %s\n", tr.Name(a))
-				return 2
-			}
-			res, err = coherence.SolveWithWriteOrder(ctx, tr.Exec, a, order, c.cfg.Options)
-		} else {
-			res, err = c.verifier(opts).Solve(ctx, tr.Exec, a)
-		}
-		c.lat.ObserveSince(solveStart)
-		if err != nil {
-			if code, stop := c.handleSolveErr(tr, a, err, writeCk, stdout, stderr, &bad); stop {
-				return code
-			}
-			continue
-		}
-		if ckrun != nil {
-			ckrun.Record(a, res)
-		}
-		report(stdout, tr.Name(a), res, tr.Exec, c.stats, c.cert)
-		if !res.Coherent {
+		report(stdout, tr.Name(a), ar.Result, tr.Exec, c.stats, c.cert)
+		if !ar.Result.Coherent {
 			bad++
 			if c.diagnose && !c.useOrder {
 				c.printDiagnosis(ctx, tr, a, stdout, stderr)
@@ -446,15 +416,36 @@ func (c *coherenceCheck) run(ctx context.Context, tr *trace.Trace, stdout, stder
 				c.printExplanation(ctx, tr, a, stdout, stderr)
 			}
 		}
+		return true
+	}
+	if c.useOrder {
+		for _, a := range tr.Exec.CheckedAddresses() {
+			order, ok := tr.WriteOrders[a]
+			if !ok && countWrites(tr.Exec, a) > 0 {
+				fmt.Fprintf(stderr, "vmcheck: no write order recorded for %s\n", tr.Name(a))
+				return 2
+			}
+			solveStart = time.Now()
+			res, err := coherence.SolveWithWriteOrder(ctx, tr.Exec, a, order, c.cfg.Options)
+			if !visit(&coherence.AddrReport{Addr: a, Result: res}, err) {
+				break
+			}
+		}
+	} else if err := coherence.NewVerifier(solver.WithConfig(c.cfg)).VerifyEach(ctx, tr.Exec, ckrun, visit); err != nil {
+		fmt.Fprintf(stderr, "vmcheck: %v\n", err)
+		return 2
+	}
+	if stopped {
+		return code
 	}
 	if c.stats {
 		printLatencySummary(stdout, c.lat.Snapshot())
 	}
 	if bad > 0 {
-		fmt.Fprintf(stdout, "VIOLATION: %d of %d addresses incoherent or undecided\n", bad, len(addrs))
+		fmt.Fprintf(stdout, "VIOLATION: %d of %d addresses incoherent or undecided\n", bad, n)
 		return 1
 	}
-	fmt.Fprintf(stdout, "OK: execution coherent at all %d addresses\n", len(addrs))
+	fmt.Fprintf(stdout, "OK: execution coherent at all %d addresses\n", n)
 	return 0
 }
 

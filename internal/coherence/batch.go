@@ -3,35 +3,33 @@ package coherence
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"memverify/internal/memory"
 )
 
 // SolveBatch runs the escalation ladder over many single-address VMC
-// instances with pooled state. It exists for workloads shaped like
-// memverifyd's cache-miss bursts — many independent litmus-sized jobs,
-// each cheap to solve, where a loop over Verifier.SolveAddr spends more
-// time on per-call ceremony (validation, projection, allocation) than
-// on the solves themselves.
+// instances. It exists for workloads shaped like memverifyd's
+// cache-miss bursts — many independent litmus-sized jobs, each cheap to
+// solve, where a loop over Verifier.SolveAddr spends more time on
+// per-call ceremony (validation, projection, allocation) than on the
+// solves themselves.
 //
-// What the batch path shares, per job, relative to a looped SolveAddr:
+// Jobs over one execution form a group, and each group goes through
+// the address loop every multi-address entry point shares (eachAddr):
 //
 //   - Validate runs once per distinct *Execution, not once per job;
-//   - jobs over one execution are grouped, and all of the group's
-//     addresses are projected in a single pass over the histories into
-//     pooled backing arrays — a loop re-scans the whole execution once
-//     per address, so an A-address burst does ~2A full scans where the
-//     batch does ~2;
+//   - all of the group's addresses are projected in a single pass over
+//     the histories into pooled backing arrays — a loop of SolveAddr
+//     re-scans the whole execution once per address, so an A-address
+//     burst does ~2A full scans where the batch does ~2;
 //   - the exact rung's layout, memo table, budget and searcher buffers
 //     come from the same pooled searchScratch every search uses, with
 //     the memo sized to the instance.
 //
 // Each job climbs exactly the ladder SolveAddr climbs, so verdicts,
-// rungs, algorithms and evidence agree. Batch throughput comes from
-// shared setup and from fanning execution groups across Config.Workers,
-// not from Options.ParallelSearch, which is cleared for batch jobs
-// (litmus-sized instances are below any useful frontier split).
+// rungs, algorithms and evidence agree. Options.ParallelSearch is
+// cleared for batch jobs: litmus-sized instances are below any useful
+// frontier split.
 
 // BatchJob names one single-address VMC instance of a batch: decide
 // coherence of Exec's operations at Addr.
@@ -51,11 +49,62 @@ type BatchResult struct {
 	Err error
 }
 
-// batchScratch is one worker's grouped-projection state: one pass over
-// an execution's histories fills instances for every address its group
-// requests. All slices are carved from the g* backing arrays, which
+// SolveBatch solves every job under the verifier's configured strategy
+// and budget, on the caller's goroutine, and returns one BatchResult per
+// job in job order. A cancelled context marks the remaining jobs' Err.
+func (v *Verifier) SolveBatch(ctx context.Context, jobs []BatchJob) []BatchResult {
+	out := make([]BatchResult, len(jobs))
+	if len(jobs) == 0 {
+		return out
+	}
+	groupOf := make(map[*memory.Execution]int, min(len(jobs), 64))
+	var groups []batchGroup
+	for i := range jobs {
+		g, ok := groupOf[jobs[i].Exec]
+		if !ok {
+			g = len(groups)
+			groupOf[jobs[i].Exec] = g
+			groups = append(groups, batchGroup{exec: jobs[i].Exec})
+		}
+		groups[g].jobIdx = append(groups[g].jobIdx, i)
+		groups[g].addrs = append(groups[g].addrs, jobs[i].Addr)
+	}
+
+	opts := v.cfg.Options
+	if opts.ParallelSearch != 0 {
+		opts = opts.Clone()
+		opts.ParallelSearch = 0
+	}
+	var g *batchGroup
+	visit := func(i int, ar *AddrReport, err error) bool {
+		br := &out[g.jobIdx[i]]
+		br.AddrReport, br.Err = *ar, err
+		return true
+	}
+	for gi := range groups {
+		g = &groups[gi]
+		if err := v.eachAddr(ctx, g.exec, g.addrs, opts, nil, visit); err != nil {
+			for _, i := range g.jobIdx {
+				out[i].Err = err
+			}
+		}
+	}
+	return out
+}
+
+// batchGroup is every job of one batch that shares an execution, with
+// the address of each.
+type batchGroup struct {
+	exec   *memory.Execution
+	jobIdx []int
+	addrs  []memory.Addr
+}
+
+// groupScratch is the address loop's grouped-projection state: one pass
+// over an execution's histories fills instances for every address the
+// loop requests. All slices are carved from the g* backing arrays, which
 // grow to the largest group seen and are then reused verbatim.
-type batchScratch struct {
+type groupScratch struct {
 	gAddrIdx map[memory.Addr]int
 	gAddrs   []memory.Addr // index -> addr, the inverse of gAddrIdx
 	gSlot    []int32       // dense addr -> index+1 table (0 = untracked)
@@ -69,164 +118,77 @@ type batchScratch struct {
 	gCount   []int            // per (addr, proc) op counts, then fill cursors
 }
 
-// batchSlotMax bounds the dense address table: a group whose addresses
-// all fall in [0, batchSlotMax) resolves each op's address with a slice
+// groupSlotMax bounds the dense address table: a group whose addresses
+// all fall in [0, groupSlotMax) resolves each op's address with a slice
 // index instead of a map lookup in the projection passes. 64 KiB once
 // per pooled scratch.
-const batchSlotMax = 1 << 14
+const groupSlotMax = 1 << 14
 
-var batchScratchPool = sync.Pool{New: func() any {
-	return &batchScratch{gAddrIdx: make(map[memory.Addr]int)}
+var groupScratchPool = sync.Pool{New: func() any {
+	return &groupScratch{gAddrIdx: make(map[memory.Addr]int)}
 }}
 
-// SolveBatch solves every job under the verifier's configured strategy
-// and budget, fanning execution groups across Config.Workers pooled
-// workers, and returns one BatchResult per job in job order. A
-// cancelled context marks the remaining jobs' Err.
-func (v *Verifier) SolveBatch(ctx context.Context, jobs []BatchJob) []BatchResult {
-	out := make([]BatchResult, len(jobs))
-	if len(jobs) == 0 {
-		return out
-	}
-
-	// Group jobs by execution. A group is the unit of work a worker
-	// claims: it validates the execution once and projects every
-	// requested address in one pass over the histories.
-	groupOf := make(map[*memory.Execution]int, min(len(jobs), 64))
-	var groups []batchGroup
-	for i := range jobs {
-		g, ok := groupOf[jobs[i].Exec]
-		if !ok {
-			g = len(groups)
-			groupOf[jobs[i].Exec] = g
-			groups = append(groups, batchGroup{exec: jobs[i].Exec})
-		}
-		groups[g].jobIdx = append(groups[g].jobIdx, i)
-	}
-
-	opts := v.cfg.Options
-	if opts.ParallelSearch != 0 {
-		opts = opts.Clone()
-		opts.ParallelSearch = 0
-	}
-	var nextGroup atomic.Int64
-	drain := func() {
-		bs := batchScratchPool.Get().(*batchScratch)
-		defer batchScratchPool.Put(bs)
-		for {
-			gi := int(nextGroup.Add(1)) - 1
-			if gi >= len(groups) {
-				return
-			}
-			v.solveGroup(ctx, bs, jobs, &groups[gi], opts, out)
-		}
-	}
-	workers := min(max(v.cfg.Workers, 1), len(groups))
-	if workers == 1 {
-		// On the caller's goroutine: its stack has already grown to what
-		// the exact search recurses through, a fresh goroutine's has not.
-		drain()
-		return out
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			drain()
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// batchGroup is every job of one batch that shares an execution.
-type batchGroup struct {
-	exec   *memory.Execution
-	jobIdx []int
-}
-
-// solveGroup validates the group's execution once, projects all of its
-// addresses in one pass, and climbs the ladder for each job.
-func (v *Verifier) solveGroup(ctx context.Context, bs *batchScratch, jobs []BatchJob, g *batchGroup, opts *Options, out []BatchResult) {
-	if err := g.exec.Validate(); err != nil {
-		for _, i := range g.jobIdx {
-			out[i].Err = err
-		}
-		return
-	}
-	bs.groupProject(g.exec, jobs, g.jobIdx)
-	for _, i := range g.jobIdx {
-		br := &out[i]
-		inst := &bs.gInsts[bs.gAddrIdx[jobs[i].Addr]]
-		if err := v.decide(ctx, g.exec, inst, opts, &br.AddrReport); err != nil {
-			br.Err = err
-		}
-	}
-}
-
-// groupProject fills bs.gInsts with one instance per distinct address
-// in the group, projecting all of them in a single pass over the
+// groupProject fills gs.gInsts with one instance per distinct address
+// of addrs, projecting all of them in a single pass over the
 // execution's histories. Two counting+filling passes replace the
 // len(addrs) full Project scans a loop would do; every slice is carved
 // out of reusable backing arrays, so a group costs O(1) allocations once
 // the pool is warm. An execution that is its own projection at the one
 // requested address (ownProjection) is handed over as it is: the
 // instance aliases its histories and both passes are skipped.
-func (bs *batchScratch) groupProject(exec *memory.Execution, jobs []BatchJob, jobIdx []int) {
-	clear(bs.gAddrIdx)
-	bs.gAddrs = bs.gAddrs[:0]
+func (gs *groupScratch) groupProject(exec *memory.Execution, addrs []memory.Addr) {
+	clear(gs.gAddrIdx)
+	gs.gAddrs = gs.gAddrs[:0]
 	dense := true
-	for _, i := range jobIdx {
-		addr := jobs[i].Addr
-		if _, ok := bs.gAddrIdx[addr]; !ok {
-			bs.gAddrIdx[addr] = len(bs.gAddrs)
-			bs.gAddrs = append(bs.gAddrs, addr)
-			if addr < 0 || addr >= batchSlotMax {
+	for _, addr := range addrs {
+		if _, ok := gs.gAddrIdx[addr]; !ok {
+			gs.gAddrIdx[addr] = len(gs.gAddrs)
+			gs.gAddrs = append(gs.gAddrs, addr)
+			if addr < 0 || addr >= groupSlotMax {
 				dense = false
 			}
 		}
 	}
-	na := len(bs.gAddrs)
-	bs.gInsts = growSlice(bs.gInsts, na)
-	bs.gInit = growSlice(bs.gInit, na)
-	bs.gFinal = growSlice(bs.gFinal, na)
-	if na == 1 && ownProjection(exec, bs.gAddrs[0]) {
-		bs.assemble(exec, 0, exec.Histories, nil, exec.NumOps())
+	na := len(gs.gAddrs)
+	gs.gInsts = growSlice(gs.gInsts, na)
+	gs.gInit = growSlice(gs.gInit, na)
+	gs.gFinal = growSlice(gs.gFinal, na)
+	if na == 1 && ownProjection(exec, gs.gAddrs[0]) {
+		gs.assemble(exec, 0, exec.Histories, nil, exec.NumOps())
 		return
 	}
 	// The dense table turns the per-op address lookup of both passes
 	// into a slice index. Slots are set for the group's addresses only
 	// and cleared the same way, so a group costs O(addresses) table
-	// maintenance regardless of batchSlotMax.
+	// maintenance regardless of groupSlotMax.
 	if dense {
-		if bs.gSlot == nil {
-			bs.gSlot = make([]int32, batchSlotMax)
+		if gs.gSlot == nil {
+			gs.gSlot = make([]int32, groupSlotMax)
 		}
-		for idx, addr := range bs.gAddrs {
-			bs.gSlot[addr] = int32(idx) + 1
+		for idx, addr := range gs.gAddrs {
+			gs.gSlot[addr] = int32(idx) + 1
 		}
 		defer func() {
-			for _, addr := range bs.gAddrs {
-				bs.gSlot[addr] = 0
+			for _, addr := range gs.gAddrs {
+				gs.gSlot[addr] = 0
 			}
 		}()
 	}
 	np := len(exec.Histories)
 
 	// Pass 1: count projected ops per (address, process).
-	bs.gCount = growSlice(bs.gCount, 2*na*np)
-	counts, cursors := bs.gCount[:na*np], bs.gCount[na*np:]
+	gs.gCount = growSlice(gs.gCount, 2*na*np)
+	counts, cursors := gs.gCount[:na*np], gs.gCount[na*np:]
 	clear(counts)
 	total := 0
 	for p, h := range exec.Histories {
 		if dense {
-			slot := bs.gSlot
+			slot := gs.gSlot
 			for _, o := range h {
 				if !o.IsMemory() {
 					continue
 				}
-				if a := o.Addr; a >= 0 && a < batchSlotMax && slot[a] != 0 {
+				if a := o.Addr; a >= 0 && a < groupSlotMax && slot[a] != 0 {
 					counts[int(slot[a]-1)*np+p]++
 					total++
 				}
@@ -237,7 +199,7 @@ func (bs *batchScratch) groupProject(exec *memory.Execution, jobs []BatchJob, jo
 			if !o.IsMemory() {
 				continue
 			}
-			if a, ok := bs.gAddrIdx[o.Addr]; ok {
+			if a, ok := gs.gAddrIdx[o.Addr]; ok {
 				counts[a*np+p]++
 				total++
 			}
@@ -246,15 +208,15 @@ func (bs *batchScratch) groupProject(exec *memory.Execution, jobs []BatchJob, jo
 
 	// Carve the per-(address, process) sub-histories and back-maps out
 	// of two flat backing arrays, recording each slot's start cursor.
-	bs.gOps = growSlice(bs.gOps, total)
-	bs.gBack = growSlice(bs.gBack, total)
-	bs.gHist = growSlice(bs.gHist, na*np)
-	bs.gBackHdr = growSlice(bs.gBackHdr, na*np)
+	gs.gOps = growSlice(gs.gOps, total)
+	gs.gBack = growSlice(gs.gBack, total)
+	gs.gHist = growSlice(gs.gHist, na*np)
+	gs.gBackHdr = growSlice(gs.gBackHdr, na*np)
 	off := 0
 	for s := range counts {
 		n := counts[s]
-		bs.gHist[s] = memory.History(bs.gOps[off : off+n : off+n])
-		bs.gBackHdr[s] = bs.gBack[off : off+n : off+n]
+		gs.gHist[s] = memory.History(gs.gOps[off : off+n : off+n])
+		gs.gBackHdr[s] = gs.gBack[off : off+n : off+n]
 		cursors[s] = off
 		off += n
 	}
@@ -262,19 +224,19 @@ func (bs *batchScratch) groupProject(exec *memory.Execution, jobs []BatchJob, jo
 	// Pass 2: fill.
 	for p, h := range exec.Histories {
 		if dense {
-			slot := bs.gSlot
+			slot := gs.gSlot
 			for i, o := range h {
 				if !o.IsMemory() {
 					continue
 				}
 				a := o.Addr
-				if a < 0 || a >= batchSlotMax || slot[a] == 0 {
+				if a < 0 || a >= groupSlotMax || slot[a] == 0 {
 					continue
 				}
 				s := int(slot[a]-1)*np + p
 				c := cursors[s]
-				bs.gOps[c] = o
-				bs.gBack[c] = memory.Ref{Proc: p, Index: i}
+				gs.gOps[c] = o
+				gs.gBack[c] = memory.Ref{Proc: p, Index: i}
 				cursors[s] = c + 1
 			}
 			continue
@@ -283,39 +245,39 @@ func (bs *batchScratch) groupProject(exec *memory.Execution, jobs []BatchJob, jo
 			if !o.IsMemory() {
 				continue
 			}
-			a, ok := bs.gAddrIdx[o.Addr]
+			a, ok := gs.gAddrIdx[o.Addr]
 			if !ok {
 				continue
 			}
 			s := a*np + p
 			c := cursors[s]
-			bs.gOps[c] = o
-			bs.gBack[c] = memory.Ref{Proc: p, Index: i}
+			gs.gOps[c] = o
+			gs.gBack[c] = memory.Ref{Proc: p, Index: i}
 			cursors[s] = c + 1
 		}
 	}
 
-	for a := range bs.gAddrs {
+	for a := range gs.gAddrs {
 		nops := 0
 		for s := a * np; s < (a+1)*np; s++ {
 			nops += counts[s]
 		}
-		bs.assemble(exec, a, bs.gHist[a*np:(a+1)*np], bs.gBackHdr[a*np:(a+1)*np], nops)
+		gs.assemble(exec, a, gs.gHist[a*np:(a+1)*np], gs.gBackHdr[a*np:(a+1)*np], nops)
 	}
 }
 
 // assemble fills instance a of the group. gInit/gFinal are sized before
 // any pointer into them is taken, so the pointers stay valid for the
 // group.
-func (bs *batchScratch) assemble(exec *memory.Execution, a int, hist []memory.History, back [][]memory.Ref, nops int) {
-	addr := bs.gAddrs[a]
-	bs.gInsts[a] = instance{addr: addr, hist: hist, backIdx: back, nops: nops}
+func (gs *groupScratch) assemble(exec *memory.Execution, a int, hist []memory.History, back [][]memory.Ref, nops int) {
+	addr := gs.gAddrs[a]
+	gs.gInsts[a] = instance{addr: addr, hist: hist, backIdx: back, nops: nops}
 	if d, ok := exec.Initial[addr]; ok {
-		bs.gInit[a] = d
-		bs.gInsts[a].init = &bs.gInit[a]
+		gs.gInit[a] = d
+		gs.gInsts[a].init = &gs.gInit[a]
 	}
 	if d, ok := exec.Final[addr]; ok {
-		bs.gFinal[a] = d
-		bs.gInsts[a].final = &bs.gFinal[a]
+		gs.gFinal[a] = d
+		gs.gInsts[a].final = &gs.gFinal[a]
 	}
 }

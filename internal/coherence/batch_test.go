@@ -35,33 +35,30 @@ func batchJobs(rng *rand.Rand, n int) []BatchJob {
 func TestSolveBatchParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	jobs := batchJobs(rng, 500)
-	for _, workers := range []int{1, 4} {
-		v := NewVerifier(solver.WithWorkers(workers))
-		got := v.SolveBatch(context.Background(), jobs)
-		if len(got) != len(jobs) {
-			t.Fatalf("got %d results for %d jobs", len(got), len(jobs))
+	v := NewVerifier()
+	got := v.SolveBatch(context.Background(), jobs)
+	if len(got) != len(jobs) {
+		t.Fatalf("got %d results for %d jobs", len(got), len(jobs))
+	}
+	for i, job := range jobs {
+		want, err := v.Solve(context.Background(), job.Exec, job.Addr)
+		if err != nil {
+			t.Fatalf("job %d: looped solve failed: %v", i, err)
 		}
-		for i, job := range jobs {
-			want, err := v.Solve(context.Background(), job.Exec, job.Addr)
-			if err != nil {
-				t.Fatalf("job %d: looped solve failed: %v", i, err)
-			}
-			br := &got[i]
-			if br.Err != nil {
-				t.Fatalf("job %d (workers=%d): batch error: %v", i, workers, br.Err)
-			}
-			if br.Result.Coherent != want.Coherent {
-				t.Fatalf("job %d (workers=%d): verdict mismatch: batch=%v loop=%v",
-					i, workers, br.Result.Coherent, want.Coherent)
-			}
-			if br.Result.Algorithm != want.Algorithm {
-				t.Fatalf("job %d: algorithm mismatch: batch=%q loop=%q",
-					i, br.Result.Algorithm, want.Algorithm)
-			}
-			if br.Result.Coherent {
-				if err := memory.CheckCoherent(job.Exec, job.Addr, br.Result.Schedule); err != nil {
-					t.Fatalf("job %d: invalid batch certificate: %v", i, err)
-				}
+		br := &got[i]
+		if br.Err != nil {
+			t.Fatalf("job %d: batch error: %v", i, br.Err)
+		}
+		if br.Result.Coherent != want.Coherent {
+			t.Fatalf("job %d: verdict mismatch: batch=%v loop=%v", i, br.Result.Coherent, want.Coherent)
+		}
+		if br.Result.Algorithm != want.Algorithm {
+			t.Fatalf("job %d: algorithm mismatch: batch=%q loop=%q",
+				i, br.Result.Algorithm, want.Algorithm)
+		}
+		if br.Result.Coherent {
+			if err := memory.CheckCoherent(job.Exec, job.Addr, br.Result.Schedule); err != nil {
+				t.Fatalf("job %d: invalid batch certificate: %v", i, err)
 			}
 		}
 	}
@@ -112,8 +109,7 @@ func TestSolveBatchMatchesSolveAddr(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, budget := range []int{0, 10} {
-			v := NewVerifier(solver.WithStrategy(strat), solver.WithWorkers(2),
-				solver.WithBudget(solver.WithMaxStates(budget)))
+			v := NewVerifier(solver.WithStrategy(strat), solver.WithBudget(solver.WithMaxStates(budget)))
 			for i, br := range v.SolveBatch(ctx, jobs) {
 				label := fmt.Sprintf("%s max-states=%d job %d", spelling, budget, i)
 				want, err := v.SolveAddr(ctx, jobs[i].Exec, jobs[i].Addr)

@@ -100,11 +100,10 @@ func ExecutionFingerprint(exec *memory.Execution) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// CheckpointRun accumulates resumable state across a sequential
-// per-address verification (the vmcheck coherence loop). It is not safe
-// for concurrent use: checkpointing serializes the address loop by
-// design — an interrupted parallel run would need one pending search per
-// worker, which the format deliberately does not model.
+// CheckpointRun accumulates resumable state across the address loop of
+// VerifyCheckpoint or VerifyEach, which replays, seeds and records
+// through it. It is not safe for concurrent use: the loop decides one
+// address at a time, and the format models one pending search.
 type CheckpointRun struct {
 	fp      string
 	done    []SavedResult
@@ -138,29 +137,34 @@ func ResumeCheckpointRun(exec *memory.Execution, ck *Checkpoint) (*CheckpointRun
 	return r, nil
 }
 
-// Lookup returns the already-completed result for addr, if the resumed
-// checkpoint carries one. The returned algorithm is annotated
+// replay fills ar with the already-completed verdict for addr, if the
+// resumed checkpoint carries one. The algorithm is annotated
 // "checkpoint:" so reports show the verdict was replayed, not re-solved.
-func (r *CheckpointRun) Lookup(addr memory.Addr) (*Result, bool) {
+func (r *CheckpointRun) replay(addr memory.Addr, ar *AddrReport) bool {
 	i, ok := r.doneIdx[addr]
 	if !ok {
-		return nil, false
+		return false
 	}
 	d := r.done[i]
-	return &Result{
+	res := &Result{
 		Coherent:  d.Coherent,
 		Decided:   true,
 		Schedule:  d.Schedule,
 		Algorithm: "checkpoint:" + d.Algorithm,
 		Stats:     d.Stats,
-	}, true
+	}
+	*ar = AddrReport{Addr: addr, Verdict: VerdictCoherent, Rung: RungExact, Result: res, Stats: res.Stats, Replayed: true}
+	if !res.Coherent {
+		ar.Verdict = VerdictIncoherent
+	}
+	return true
 }
 
-// Configure returns a clone of opts wired for addr: the failed-state
+// configure returns a clone of opts wired for addr: the failed-state
 // cache is seeded when the resumed checkpoint's pending search matches
 // addr, and every snapshot the searcher takes (periodic and at-abort)
 // lands in this run's current pending state.
-func (r *CheckpointRun) Configure(addr memory.Addr, opts *Options) *Options {
+func (r *CheckpointRun) configure(addr memory.Addr, opts *Options) *Options {
 	o := opts.Clone()
 	if r.resume != nil && r.resume.Addr == addr {
 		o.ResumeMemo = decodeMemo(r.resume.Memo)
@@ -176,9 +180,9 @@ func (r *CheckpointRun) Configure(addr memory.Addr, opts *Options) *Options {
 	return o
 }
 
-// Record stores a completed per-address result and clears any in-flight
+// record stores a completed per-address result and clears any in-flight
 // snapshot for it.
-func (r *CheckpointRun) Record(addr memory.Addr, res *Result) {
+func (r *CheckpointRun) record(addr memory.Addr, res *Result) {
 	if i, ok := r.doneIdx[addr]; ok {
 		r.done[i] = savedFrom(addr, res)
 		return
@@ -189,10 +193,6 @@ func (r *CheckpointRun) Record(addr memory.Addr, res *Result) {
 		r.current = nil
 	}
 }
-
-// Pending returns the latest in-flight search snapshot (nil when no
-// search has snapshotted since the last Record).
-func (r *CheckpointRun) Pending() *PendingSearch { return r.current }
 
 // Checkpoint packages the run's state for writing: completed verdicts
 // plus the most recent pending search, if any.

@@ -32,12 +32,13 @@
 // StrategyAuto (specialists, exact), StrategyFast (fast, specialists,
 // exact), StrategyExact (exact only) and StrategyResilient (all of them).
 // Verifier.Verify checks each address independently, per the paper's
-// definition of a coherent multiprocessor execution, optionally fanned
-// out across workers (solver.WithWorkers) in largest-projection-first
-// order; Verifier.SolveBatch runs the same ladder over many small jobs
-// with pooled state. The §5.2 write-order algorithm and the Figure 5.3
-// specialists are also exported on their own (SolveWithWriteOrder,
-// SolveReadMap, SolveSingleOp, SolveSingleOpRMW, CheckRMWWriteOrder).
+// definition of a coherent multiprocessor execution. Verify,
+// VerifyCheckpoint, VerifyEach and SolveBatch share one address loop: it
+// validates the execution once, projects every address in one pass and
+// climbs the ladder for each address in order. The §5.2 write-order
+// algorithm and the Figure 5.3 specialists are also exported on their
+// own (SolveWithWriteOrder, SolveReadMap, SolveSingleOp,
+// SolveSingleOpRMW, CheckRMWWriteOrder).
 //
 // Every entry point takes a context.Context and honors the unified
 // resource budget of internal/solver: cancellation, the per-solve
@@ -139,7 +140,7 @@ func project(exec *memory.Execution, addr memory.Addr) *instance {
 
 // ownProjection reports whether exec is its own projection at addr:
 // every operation is a memory operation at addr. Both project and the
-// batch driver's groupProject then skip the projection copy.
+// address loop's groupProject then skip the projection copy.
 func ownProjection(exec *memory.Execution, addr memory.Addr) bool {
 	for _, h := range exec.Histories {
 		for _, o := range h {

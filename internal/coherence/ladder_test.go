@@ -78,9 +78,10 @@ func checkPreset(t *testing.T, label string, exec *memory.Execution, strat solve
 
 // TestPresetOracle runs one corpus under every strategy spelling and
 // through every entry point that climbs the ladder — SolveAddr, Verify
-// with one and two workers (the latter with a parallel-search team for
-// the hardest address), and SolveBatch — and holds each report to the
-// exact preset's verdict and to its preset's rung contract.
+// sequentially and with a two-worker parallel-search team for each
+// exact search, and SolveBatch (which clears the team) — and holds each
+// report to the exact preset's verdict and to its preset's rung
+// contract.
 func TestPresetOracle(t *testing.T) {
 	ctx := context.Background()
 	corpus := presetCorpus(t)
@@ -120,18 +121,14 @@ func TestPresetOracle(t *testing.T) {
 				checkPreset(t, fmt.Sprintf("%s SolveAddr instance %d addr %d", spelling, n, a), exec, strat, ar, want[n][a])
 				decidedBy[algorithm(ar)]++
 			}
-			for _, workers := range []int{1, 2} {
-				opts := []solver.ConfigOption{solver.WithStrategy(strat), solver.WithWorkers(workers)}
-				if workers > 1 {
-					opts = append(opts, solver.WithBudget(solver.WithParallelSearch(2)))
-				}
-				rep, err := NewVerifier(opts...).Verify(ctx, exec)
+			for _, psearch := range []int{0, 2} {
+				rep, err := NewVerifier(solver.WithStrategy(strat), solver.WithBudget(solver.WithParallelSearch(psearch))).Verify(ctx, exec)
 				if err != nil {
-					t.Fatalf("%s instance %d: Verify(workers=%d): %v", spelling, n, workers, err)
+					t.Fatalf("%s instance %d: Verify(psearch=%d): %v", spelling, n, psearch, err)
 				}
 				for i := range rep.Addrs {
 					ar := &rep.Addrs[i]
-					checkPreset(t, fmt.Sprintf("%s Verify(workers=%d) instance %d addr %d", spelling, workers, n, ar.Addr),
+					checkPreset(t, fmt.Sprintf("%s Verify(psearch=%d) instance %d addr %d", spelling, psearch, n, ar.Addr),
 						exec, strat, ar, want[n][ar.Addr])
 				}
 			}
@@ -147,7 +144,7 @@ func TestPresetOracle(t *testing.T) {
 				t.Errorf("%s: specialists or exact search never decided: %v", spelling, decidedBy)
 			}
 		}
-		bv := NewVerifier(solver.WithStrategy(strat), solver.WithWorkers(2))
+		bv := NewVerifier(solver.WithStrategy(strat), solver.WithBudget(solver.WithParallelSearch(2)))
 		for i, br := range bv.SolveBatch(ctx, jobs) {
 			if br.Err != nil {
 				t.Fatalf("%s SolveBatch job %d: %v", spelling, i, br.Err)

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -176,6 +177,97 @@ func BenchmarkFastPathRelay(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := v.Verify(context.Background(), exec); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// wideExecution has n two-op addresses: P0 writes each address once and
+// P1 reads the value back.
+func wideExecution(n int) *memory.Execution {
+	exec := &memory.Execution{Histories: make([]memory.History, 2)}
+	for a := 0; a < n; a++ {
+		exec.Histories[0] = append(exec.Histories[0], memory.W(memory.Addr(a), 1))
+		exec.Histories[1] = append(exec.Histories[1], memory.R(memory.Addr(a), 1))
+	}
+	return exec
+}
+
+// TestVerifyWideAllocs is the allocation guard for the address loop's
+// one-pass projection: Verify on 2,000 two-op addresses allocates at
+// most 14 times per address. Projecting each address on its own — a
+// full scan of the execution and fresh histories per address — costs
+// 19 per address and makes Verify quadratic in the address count.
+func TestVerifyWideAllocs(t *testing.T) {
+	const n = 2000
+	ctx := context.Background()
+	exec := wideExecution(n)
+	v := NewVerifier()
+	allocs := testing.AllocsPerRun(3, func() {
+		rep, err := v.Verify(ctx, exec)
+		if err != nil || !rep.Coherent() || len(rep.Addrs) != n {
+			t.Fatalf("wide execution: verdict %v over %d addresses (err %v)", rep.Verdict, len(rep.Addrs), err)
+		}
+	})
+	if per := allocs / n; per > 14 {
+		t.Errorf("Verify allocated %.1f times per address, want at most 14", per)
+	}
+}
+
+// TestVerifyManyProcessesBoundedProjection: a pass of the address
+// loop's projection keeps (address, process) tables, so 500 processes
+// that each write 10 addresses of their own would need 2.5 million
+// history headers — about 160 MB — in one pass. The loop splits the
+// addresses into passes whose tables are about the execution's size,
+// and Verify stays within a few megabytes.
+func TestVerifyManyProcessesBoundedProjection(t *testing.T) {
+	const procs, perProc = 500, 10
+	exec := &memory.Execution{Histories: make([]memory.History, procs)}
+	for p := range exec.Histories {
+		for i := 0; i < perProc; i++ {
+			exec.Histories[p] = append(exec.Histories[p], memory.W(memory.Addr(p*perProc+i), 1))
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := NewVerifier().Verify(context.Background(), exec)
+	runtime.ReadMemStats(&after)
+	if err != nil || !rep.Coherent() || len(rep.Addrs) != procs*perProc {
+		t.Fatalf("verdict %v over %d addresses (err %v)", rep.Verdict, len(rep.Addrs), err)
+	}
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 32 {
+		t.Errorf("Verify allocated %.1f MB for %d ops, want at most 32", mb, exec.NumOps())
+	}
+}
+
+// BenchmarkVerifyWide prices Verify and SolveBatch over the same
+// 2,000–20,000 two-op addresses; both run the one address loop, so their
+// time per address stays flat as the address count grows.
+func BenchmarkVerifyWide(b *testing.B) {
+	ctx := context.Background()
+	v := NewVerifier()
+	for _, n := range []int{2000, 20000} {
+		exec := wideExecution(n)
+		jobs := make([]BatchJob, n)
+		for a := range jobs {
+			jobs[a] = BatchJob{Exec: exec, Addr: memory.Addr(a)}
+		}
+		b.Run(fmt.Sprintf("verify/addrs=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := v.Verify(ctx, exec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("batch/addrs=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, br := range v.SolveBatch(ctx, jobs) {
+					if br.Err != nil {
+						b.Fatal(br.Err)
+					}
 				}
 			}
 		})

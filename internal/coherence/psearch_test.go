@@ -240,9 +240,9 @@ func TestParallelSearchIncoherentComplete(t *testing.T) {
 	}
 }
 
-// TestVerifyParallelWithTeams: the execution-level parallel verify with
-// a psearch team configured must stay correct across a multi-address
-// execution (the LPT head gets the team, the rest go solo).
+// TestVerifyParallelWithTeams: Verify with a psearch team configured
+// must stay correct across a multi-address execution; every address's
+// exact search takes the team, one address at a time.
 func TestVerifyParallelWithTeams(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	exec := &memory.Execution{}
@@ -263,10 +263,7 @@ func TestVerifyParallelWithTeams(t *testing.T) {
 			exec.SetInitial(a, d)
 		}
 	}
-	v := NewVerifier(
-		solver.WithWorkers(3),
-		solver.WithBudget(solver.WithParallelSearch(4)),
-	)
+	v := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithBudget(solver.WithParallelSearch(4)))
 	rep, err := v.Verify(context.Background(), exec)
 	if err != nil {
 		t.Fatal(err)
@@ -281,6 +278,9 @@ func TestVerifyParallelWithTeams(t *testing.T) {
 		}
 		if err := memory.CheckCoherent(exec, ar.Addr, ar.Result.Schedule); err != nil {
 			t.Fatalf("addr %d: invalid certificate: %v", ar.Addr, err)
+		}
+		if ar.Result.Algorithm != "parallel-search" {
+			t.Fatalf("addr %d: decided by %q, want the team's parallel-search", ar.Addr, ar.Result.Algorithm)
 		}
 	}
 }

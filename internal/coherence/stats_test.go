@@ -2,7 +2,6 @@ package coherence
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 
 	"memverify/internal/memory"
@@ -32,58 +31,32 @@ func generalSearchExec(naddr int) *memory.Execution {
 	return exec
 }
 
-// TestParallelStatsMatchSerial checks that fanning the per-address
-// solves across workers leaves each address's Stats exactly as the
-// serial run produces them — the solves are independent, so no state,
-// memo lookup, or eager read may appear in two addresses' stats.
-func TestParallelStatsMatchSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 20; i++ {
-		exec := multiAddressInstance(rng, 2+rng.Intn(4))
-		serial, err := verifyMap(context.Background(), exec, nil, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := verifyMap(context.Background(), exec, nil, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sumSerial, sumPar Stats
-		for a, want := range serial {
-			got := par[a]
-			if got == nil {
-				t.Fatalf("instance %d: no parallel result for address %d", i, a)
-			}
-			if !statsEqual(got.Stats, want.Stats) {
-				t.Fatalf("instance %d addr %d: parallel stats %+v != serial %+v",
-					i, a, got.Stats, want.Stats)
-			}
-			sumSerial.Merge(want.Stats)
-			sumPar.Merge(got.Stats)
-		}
-		if !statsEqual(sumPar, sumSerial) {
-			t.Fatalf("instance %d: merged totals differ: %+v != %+v", i, sumPar, sumSerial)
-		}
+// TestParallelMetricsAggregation attaches a registry to Verify, with a
+// sequential exact search and with a two-worker parallel-search team,
+// and checks its search counters reconcile exactly with the per-address
+// solver.Stats: total states equal the merged sum (no delta flushed
+// twice, none lost) and the solve counter matches the address count.
+func TestParallelMetricsAggregation(t *testing.T) {
+	for _, tc := range []struct {
+		psearch   int
+		algorithm string
+	}{{0, "general-search"}, {2, "parallel-search"}} {
+		metricsAggregation(t, tc.psearch, tc.algorithm)
 	}
 }
 
-// TestParallelMetricsAggregation attaches a registry to a parallel
-// verification and checks its search counters reconcile exactly with
-// the per-address solver.Stats: total states equal the merged sum (no
-// delta flushed twice, none lost) and the solve counter matches the
-// address count.
-func TestParallelMetricsAggregation(t *testing.T) {
+func metricsAggregation(t *testing.T, psearch int, algorithm string) {
 	exec := generalSearchExec(3)
 	reg := obs.NewRegistry()
 	ctx := obs.With(context.Background(), &obs.Observer{Registry: reg})
-	par, err := verifyMap(ctx, exec, nil, 3)
+	par, err := verifyMap(ctx, exec, nil, psearch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum Stats
 	for _, r := range par {
-		if r.Algorithm != "general-search" {
-			t.Fatalf("algorithm = %q, want general-search (the test's premise)", r.Algorithm)
+		if r.Algorithm != algorithm {
+			t.Fatalf("psearch %d: algorithm = %q, want %s (the test's premise)", psearch, r.Algorithm, algorithm)
 		}
 		sum.Merge(r.Stats)
 	}

@@ -2,13 +2,9 @@ package coherence
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"os"
-	"sync"
 
 	"memverify/internal/memory"
-	"memverify/internal/obs"
 	"memverify/internal/solver"
 )
 
@@ -19,7 +15,6 @@ import (
 //
 //	v := coherence.NewVerifier(
 //	        solver.WithStrategy(solver.StrategyFast),
-//	        solver.WithWorkers(8),
 //	        solver.WithBudget(solver.WithMaxStates(1e6), solver.WithTimeout(time.Second)),
 //	)
 //	report, err := v.Verify(ctx, exec)
@@ -32,8 +27,7 @@ type Verifier struct {
 }
 
 // NewVerifier builds a Verifier from functional options. With no
-// options it verifies sequentially with StrategyAuto and no resource
-// bound.
+// options it verifies with StrategyAuto and no resource bound.
 func NewVerifier(opts ...solver.ConfigOption) *Verifier {
 	return &Verifier{cfg: solver.NewConfig(opts...)}
 }
@@ -60,6 +54,10 @@ type AddrReport struct {
 	// Checks lists the necessary-condition outcomes when the ladder
 	// reached RungNecessary.
 	Checks []string
+	// Replayed reports that the verdict was carried in by a resumed
+	// checkpoint (CheckpointRun), not solved; its algorithm is prefixed
+	// "checkpoint:".
+	Replayed bool
 }
 
 // Report is the execution-level outcome of Verifier.Verify: one
@@ -75,7 +73,7 @@ type Report struct {
 	// Stats merges the per-address stats.
 	Stats Stats
 	// Checkpoint carries the resumable state of a budget-aborted
-	// checkpointed run (nil otherwise); see solver.WithCheckpoint.
+	// VerifyCheckpoint run (nil otherwise).
 	Checkpoint *Checkpoint
 }
 
@@ -154,147 +152,27 @@ func (v *Verifier) SolveAddr(ctx context.Context, exec *memory.Execution, addr m
 }
 
 // Verify checks every address of the execution under the configured
-// strategy, budget and parallelism.
+// strategy and budget, in address order. With solver.WithParallelSearch
+// each exact search it runs gets the worker team, one address at a time.
 //
-// A budget trip the strategy does not degrade aborts the run on the
-// first affected address (in address order — deterministic even with
-// workers), returning the partial Report alongside the
-// *solver.ErrBudgetExceeded; StrategyResilient degrades the affected
-// address and continues, so its Report always covers every address
-// unless the context is cancelled. With solver.WithCheckpoint
-// configured, verification is sequential, resumes from the checkpoint
-// file when it exists, and re-writes it on a budget abort.
+// A budget trip the strategy does not degrade aborts the run at the
+// affected address, returning the partial Report (the addresses before
+// it) alongside the *solver.ErrBudgetExceeded; StrategyResilient
+// degrades the affected address and continues, so its Report always
+// covers every address unless the context is cancelled.
 func (v *Verifier) Verify(ctx context.Context, exec *memory.Execution) (*Report, error) {
-	if err := exec.Validate(); err != nil {
-		return nil, err
-	}
-	if v.cfg.CheckpointPath != "" {
-		return v.verifyCheckpointFile(ctx, exec)
-	}
-	if v.cfg.Workers > 1 {
-		return v.verifyParallel(ctx, exec, v.cfg.Workers)
-	}
-	return v.verifySequential(ctx, exec)
-}
-
-// verifySequential is the address-order loop behind sequential Verify.
-func (v *Verifier) verifySequential(ctx context.Context, exec *memory.Execution) (*Report, error) {
-	rep := &Report{}
-	var ar AddrReport
-	for _, a := range exec.CheckedAddresses() {
-		if err := v.decide(ctx, exec, project(exec, a), v.cfg.Options, &ar); err != nil {
-			return rep, err
-		}
-		rep.add(&ar)
-	}
-	rep.finalize()
-	return rep, nil
-}
-
-// verifyParallel fans the per-address checks out across workers
-// goroutines. Coherence is defined address-by-address (Section 3), so
-// the checks are embarrassingly parallel; on wide multi-address traces
-// this is a near-linear speedup.
-//
-// Results are deterministic: each per-address solve is independent and
-// runs to its own completion or budget regardless of goroutine
-// scheduling, and when several addresses fail the returned error is
-// always the one for the lowest address — so two runs over the same
-// input produce diffable output.
-//
-// Addresses are dispatched largest-projection-first (see hardnessOrder):
-// the per-address search is worst-case exponential in projection size,
-// so starting the heaviest address last would leave one worker grinding
-// alone after the rest drain. Dispatch order affects only load balance,
-// never results.
-//
-// When the configuration also carries solver.WithParallelSearch, the
-// intra-instance worker team goes to the hardest address only (the LPT
-// head): that address is the one whose single search dominates the
-// makespan, and giving every concurrent per-address solve its own team
-// would oversubscribe the machine workers × team wide. The remaining
-// addresses solve sequentially as before. Parallelism never changes
-// verdicts, so this is purely a scheduling decision.
-func (v *Verifier) verifyParallel(ctx context.Context, exec *memory.Execution, workers int) (*Report, error) {
-	addrs := exec.CheckedAddresses()
-	if workers > len(addrs) {
-		workers = len(addrs)
-	}
-	if workers <= 1 {
-		return v.verifySequential(ctx, exec)
-	}
-
-	order := hardnessOrder(addrs, projectionSizes(exec))
-	teamOpts, soloOpts := v.cfg.Options, v.cfg.Options
-	hardest := -1
-	if teamOpts.PSearch() > 1 && len(addrs) > 1 {
-		hardest = order[0]
-		solo := teamOpts.Clone()
-		solo.ParallelSearch = 0
-		soloOpts = solo
-	}
-
-	// Workers write into per-address slots, so no result ordering
-	// depends on channel receive order.
-	reports := make([]AddrReport, len(addrs))
-	errs := make([]error, len(addrs))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	tr := obs.TracerFrom(ctx)
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wctx := ctx
-			if tr != nil {
-				sp, sctx := tr.BeginWorker(ctx, "verify-worker", w)
-				defer sp.EndWorker(w, "done")
-				wctx = sctx
-			}
-			for i := range next {
-				opts := soloOpts
-				if i == hardest {
-					opts = teamOpts
-				}
-				errs[i] = v.decide(wctx, exec, project(exec, addrs[i]), opts, &reports[i])
-			}
-		}()
-	}
-	for _, i := range order {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
-	rep := &Report{}
-	for i := range addrs {
-		if errs[i] != nil {
-			return rep, errs[i]
-		}
-		rep.add(&reports[i])
-	}
-	rep.finalize()
-	return rep, nil
+	return v.report(ctx, exec, nil)
 }
 
 // VerifyCheckpoint is Verify with explicit checkpoint state: results
 // already present in resume are replayed without solving, the
 // interrupted address's search is seeded from its saved memo table, and
 // on a budget abort the returned Report's Checkpoint field captures
-// everything needed to continue later (nil on success). Checkpointing
-// serializes the address loop by design and requires a strategy that
-// always decides through the exact search (StrategyAuto or
-// StrategyExact).
+// everything needed to continue later (nil on success). It requires a
+// strategy that always decides through the exact search (StrategyAuto
+// or StrategyExact). LoadCheckpoint and Checkpoint.WriteFile carry the
+// state between runs.
 func (v *Verifier) VerifyCheckpoint(ctx context.Context, exec *memory.Execution, resume *Checkpoint) (*Report, error) {
-	if err := exec.Validate(); err != nil {
-		return nil, err
-	}
-	return v.verifyCheckpoint(ctx, exec, resume)
-}
-
-// verifyCheckpoint is VerifyCheckpoint on a validated execution.
-func (v *Verifier) verifyCheckpoint(ctx context.Context, exec *memory.Execution, resume *Checkpoint) (*Report, error) {
 	switch v.cfg.Strategy {
 	case solver.StrategyAuto, solver.StrategyExact:
 	default:
@@ -304,65 +182,99 @@ func (v *Verifier) verifyCheckpoint(ctx context.Context, exec *memory.Execution,
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{}
-	var ar AddrReport
-	for _, a := range exec.CheckedAddresses() {
-		if r, ok := run.Lookup(a); ok {
-			ar = AddrReport{Addr: a, Verdict: VerdictCoherent, Rung: RungExact, Result: r, Stats: r.Stats}
-			if !r.Coherent {
-				ar.Verdict = VerdictIncoherent
-			}
-			rep.add(&ar)
-			continue
+	return v.report(ctx, exec, run)
+}
+
+// VerifyEach runs Verify's address loop and hands each address's
+// outcome to visit, in address order: its report, or the budget error
+// that stopped its ladder (ar.Addr names the address either way). The
+// loop goes on to the next address while visit returns true. With a
+// non-nil run, an address the run has already settled is replayed
+// (ar.Replayed) instead of solved, every other address's search is
+// seeded from and snapshots into run, and each verdict is recorded in
+// run unless the strategy is StrategyResilient. The error is the
+// execution's validation error; visit is then never called.
+func (v *Verifier) VerifyEach(ctx context.Context, exec *memory.Execution, run *CheckpointRun, visit func(ar *AddrReport, err error) bool) error {
+	return v.eachAddr(ctx, exec, exec.CheckedAddresses(), v.cfg.Options, run, func(_ int, ar *AddrReport, err error) bool {
+		return visit(ar, err)
+	})
+}
+
+// report collects the address loop over every checked address into a
+// Report, stopping at the first budget trip; with a run, the trip's
+// resumable state goes into Report.Checkpoint.
+func (v *Verifier) report(ctx context.Context, exec *memory.Execution, run *CheckpointRun) (*Report, error) {
+	addrs := exec.CheckedAddresses()
+	rep := &Report{Addrs: make([]AddrReport, 0, len(addrs))}
+	var stop error
+	err := v.eachAddr(ctx, exec, addrs, v.cfg.Options, run, func(_ int, ar *AddrReport, err error) bool {
+		if err != nil {
+			stop = err
+			return false
 		}
-		if err := v.decide(ctx, exec, project(exec, a), run.Configure(a, v.cfg.Options), &ar); err != nil {
-			if _, ok := solver.AsBudgetError(err); ok {
-				rep.Checkpoint = run.Checkpoint()
-			}
-			return rep, err
+		rep.add(ar)
+		return true
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case stop != nil:
+		if run != nil {
+			rep.Checkpoint = run.Checkpoint()
 		}
-		run.Record(a, ar.Result)
-		rep.add(&ar)
+		return rep, stop
 	}
 	rep.finalize()
 	return rep, nil
 }
 
-// verifyCheckpointFile implements solver.WithCheckpoint: resume from the
-// configured path when a checkpoint file exists there, and persist the
-// resumable state back to it when a budget trip aborts the run.
-func (v *Verifier) verifyCheckpointFile(ctx context.Context, exec *memory.Execution) (*Report, error) {
-	var resume *Checkpoint
-	if _, statErr := os.Stat(v.cfg.CheckpointPath); statErr == nil {
-		ck, err := LoadCheckpoint(v.cfg.CheckpointPath)
-		if err != nil {
-			return nil, err
+// eachAddr is the one address loop: Verify, VerifyCheckpoint, VerifyEach
+// and SolveBatch all decide through it. It validates exec once, projects
+// addrs in one pass over the histories (groupProject; more passes only
+// when addrs × processes outgrows the execution) and climbs the ladder
+// under opts for each address in order, handing visit the index into
+// addrs and the report or budget error; it stops when visit returns
+// false. A non-nil run replays, seeds and records as VerifyEach
+// describes. The error is exec's validation error.
+func (v *Verifier) eachAddr(ctx context.Context, exec *memory.Execution, addrs []memory.Addr, opts *Options, run *CheckpointRun, visit func(i int, ar *AddrReport, err error) bool) error {
+	if err := exec.Validate(); err != nil {
+		return err
+	}
+	gs := groupScratchPool.Get().(*groupScratch)
+	defer func() {
+		// An execution that is its own projection is aliased, not copied:
+		// drop the instances so the pooled scratch does not keep it alive.
+		clear(gs.gInsts)
+		groupScratchPool.Put(gs)
+	}()
+	// The resilient ladder's verdicts are not recorded: a resumed run
+	// climbs it again.
+	record := run != nil && v.cfg.Strategy != solver.StrategyResilient
+	// One pass's (address, process) tables are bounded by the
+	// execution's size, so a trace with many processes and many
+	// addresses is projected in several passes, not into one table of
+	// addresses × processes.
+	step := max(1, max(exec.NumOps(), 1<<12)/max(1, len(exec.Histories)))
+	var ar AddrReport
+	for lo := 0; lo < len(addrs); lo += step {
+		chunk := addrs[lo:min(lo+step, len(addrs))]
+		gs.groupProject(exec, chunk)
+		for j, a := range chunk {
+			var err error
+			if run == nil || !run.replay(a, &ar) {
+				o := opts
+				if run != nil {
+					o = run.configure(a, opts)
+				}
+				err = v.decide(ctx, exec, &gs.gInsts[gs.gAddrIdx[a]], o, &ar)
+				if err == nil && record {
+					run.record(a, ar.Result)
+				}
+			}
+			if !visit(lo+j, &ar, err) {
+				return nil
+			}
 		}
-		resume = ck
-	} else if !errors.Is(statErr, os.ErrNotExist) {
-		return nil, statErr
 	}
-	rep, err := v.verifyCheckpoint(ctx, exec, resume)
-	if rep != nil && rep.Checkpoint != nil {
-		if werr := rep.Checkpoint.WriteFile(v.cfg.CheckpointPath); werr != nil {
-			return rep, errors.Join(err, werr)
-		}
-	}
-	return rep, err
-}
-
-// AddressesByHardness returns the execution's checked addresses
-// (memory.Execution.CheckedAddresses) ordered largest-projection-first
-// (ties by ascending address) — the LPT
-// dispatch order used by parallel verification. The verification
-// service uses it to shard a request's per-address work across its
-// global worker fleet in the same order.
-func AddressesByHardness(exec *memory.Execution) []memory.Addr {
-	addrs := exec.CheckedAddresses()
-	sizes := projectionSizes(exec)
-	out := make([]memory.Addr, len(addrs))
-	for i, idx := range hardnessOrder(addrs, sizes) {
-		out[i] = addrs[idx]
-	}
-	return out
+	return nil
 }

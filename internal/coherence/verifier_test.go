@@ -98,8 +98,8 @@ func TestFacadeCheckpointParity(t *testing.T) {
 }
 
 // TestVerifierReportShape pins the Report invariants the service relies
-// on: Addrs sorted ascending, aggregate stats equal to the per-address
-// sum, and AddressesByHardness a permutation of CheckedAddresses.
+// on: Addrs sorted ascending and aggregate stats equal to the
+// per-address sum.
 func TestVerifierReportShape(t *testing.T) {
 	for _, tc := range parityTraces(t, 8) {
 		rep, err := NewVerifier().Verify(context.Background(), tc.exec)
@@ -116,25 +116,15 @@ func TestVerifierReportShape(t *testing.T) {
 		if normStats(agg) != normStats(rep.Stats) {
 			t.Errorf("aggregate stats mismatch:\n%+v\n%+v", agg, rep.Stats)
 		}
-		byHard := AddressesByHardness(tc.exec)
-		if len(byHard) != len(tc.exec.CheckedAddresses()) {
-			t.Fatalf("AddressesByHardness dropped addresses")
-		}
-		seen := map[memory.Addr]bool{}
-		for _, a := range byHard {
-			if seen[a] {
-				t.Fatalf("AddressesByHardness duplicated %v", a)
-			}
-			seen[a] = true
-		}
 	}
 }
 
 // TestVerifyUntouchedFinalAddress: an address no operation touches is
 // still checked when it declares a final value. With init x 1 and
-// final x 0 no schedule can end with x = 0, so every strategy, the
-// worker fan-out and the checkpointed loop report x incoherent; with
-// init x 0 the same trace is coherent at both addresses.
+// final x 0 no schedule can end with x = 0, so every strategy, with and
+// without a parallel-search team, and the checkpointed loop report x
+// incoherent; with init x 0 the same trace is coherent at both
+// addresses.
 func TestVerifyUntouchedFinalAddress(t *testing.T) {
 	ctx := context.Background()
 	const x, y = memory.Addr(0), memory.Addr(1)
@@ -143,9 +133,6 @@ func TestVerifyUntouchedFinalAddress(t *testing.T) {
 		want := VerdictIncoherent
 		if initX == 0 {
 			want = VerdictCoherent
-		}
-		if got := AddressesByHardness(exec); !reflect.DeepEqual(got, []memory.Addr{y, x}) {
-			t.Fatalf("AddressesByHardness = %v, want [y x]", got)
 		}
 		check := func(label string, rep *Report, err error) {
 			t.Helper()
@@ -161,12 +148,87 @@ func TestVerifyUntouchedFinalAddress(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2} {
-				rep, err := NewVerifier(solver.WithStrategy(strat), solver.WithWorkers(workers)).Verify(ctx, exec)
-				check(fmt.Sprintf("%s with %d workers", spelling, workers), rep, err)
+			for _, psearch := range []int{0, 2} {
+				rep, err := NewVerifier(solver.WithStrategy(strat), solver.WithBudget(solver.WithParallelSearch(psearch))).Verify(ctx, exec)
+				check(fmt.Sprintf("%s with psearch %d", spelling, psearch), rep, err)
 			}
 		}
 		rep, err := NewVerifier().VerifyCheckpoint(ctx, exec, nil)
 		check("checkpointed", rep, err)
+	}
+}
+
+// TestVerifyMatchesSolveAddr pins the address loop's one-pass
+// projection to the single-address entry point: under every strategy
+// spelling, unbounded and under a 10-state budget, VerifyEach hands over
+// every checked address in order with the report SolveAddr gives it —
+// verdict, rung, algorithm, certificate, evidence and stats — or the
+// same budget trip. The corpus includes an address that no operation
+// touches but that declares a final value.
+func TestVerifyMatchesSolveAddr(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(17))
+	var execs []*memory.Execution
+	for i := 0; i < 20; i++ {
+		execs = append(execs, multiAddressInstance(rng, 2+rng.Intn(4)))
+	}
+	for _, tc := range parityTraces(t, 8) {
+		execs = append(execs, tc.exec)
+	}
+	execs = append(execs, memory.NewExecution(memory.History{memory.W(1, 1)}).SetInitial(0, 1).SetFinal(0, 0))
+	for _, spelling := range presetSpellings {
+		strat, err := solver.ParseStrategy(spelling)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, budget := range []int{0, 10} {
+			v := NewVerifier(solver.WithStrategy(strat), solver.WithBudget(solver.WithMaxStates(budget)))
+			for n, exec := range execs {
+				addrs := exec.CheckedAddresses()
+				i := 0
+				err := v.VerifyEach(ctx, exec, nil, func(got *AddrReport, err error) bool {
+					label := fmt.Sprintf("%s max-states=%d instance %d addr %d", spelling, budget, n, addrs[i])
+					want, werr := v.SolveAddr(ctx, exec, addrs[i])
+					if got.Addr != addrs[i] || (err == nil) != (werr == nil) {
+						t.Fatalf("%s: VerifyEach (addr %d, err %v) != SolveAddr (err %v)", label, got.Addr, err, werr)
+					}
+					i++
+					if err != nil {
+						return true
+					}
+					if got.Verdict != want.Verdict || got.Rung != want.Rung || got.Replayed ||
+						!reflect.DeepEqual(got.Checks, want.Checks) || normStats(got.Stats) != normStats(want.Stats) {
+						t.Fatalf("%s: VerifyEach %+v != SolveAddr %+v", label, got, want)
+					}
+					sameResult(t, label, got.Result, want.Result)
+					return true
+				})
+				if err != nil || i != len(addrs) {
+					t.Fatalf("%s instance %d: visited %d of %d addresses (err %v)", spelling, n, i, len(addrs), err)
+				}
+			}
+		}
+	}
+}
+
+// TestVerifyEachStops: the loop ends at the address whose visit returns
+// false, and a validation error reaches the caller before any visit.
+func TestVerifyEachStops(t *testing.T) {
+	ctx := context.Background()
+	exec := multiAddressInstance(rand.New(rand.NewSource(5)), 4)
+	var seen []memory.Addr
+	err := NewVerifier().VerifyEach(ctx, exec, nil, func(ar *AddrReport, err error) bool {
+		seen = append(seen, ar.Addr)
+		return len(seen) < 2
+	})
+	if err != nil || !reflect.DeepEqual(seen, []memory.Addr{0, 1}) {
+		t.Fatalf("visited %v (err %v), want [0 1]", seen, err)
+	}
+	bad := memory.NewExecution(memory.History{{Kind: memory.Kind(99), Addr: 0}})
+	if err := NewVerifier().VerifyEach(ctx, bad, nil, func(*AddrReport, error) bool {
+		t.Fatal("visit called on an invalid execution")
+		return false
+	}); err == nil {
+		t.Fatal("invalid execution accepted")
 	}
 }

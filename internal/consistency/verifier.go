@@ -22,9 +22,9 @@ type Verifier struct {
 // NewVerifier builds a Verifier for model. Options compose left to
 // right; the default is an unbounded search.
 //
-// The strategy and worker knobs apply to the models that decompose per
-// address (CoherenceOnly, LRC, and the promise check of VSCC) — they are
-// forwarded to the nested coherence.Verifier. The whole-execution
+// The strategy applies to the models that decompose per address
+// (CoherenceOnly, LRC, and the promise check of VSCC) — it is forwarded
+// to the nested coherence.Verifier. The whole-execution
 // searches (SC, VSCC's second phase, TSO, PSO) are single searches and
 // honor the budget knobs; SC and VSCC run the coherence kernel, so they
 // also honor solver.WithParallelSearch. solver.WithWriteOrders

@@ -73,37 +73,28 @@ func ParseStrategy(name string) (Strategy, error) {
 
 // Config is the unified configuration of a Verifier facade
 // (coherence.Verifier, consistency.Verifier): the per-solve Options
-// budget plus the execution-level choices — strategy, per-address
-// parallelism, write-order hints, checkpointing — that used to be
-// encoded in which entry point a caller picked. HTTP request
-// parameters, vmcheck flags, and Go callers all bind to this one
-// vocabulary.
+// budget plus the execution-level choices — strategy and write-order
+// hints — that used to be encoded in which entry point a caller picked.
+// HTTP request parameters, vmcheck flags, and Go callers all bind to
+// this one vocabulary.
 type Config struct {
 	// Options is the per-solve budget and knob set shared by every
 	// solver (never nil for a Config built by NewConfig).
 	Options *Options
 	// Strategy picks the decision-procedure family.
 	Strategy Strategy
-	// Workers fans the per-address checks of an execution-level Verify
-	// out across this many goroutines, dispatched
-	// largest-projection-first. 0 or 1 verifies sequentially.
-	Workers int
 	// WriteOrders optionally supplies observed per-address write orders
 	// (the §5.2 augmentation): used as degradation hints by
 	// StrategyResilient and as search constraints by the SC verifier.
 	WriteOrders map[memory.Addr][]memory.Ref
-	// CheckpointPath, when non-empty, makes execution-level coherence
-	// verification resumable: an existing checkpoint file at the path is
-	// resumed from, and a budget abort writes a fresh checkpoint there.
-	CheckpointPath string
 }
 
 // ConfigOption is a functional option for NewConfig.
 type ConfigOption func(*Config)
 
 // NewConfig builds a *Config from functional options. NewConfig() with
-// no arguments is the default verifier configuration: sequential,
-// StrategyAuto, unbounded complete search.
+// no arguments is the default verifier configuration: StrategyAuto,
+// unbounded complete search.
 func NewConfig(opts ...ConfigOption) *Config {
 	c := &Config{Options: &Options{}}
 	for _, f := range opts {
@@ -125,10 +116,6 @@ func (c *Config) Clone() *Config {
 
 // WithStrategy selects the decision-procedure family.
 func WithStrategy(s Strategy) ConfigOption { return func(c *Config) { c.Strategy = s } }
-
-// WithWorkers fans execution-level verification out across n workers
-// (0 or 1 = sequential).
-func WithWorkers(n int) ConfigOption { return func(c *Config) { c.Workers = n } }
 
 // WithBudget applies per-solve Options (WithMaxStates, WithTimeout,
 // ablation knobs, ...) to the configuration's budget.
@@ -161,13 +148,6 @@ func WithWriteOrders(orders map[memory.Addr][]memory.Ref) ConfigOption {
 		}
 		c.WriteOrders = orders
 	}
-}
-
-// WithCheckpoint makes execution-level coherence verification resumable
-// through the given file path: resumed from when the file exists,
-// written on a budget abort.
-func WithCheckpoint(path string) ConfigOption {
-	return func(c *Config) { c.CheckpointPath = path }
 }
 
 // WithConfig copies an entire existing configuration, so one facade can

@@ -15,28 +15,23 @@ func TestNewConfigDefaults(t *testing.T) {
 	if c.Strategy != StrategyAuto {
 		t.Errorf("default strategy = %v, want auto", c.Strategy)
 	}
-	if c.Workers != 0 {
-		t.Errorf("default workers = %d, want 0", c.Workers)
-	}
 }
 
 func TestConfigOptionsCompose(t *testing.T) {
 	orders := map[memory.Addr][]memory.Ref{1: {{Proc: 0, Index: 2}}}
 	c := NewConfig(
 		WithStrategy(StrategyResilient),
-		WithWorkers(7),
 		WithBudget(WithMaxStates(1234), WithTimeout(2*time.Second), WithoutMemoization()),
 		WithWriteOrders(orders),
-		WithCheckpoint("/tmp/ck.json"),
 	)
-	if c.Strategy != StrategyResilient || c.Workers != 7 {
-		t.Errorf("strategy/workers = %v/%d", c.Strategy, c.Workers)
+	if c.Strategy != StrategyResilient {
+		t.Errorf("strategy = %v", c.Strategy)
 	}
 	if c.Options.MaxStates != 1234 || c.Options.Timeout != 2*time.Second || !c.Options.DisableMemoization {
 		t.Errorf("budget not applied: %+v", c.Options)
 	}
-	if len(c.WriteOrders[1]) != 1 || c.CheckpointPath != "/tmp/ck.json" {
-		t.Errorf("write orders/checkpoint not applied")
+	if len(c.WriteOrders[1]) != 1 {
+		t.Errorf("write orders not applied")
 	}
 }
 
@@ -50,9 +45,9 @@ func TestWithOptionsClones(t *testing.T) {
 }
 
 func TestWithConfigCopies(t *testing.T) {
-	src := NewConfig(WithStrategy(StrategyFast), WithWorkers(3), WithBudget(WithMaxStates(5)))
+	src := NewConfig(WithStrategy(StrategyFast), WithBudget(WithMaxStates(5)))
 	dst := NewConfig(WithConfig(src))
-	if dst.Strategy != StrategyFast || dst.Workers != 3 || dst.Options.MaxStates != 5 {
+	if dst.Strategy != StrategyFast || dst.Options.MaxStates != 5 {
 		t.Errorf("WithConfig did not copy: %+v", dst)
 	}
 	src.Options.MaxStates = 50
