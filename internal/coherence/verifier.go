@@ -65,8 +65,8 @@ type AddrReport struct {
 // aggregate verdict and stats.
 type Report struct {
 	// Verdict aggregates the per-address verdicts: Incoherent if any
-	// address is incoherent, else Unknown if any address is undecided,
-	// else Coherent.
+	// address is incoherent, else Unknown if any address is undecided
+	// or the report is partial, else Coherent.
 	Verdict ResilientVerdict
 	// Addrs holds the per-address reports, sorted by address.
 	Addrs []AddrReport
@@ -83,9 +83,14 @@ func (r *Report) add(ar *AddrReport) {
 	r.Stats.Merge(ar.Stats)
 }
 
-// finalize computes the aggregate verdict.
-func (r *Report) finalize() {
+// finalize computes the aggregate verdict. A partial report, which a
+// budget trip cut short, is never Coherent: the addresses it does not
+// cover are undecided.
+func (r *Report) finalize(partial bool) {
 	r.Verdict = VerdictCoherent
+	if partial {
+		r.Verdict = VerdictUnknown
+	}
 	for i := range r.Addrs {
 		switch r.Addrs[i].Verdict {
 		case VerdictIncoherent:
@@ -157,7 +162,9 @@ func (v *Verifier) SolveAddr(ctx context.Context, exec *memory.Execution, addr m
 //
 // A budget trip the strategy does not degrade aborts the run at the
 // affected address, returning the partial Report (the addresses before
-// it) alongside the *solver.ErrBudgetExceeded; StrategyResilient
+// it) alongside the *solver.ErrBudgetExceeded. A partial Report's
+// Verdict is VerdictIncoherent when an address it covers is incoherent
+// and VerdictUnknown otherwise, never VerdictCoherent. StrategyResilient
 // degrades the affected address and continues, so its Report always
 // covers every address unless the context is cancelled.
 func (v *Verifier) Verify(ctx context.Context, exec *memory.Execution) (*Report, error) {
@@ -215,17 +222,14 @@ func (v *Verifier) report(ctx context.Context, exec *memory.Execution, run *Chec
 		rep.add(ar)
 		return true
 	})
-	switch {
-	case err != nil:
+	if err != nil {
 		return nil, err
-	case stop != nil:
-		if run != nil {
-			rep.Checkpoint = run.Checkpoint()
-		}
-		return rep, stop
 	}
-	rep.finalize()
-	return rep, nil
+	rep.finalize(stop != nil)
+	if stop != nil && run != nil {
+		rep.Checkpoint = run.Checkpoint()
+	}
+	return rep, stop
 }
 
 // eachAddr is the one address loop: Verify, VerifyCheckpoint, VerifyEach

@@ -232,3 +232,44 @@ func TestVerifyEachStops(t *testing.T) {
 		t.Fatal("invalid execution accepted")
 	}
 }
+
+// TestVerifyBudgetTripIsNotCoherent: a Verify the budget stops returns
+// a partial Report whose verdict is never Coherent. Stopped at its only
+// address it is Unknown; stopped after an address it covers was found
+// incoherent, Incoherent. The same holds for VerifyCheckpoint.
+func TestVerifyBudgetTripIsNotCoherent(t *testing.T) {
+	ctx := context.Background()
+	v := NewVerifier(solver.WithStrategy(solver.StrategyExact), solver.WithBudget(solver.WithMaxStates(5)))
+
+	rep, err := v.Verify(ctx, hardIncoherentExec(3, 6))
+	if _, ok := solver.AsBudgetError(err); !ok {
+		t.Fatalf("err = %v, want a budget error", err)
+	}
+	if rep == nil || len(rep.Addrs) != 0 || rep.Verdict != VerdictUnknown || rep.Coherent() {
+		t.Fatalf("partial report %+v, want no addresses and verdict %v", rep, VerdictUnknown)
+	}
+
+	// Address 0 reads a value nothing writes; address 1 is the hard
+	// instance, moved there.
+	exec := hardIncoherentExec(3, 6)
+	for _, h := range exec.Histories {
+		for i := range h {
+			h[i].Addr = 1
+		}
+	}
+	exec.Final = map[memory.Addr]memory.Value{1: exec.Final[0]}
+	exec.Histories[0] = append(memory.History{memory.R(0, 9)}, exec.Histories[0]...)
+	exec.SetInitial(0, 0)
+	for name, verify := range map[string]func() (*Report, error){
+		"Verify":           func() (*Report, error) { return v.Verify(ctx, exec) },
+		"VerifyCheckpoint": func() (*Report, error) { return v.VerifyCheckpoint(ctx, exec, nil) },
+	} {
+		rep, err := verify()
+		if _, ok := solver.AsBudgetError(err); !ok {
+			t.Fatalf("%s: err = %v, want a budget error", name, err)
+		}
+		if len(rep.Addrs) != 1 || rep.Addrs[0].Verdict != VerdictIncoherent || rep.Verdict != VerdictIncoherent {
+			t.Fatalf("%s: partial report %+v, want address 0 incoherent and verdict %v", name, rep, VerdictIncoherent)
+		}
+	}
+}

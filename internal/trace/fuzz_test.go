@@ -19,7 +19,10 @@ import (
 //   - every Read error begins "trace: line N:", and when the reference
 //     error names a line, N is that line;
 //   - Write's bytes equal referenceWrite's, and a parsed trace
-//     round-trips through Write and Read to a fixpoint.
+//     round-trips through Write and Read to a fixpoint;
+//   - cut into blocks of a few bytes and parsed by one to four
+//     goroutines, the input reads as the one-block parse reads it: a
+//     reflect.DeepEqual trace, or the same error string.
 func FuzzRead(f *testing.F) {
 	f.Add(sample)
 	f.Add("init x 0\nP0: W x 1\n")
@@ -57,6 +60,13 @@ func FuzzRead(f *testing.F) {
 	f.Add("   # indented comment\n\t#tab\nP0: W x 1 # not a comment\n")
 	f.Add("order y P0[0] P3[1]\norder x P0[5]\nP0: W x 1\n")
 	f.Fuzz(func(t *testing.T, input string) {
+		whole, wholeErr := readOneBlock(input)
+		for _, c := range []struct{ size, workers int }{{1, 1}, {2, 4}, {5, 2}, {13, 3}} {
+			got, gotErr := read(strings.NewReader(input), c.size, c.workers)
+			if d := sameRead(got, gotErr, whole, wholeErr); d != "" {
+				t.Fatalf("blocks of %d bytes, %d workers: %s", c.size, c.workers, d)
+			}
+		}
 		tr, err := Read(strings.NewReader(input))
 		ref, refErr := referenceRead(strings.NewReader(input))
 		if (err == nil) != (refErr == nil) {

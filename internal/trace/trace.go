@@ -17,6 +17,10 @@
 // address records the memory system's write order (the §5.2
 // augmentation), listing references Pproc[index] into the parsed
 // histories.
+//
+// Read parses an input longer than one block (blockSize bytes) on every
+// core: the blocks are parsed concurrently and merged in file order, so
+// the result is the one a line-by-line parse gives.
 package trace
 
 import (
@@ -25,9 +29,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
+	"runtime"
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"unicode"
 	"unicode/utf8"
 
@@ -68,52 +74,212 @@ func New(exec *memory.Execution) *Trace {
 // few bytes of input.
 const maxProcs = 1 << 16
 
-// Read buffer sizing: a reader that reports its length gets a buffer of
-// that length, up to maxChunk; any other reader starts at minChunk. The
-// buffer doubles while reads fill it and it is below maxChunk, and
-// beyond that only when one line fills it, so lines have no length cap.
+// Read cuts its input into blocks of whole lines once blockSize bytes
+// are buffered, so a block is longer only when its last line is. The
+// first block's buffer starts at minChunk bytes and doubles, so a small
+// input costs a small buffer. Write flushes a long order line every
+// maxChunk bytes.
+//
+// blockSize is small enough that the buffers of every block in flight,
+// and the growth of the first one, stay under 16 bytes an operation on
+// a 10⁵-operation trace of about a megabyte.
 const (
-	minChunk = 512
-	maxChunk = 64 << 10
+	minChunk  = 2 << 10
+	blockSize = 256 << 10
+	maxChunk  = 64 << 10
 )
 
 // Read parses the text format. Malformed input of any shape — garbage
 // bytes, truncated lines, out-of-range numbers — is reported as an
-// error carrying the offending line number; Read never panics.
+// error carrying the offending line number; Read never panics. The
+// execution of a returned trace passes memory.Execution.Validate, and
+// its write orders reference only operations it has.
 //
 // Read tokenizes the bytes of each line in place, allocating nothing
 // per line: a line of ASCII splits at ASCII spaces, and a line holding
 // any other byte first has its Unicode spaces rewritten to ' ', so the
 // accepted language is that of strings.Fields over strings.TrimSpace.
-// Operations are logged in file order, then carved into histories and
-// Arrival once their per-processor counts are known.
+//
+// Read takes its input a block at a time (see blockSize). An input that
+// ends within its first block is parsed on the caller's goroutine. A
+// longer one is parsed by GOMAXPROCS goroutines while Read reads ahead,
+// each block into a log of its own; a block's buffer is reused once it
+// is parsed, so only a few blocks of input are ever held. The blocks
+// then merge in file order: addresses are numbered by first appearance
+// in the file, the last init or final line of an address wins, and the
+// first error in the file is the one reported, with the line number a
+// line-by-line parse gives it. Last, every block copies its operations
+// into the histories and Arrival, the blocks in parallel. No goroutine
+// outlives Read.
 func Read(r io.Reader) (*Trace, error) {
-	p := &parser{
-		t: &Trace{
-			Exec:        &memory.Execution{},
-			Names:       make(map[memory.Addr]string),
-			WriteOrders: make(map[memory.Addr][]memory.Ref),
-		},
-		addrOf: make(map[string]memory.Addr),
-		last:   -1,
-	}
-	if err := p.scan(r); err != nil {
-		return nil, err
-	}
-	p.carve()
-	if err := p.t.Exec.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	if err := p.checkOrders(); err != nil {
-		return nil, err
-	}
-	return p.t, nil
+	return read(r, blockSize, runtime.GOMAXPROCS(0))
 }
 
-// parser is the state of one Read.
-type parser struct {
-	t    *Trace
-	line int // number of the line being parsed, from 1
+// read is Read with the block size and the number of parsing goroutines
+// as parameters, so that tests can cut small inputs into many blocks.
+func read(r io.Reader, size, workers int) (*Trace, error) {
+	s := &splitter{r: r, size: size, buf: make([]byte, min(minChunk, size))}
+	var blocks []*block
+	if text := s.next(); text != nil {
+		blocks = append(blocks, &block{text: text})
+	}
+	if s.end {
+		// The input ended within its first block.
+		for _, b := range blocks {
+			b.parse()
+		}
+	} else {
+		blocks = s.parseAll(blocks[0], workers)
+	}
+	return merge(blocks, s.err, workers)
+}
+
+// splitter cuts an input into blocks of whole lines.
+type splitter struct {
+	r    io.Reader
+	size int // a block is cut once this many bytes are buffered
+	// buf[off:n] has been read and belongs to no block yet.
+	buf    []byte
+	off, n int
+	empty  int   // reads in a row that returned nothing
+	end    bool  // the input has ended
+	err    error // the read error that ended it, nil at EOF
+
+	// Buffers of parsed blocks come back on free; take allocates spare
+	// more before it waits for one.
+	free  chan []byte
+	spare int
+}
+
+// next returns the next block: the buffered input up to its last '\n'
+// once size bytes are buffered, or at the end of the input what is left
+// of it (after a read error, only its whole lines). It returns nil once
+// nothing is left.
+func (s *splitter) next() []byte {
+	if s.off > 0 {
+		// The previous block's buffer is being parsed: move the partial
+		// line after it to another.
+		buf := s.take(s.n - s.off)
+		s.n = copy(buf, s.buf[s.off:s.n])
+		s.buf, s.off = buf, 0
+	}
+	for !s.end {
+		if s.n == len(s.buf) {
+			if s.n >= s.size {
+				if i := bytes.LastIndexByte(s.buf, '\n'); i >= 0 {
+					s.off = i + 1
+					return s.buf[:s.off]
+				}
+			}
+			// Below the block size the buffer doubles as the input
+			// grows; beyond it, only when one line fills it, so lines
+			// have no length cap.
+			grown := make([]byte, 2*len(s.buf))
+			copy(grown, s.buf)
+			s.buf = grown
+		}
+		k, err := s.r.Read(s.buf[s.n:])
+		s.n += k
+		switch {
+		case err == io.EOF:
+			s.end = true
+		case err != nil:
+			s.end, s.err = true, err
+		case k > 0:
+			s.empty = 0
+		default:
+			// Give up on a reader that keeps returning nothing, as
+			// bufio.Scanner does.
+			if s.empty++; s.empty == 100 {
+				s.end, s.err = true, io.ErrNoProgress
+			}
+		}
+	}
+	text := s.buf[:s.n]
+	if s.err != nil {
+		text = text[:bytes.LastIndexByte(text, '\n')+1]
+	}
+	s.buf, s.n = nil, 0
+	if len(text) == 0 {
+		return nil
+	}
+	return text
+}
+
+// take returns a buffer longer than n: a parsed block's buffer of the
+// block size, or a new one.
+func (s *splitter) take(n int) []byte {
+	var buf []byte
+	if s.spare > 0 {
+		s.spare--
+	} else {
+		buf = <-s.free
+	}
+	if len(buf) != s.size || n >= len(buf) {
+		buf = make([]byte, max(s.size, 2*n))
+	}
+	return buf
+}
+
+// parseAll parses first and every block after it on workers goroutines
+// while it reads on, and returns the blocks in file order once all are
+// parsed. It reads no further once a block fails to parse.
+func (s *splitter) parseAll(first *block, workers int) []*block {
+	// One buffer per worker and the one being read into: a worker takes
+	// a block only once it has handed the last one's buffer back.
+	free := make(chan []byte, workers+1)
+	s.free, s.spare = free, workers
+	var failed atomic.Bool
+	jobs, wait := work(workers, func(b *block) {
+		b.parse()
+		if b.err != nil {
+			failed.Store(true)
+		}
+		free <- b.text[:cap(b.text)]
+		b.text = nil
+	})
+	blocks := []*block{first}
+	jobs <- first
+	for !failed.Load() {
+		text := s.next()
+		if text == nil {
+			break
+		}
+		b := &block{text: text}
+		blocks = append(blocks, b)
+		jobs <- b
+	}
+	wait()
+	return blocks
+}
+
+// work starts n goroutines that call fn on each block sent on jobs;
+// wait closes jobs and returns once every goroutine is done.
+func work(n int, fn func(*block)) (jobs chan<- *block, wait func()) {
+	ch := make(chan *block)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for range n {
+		go func() {
+			defer wg.Done()
+			for b := range ch {
+				fn(b)
+			}
+		}()
+	}
+	return ch, func() {
+		close(ch)
+		wg.Wait()
+	}
+}
+
+// block is one block of the input and what parsing it produced. Its
+// addresses are numbered by first appearance in the block; merge maps
+// them to the trace's.
+type block struct {
+	text  []byte
+	lines int   // lines parsed, the failing one included
+	err   error // the parse error of line lines, without its number
 
 	addrOf map[string]memory.Addr
 	names  []string // names[a] is the identifier of address a
@@ -121,95 +287,91 @@ type parser struct {
 	// first): runs of operations on one address skip the map lookup.
 	last memory.Addr
 
-	// ops holds the operations in file order and runs the processor
-	// of each, run-length encoded; counts[p] is the number of operations
-	// of processor p.
-	ops    []memory.Op
+	// log holds the operations in file order and runs the processor of
+	// each, run-length encoded; stores holds the values the
+	// read-modify-writes among them wrote. counts[p] is the number of
+	// operations of processor p, until merge makes it the number in
+	// earlier blocks.
+	log    []entry
+	stores []memory.Value
 	runs   []run
 	counts []int
-	// orders lists the order lines in file order, for checkOrders.
+
+	// values holds the block's init and final values, the last line's
+	// for each address.
+	values memory.Execution
+	// orders records the order lines in file order, and refs their
+	// references, each line's after the last's.
 	orders []orderLine
+	refs   []memory.Ref
 	// respaced is scratch for a line with bytes beyond ASCII.
 	respaced []byte
+
+	// Set by merge: the lines and the operations of earlier blocks, and
+	// the trace's number of each address (nil when they are the same).
+	line, at int
+	remap    []memory.Addr
+}
+
+// entry is an operation as a block logs it: a memory.Op without Store,
+// which only a read-modify-write has, so a logged operation takes 16
+// bytes.
+type entry struct {
+	data memory.Value
+	addr memory.Addr
+	kind memory.Kind
 }
 
 // minOpLine is the length of the shortest operation line, "P0: ACQ\n".
 const minOpLine = 8
 
 // run is a maximal stretch of operation lines of processor proc,
-// starting at ops[start].
+// starting at log[start].
 type run struct{ proc, start int }
 
-// orderLine records that the order line numbered line appended
-// WriteOrders[addr][from:to].
+// orderLine records that the order line numbered line lists refs[from:to]
+// for addr.
 type orderLine struct {
 	line     int
 	addr     memory.Addr
 	from, to int
 }
 
-// scan reads r to the end and hands each line, without its '\n', to
-// parseLine.
-func (p *parser) scan(r io.Reader) error {
-	size := minChunk
-	if l, ok := r.(interface{ Len() int }); ok {
-		// One byte over the length lets the first read return all of a
-		// small input without filling the buffer.
-		size = min(l.Len()+1, maxChunk)
-		// Room for as many operations as the input can hold, so the
-		// array never grows: 3 bytes per input byte, where a valid
-		// trace of the same length can need 5 (its operations and
-		// Arrival), so malformed input costs no more than valid input.
-		p.ops = make([]memory.Op, 0, (l.Len()+1)/minOpLine)
-	}
-	buf := make([]byte, size)
-	start, end, empty := 0, 0, 0
-	for {
-		n, err := r.Read(buf[end:])
-		end += n
-		for {
-			i := bytes.IndexByte(buf[start:end], '\n')
-			if i < 0 {
-				break
-			}
-			if err := p.parseLine(buf[start : start+i]); err != nil {
-				return err
-			}
-			start += i + 1
-		}
-		if err == io.EOF {
-			if start < end {
-				return p.parseLine(buf[start:end])
-			}
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("trace: line %d: %w", p.line+1, err)
-		}
-		// Give up on a reader that keeps returning nothing, as
-		// bufio.Scanner does.
-		if n > 0 {
-			empty = 0
-		} else if empty++; empty == 100 {
-			return fmt.Errorf("trace: line %d: %w", p.line+1, io.ErrNoProgress)
-		}
-		if end == len(buf) && (start == 0 || len(buf) < maxChunk) {
-			grown := make([]byte, 2*len(buf))
-			end = copy(grown, buf[start:end])
-			buf = grown
+// The shortest order line is "order x P0[0]\n", and a reference in it
+// takes at least 6 bytes with the space before it.
+const (
+	minOrderLine = 14
+	minRef       = 6
+)
+
+// parse parses the block's lines up to the first that fails.
+func (b *block) parse() {
+	text := b.text
+	// Room for an operation on every line but no more than one per
+	// minOpLine bytes, so malformed input costs no more than valid.
+	b.log = make([]entry, 0, min(bytes.Count(text, []byte{'\n'})+1, (len(text)+1)/minOpLine))
+	b.addrOf = make(map[string]memory.Addr)
+	b.last = -1
+	for len(text) > 0 {
+		line := text
+		if i := bytes.IndexByte(text, '\n'); i >= 0 {
+			line, text = text[:i], text[i+1:]
 		} else {
-			end = copy(buf, buf[start:end])
+			text = nil
 		}
-		start = 0
+		b.lines++
+		if b.err = b.parseLine(line, text); b.err != nil {
+			return
+		}
 	}
 }
 
-// parseLine parses one line.
-func (p *parser) parseLine(raw []byte) error {
-	p.line++
+// parseLine parses one line, followed in the block by rest. Its error
+// does not name the line.
+func (b *block) parseLine(raw, rest []byte) error {
 	f := fields{line: raw}
 	if !isASCII(raw) {
-		f.line = p.respace(raw)
+		f.line = b.respace(raw)
 	}
 	head := f.next()
 	if head == nil || head[0] == '#' {
@@ -219,61 +381,64 @@ func (p *parser) parseLine(raw []byte) error {
 	case string(head) == "init" || string(head) == "final":
 		name, val := f.next(), f.next()
 		if val == nil || f.next() != nil {
-			return p.errorf("want %q <addr> <value>", head)
+			return fmt.Errorf("want %q <addr> <value>", head)
 		}
 		v, ok := parseInt(val)
 		if !ok {
-			return p.errorf("bad value %q", val)
+			return fmt.Errorf("bad value %q", val)
 		}
-		a := p.intern(name)
-		if string(head) == "init" {
-			p.t.Exec.SetInitial(a, memory.Value(v))
+		if a := b.intern(name); string(head) == "init" {
+			b.values.SetInitial(a, memory.Value(v))
 		} else {
-			p.t.Exec.SetFinal(a, memory.Value(v))
+			b.values.SetFinal(a, memory.Value(v))
 		}
 	case string(head) == "order":
 		name := f.next()
 		if name == nil {
-			return p.errorf("want order <addr> <refs...>")
+			return errors.New("want order <addr> <refs...>")
 		}
-		a := p.intern(name)
-		// Growing by the line's field count sizes a single order line
-		// exactly, and Grow's amortized growth keeps many order lines
-		// for one address linear.
-		refs := slices.Grow(p.t.WriteOrders[a], f.count())
-		from := len(refs)
+		a := b.intern(name)
+		if b.orders == nil {
+			// The block's first order line sizes its order tables for
+			// every order line and reference the rest of the block can
+			// hold: each has its own word, a reference its '['. A
+			// block of order lines allocates them once, and one long
+			// line exactly.
+			b.orders = make([]orderLine, 0, 1+min(bytes.Count(rest, []byte("order")), (len(rest)+1)/minOrderLine))
+			b.refs = make([]memory.Ref, 0, f.count()+min(bytes.Count(rest, []byte{'['}), len(rest)/minRef))
+		}
+		from := len(b.refs)
 		for tok := f.next(); tok != nil; tok = f.next() {
 			ref, ok := parseRef(tok)
 			if !ok {
-				return p.errorf("bad reference %q", tok)
+				return fmt.Errorf("bad reference %q", tok)
 			}
-			refs = append(refs, ref)
+			b.refs = append(b.refs, ref)
 		}
-		if len(refs) > from {
-			p.t.WriteOrders[a] = refs
-			p.orders = append(p.orders, orderLine{line: p.line, addr: a, from: from, to: len(refs)})
+		if len(b.refs) > from {
+			b.orders = append(b.orders, orderLine{line: b.lines, addr: a, from: from, to: len(b.refs)})
 		}
 	case head[0] == 'P' && head[len(head)-1] == ':':
 		proc, ok := atoi(head[1 : len(head)-1])
 		if !ok || proc < 0 {
-			return p.errorf("bad processor %q", head)
+			return fmt.Errorf("bad processor %q", head)
 		}
 		if proc >= maxProcs {
-			return p.errorf("processor %q exceeds the %d-processor limit", head, maxProcs)
+			return fmt.Errorf("processor %q exceeds the %d-processor limit", head, maxProcs)
 		}
-		op, err := p.parseOp(&f)
+		op, err := b.parseOp(&f)
 		if err != nil {
-			return p.errorf("%v", err)
+			return err
 		}
-		p.push(proc, op)
+		b.push(proc, op)
 	default:
-		return p.errorf("unrecognized line %q", bytes.TrimSpace(raw))
+		return fmt.Errorf("unrecognized line %q", bytes.TrimSpace(raw))
 	}
 	return nil
 }
 
 // parseOp parses the operation after a "Pn:" field.
-func (p *parser) parseOp(f *fields) (memory.Op, error) {
+func (b *block) parseOp(f *fields) (memory.Op, error) {
 	kind := f.next()
 	if kind == nil {
 		return memory.Op{}, errors.New("missing operation")
@@ -288,7 +453,7 @@ func (p *parser) parseOp(f *fields) (memory.Op, error) {
 		if !ok {
 			return memory.Op{}, fmt.Errorf("bad value %q", val)
 		}
-		a := p.intern(name)
+		a := b.intern(name)
 		if kind[0] == 'R' {
 			return memory.R(a, memory.Value(v)), nil
 		}
@@ -306,7 +471,7 @@ func (p *parser) parseOp(f *fields) (memory.Op, error) {
 		if !ok {
 			return memory.Op{}, fmt.Errorf("bad value %q", wtok)
 		}
-		return memory.RW(p.intern(name), memory.Value(rv), memory.Value(wv)), nil
+		return memory.RW(b.intern(name), memory.Value(rv), memory.Value(wv)), nil
 	case "ACQ":
 		return memory.Acq(), nil
 	case "REL":
@@ -318,94 +483,213 @@ func (p *parser) parseOp(f *fields) (memory.Op, error) {
 	}
 }
 
-// errorf reports an error on the line being parsed.
-func (p *parser) errorf(format string, args ...any) error {
-	return fmt.Errorf("trace: line %d: %s", p.line, fmt.Sprintf(format, args...))
-}
-
-// intern returns the address named name, numbering new names in order
-// of first appearance. The returned name strings are copies, so the
-// trace does not keep the input buffer alive.
-func (p *parser) intern(name []byte) memory.Addr {
-	if p.last >= 0 && string(name) == p.names[p.last] {
-		return p.last
+// intern returns the block's address named name, numbering new names in
+// order of first appearance. The returned name strings are copies, so
+// the trace does not keep the input buffer alive.
+func (b *block) intern(name []byte) memory.Addr {
+	if b.last >= 0 && string(name) == b.names[b.last] {
+		return b.last
 	}
-	a, ok := p.addrOf[string(name)]
+	a, ok := b.addrOf[string(name)]
 	if !ok {
 		s := string(name)
-		a = memory.Addr(len(p.names))
-		p.addrOf[s] = a
-		p.names = append(p.names, s)
-		p.t.Names[a] = s
+		a = memory.Addr(len(b.names))
+		b.addrOf[s] = a
+		b.names = append(b.names, s)
 	}
-	p.last = a
+	b.last = a
 	return a
 }
 
-// push appends op as the next operation of processor proc.
-func (p *parser) push(proc int, op memory.Op) {
-	if proc >= len(p.counts) {
-		p.counts = append(p.counts, make([]int, proc+1-len(p.counts))...)
+// push logs op as the next operation of processor proc.
+func (b *block) push(proc int, op memory.Op) {
+	if proc >= len(b.counts) {
+		b.counts = append(b.counts, make([]int, proc+1-len(b.counts))...)
 	}
-	if len(p.runs) == 0 || proc != p.runs[len(p.runs)-1].proc {
-		p.runs = append(p.runs, run{proc: proc, start: len(p.ops)})
+	if len(b.runs) == 0 || proc != b.runs[len(b.runs)-1].proc {
+		b.runs = append(b.runs, run{proc: proc, start: len(b.log)})
 	}
-	p.counts[proc]++
-	if len(p.ops) == cap(p.ops) {
-		// Without a length hint: doubling, where append would grow a
-		// large slice by 1.25×, bounds the bytes allocated to twice the
-		// final array.
-		p.ops = append(make([]memory.Op, 0, max(64, 2*cap(p.ops))), p.ops...)
+	b.counts[proc]++
+	b.log = append(b.log, entry{data: op.Data, addr: op.Addr, kind: op.Kind})
+	if op.Kind == memory.ReadModifyWrite {
+		b.stores = append(b.stores, op.Store)
 	}
-	p.ops = append(p.ops, op)
 }
 
-// carve copies the operations, run by run, into one exact-size backing
-// array cut at the per-processor counts into the execution's histories,
-// and builds Arrival at its exact size. Histories stay nil without
-// operation lines, and so does the history of a processor with none.
-func (p *parser) carve() {
-	if len(p.ops) == 0 {
-		return
+// addr returns the trace's number of the block's address a.
+func (b *block) addr(a memory.Addr) memory.Addr {
+	if b.remap == nil {
+		return a
 	}
-	backing := make([]memory.Op, len(p.ops))
-	start := make([]int, len(p.counts))
-	for proc := 1; proc < len(start); proc++ {
-		start[proc] = start[proc-1] + p.counts[proc-1]
+	return b.remap[a]
+}
+
+// merge joins the parsed blocks, in file order, into the trace, or
+// returns the first error in the input: a block's parse error, else the
+// read error that ended it. The first block numbers its addresses as the
+// trace does; the names each later block adds are numbered on from
+// there.
+func merge(blocks []*block, readErr error, workers int) (*Trace, error) {
+	t := &Trace{Exec: &memory.Execution{}, WriteOrders: make(map[memory.Addr][]memory.Ref)}
+	var names []string
+	var addrOf map[string]memory.Addr
+	var counts []int // operations of each processor in the blocks so far
+	line, ops := 0, 0
+	for i, b := range blocks {
+		if b.err != nil {
+			return nil, fmt.Errorf("trace: line %d: %v", line+b.lines, b.err)
+		}
+		b.line, b.at = line, ops
+		line += b.lines
+		ops += len(b.log)
+		if i == 0 {
+			names, addrOf = b.names, b.addrOf
+			t.Exec.Initial, t.Exec.Final = b.values.Initial, b.values.Final
+		} else {
+			names = b.number(names, addrOf)
+			for a, v := range b.values.Initial {
+				t.Exec.SetInitial(b.addr(a), v)
+			}
+			for a, v := range b.values.Final {
+				t.Exec.SetFinal(b.addr(a), v)
+			}
+		}
+		// Consecutive order lines of one address join its write order
+		// in one append. The first to join is not copied: capped at its
+		// end, it cannot grow into the references after it.
+		for i := 0; i < len(b.orders); {
+			o := b.orders[i]
+			to := o.to
+			for i++; i < len(b.orders) && b.orders[i].addr == o.addr; i++ {
+				to = b.orders[i].to
+			}
+			a, refs := b.addr(o.addr), b.refs[o.from:to:to]
+			if prev := t.WriteOrders[a]; prev != nil {
+				refs = append(prev, refs...)
+			}
+			t.WriteOrders[a] = refs
+		}
+		if len(b.counts) > len(counts) {
+			counts = append(counts, make([]int, len(b.counts)-len(counts))...)
+		}
+		for p, c := range b.counts {
+			b.counts[p], counts[p] = counts[p], counts[p]+c
+		}
 	}
-	arrival := make([]memory.Ref, len(p.ops))
-	next := make([]int, len(p.counts))
-	for i, r := range p.runs {
-		end := len(p.ops)
-		if i+1 < len(p.runs) {
-			end = p.runs[i+1].start
+	if readErr != nil {
+		return nil, fmt.Errorf("trace: line %d: %w", line+1, readErr)
+	}
+	t.Names = make(map[memory.Addr]string, len(names))
+	for a, name := range names {
+		t.Names[memory.Addr(a)] = name
+	}
+	if ops > 0 {
+		carve(t, blocks, counts, ops, workers)
+	}
+	if err := t.Exec.Validate(); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	if err := checkOrders(t, blocks); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// number maps the block's addresses to the trace's, given the names of
+// the earlier blocks, and returns the names with the block's new ones
+// appended.
+func (b *block) number(names []string, addrOf map[string]memory.Addr) []string {
+	remap := make([]memory.Addr, len(b.names))
+	same := true
+	for a, name := range b.names {
+		g, ok := addrOf[name]
+		if !ok {
+			g = memory.Addr(len(names))
+			addrOf[name] = g
+			names = append(names, name)
+		}
+		remap[a] = g
+		same = same && g == memory.Addr(a)
+	}
+	if !same {
+		b.remap = remap
+	}
+	return names
+}
+
+// carve builds the histories and Arrival at their exact sizes: one
+// backing array cut at the per-processor counts into the histories, into
+// which every block copies its operations, and fills its stretch of
+// Arrival, the blocks in parallel. A processor with no operations keeps
+// a nil history.
+func carve(t *Trace, blocks []*block, counts []int, ops, workers int) {
+	backing := make([]memory.Op, ops)
+	start := make([]int, len(counts))
+	for p := 1; p < len(start); p++ {
+		start[p] = start[p-1] + counts[p-1]
+	}
+	arrival := make([]memory.Ref, ops)
+	fill := func(b *block) { b.carve(backing, start, arrival) }
+	if workers = min(workers, len(blocks)); workers > 1 {
+		jobs, wait := work(workers, fill)
+		for _, b := range blocks {
+			jobs <- b
+		}
+		wait()
+	} else {
+		for _, b := range blocks {
+			fill(b)
+		}
+	}
+	hist := make([]memory.History, len(counts))
+	for p, c := range counts {
+		if c > 0 {
+			hist[p] = backing[start[p] : start[p]+c : start[p]+c]
+		}
+	}
+	t.Exec.Histories = hist
+	t.Arrival = arrival
+}
+
+// carve copies the block's operations, with the trace's addresses, into
+// backing, where processor p's history starts at start[p], and their
+// references into arrival from b.at on. b.counts[p] is the number of
+// operations of p in earlier blocks.
+func (b *block) carve(backing []memory.Op, start []int, arrival []memory.Ref) {
+	next, stores := b.counts, b.stores
+	for i, r := range b.runs {
+		end := len(b.log)
+		if i+1 < len(b.runs) {
+			end = b.runs[i+1].start
 		}
 		index := next[r.proc]
-		copy(backing[start[r.proc]+index:], p.ops[r.start:end])
-		for k := r.start; k < end; k++ {
-			arrival[k] = memory.Ref{Proc: r.proc, Index: index}
-			index++
+		dst := backing[start[r.proc]+index:]
+		refs := arrival[b.at+r.start : b.at+end]
+		for k, e := range b.log[r.start:end] {
+			o := memory.Op{Kind: e.kind, Addr: e.addr, Data: e.data}
+			if o.Kind == memory.ReadModifyWrite {
+				o.Store, stores = stores[0], stores[1:]
+			}
+			if b.remap != nil && o.IsMemory() {
+				o.Addr = b.remap[o.Addr]
+			}
+			dst[k] = o
+			refs[k] = memory.Ref{Proc: r.proc, Index: index + k}
 		}
-		next[r.proc] = index
+		next[r.proc] = index + end - r.start
 	}
-	hist := make([]memory.History, len(p.counts))
-	for proc, c := range p.counts {
-		if c > 0 {
-			hist[proc] = backing[start[proc] : start[proc]+c : start[proc]+c]
-		}
-	}
-	p.t.Exec.Histories = hist
-	p.t.Arrival = arrival
 }
 
-// checkOrders reports the first order ref, in file order, that names no
-// operation.
-func (p *parser) checkOrders() error {
-	hist := p.t.Exec.Histories
-	for _, o := range p.orders {
-		for _, r := range p.t.WriteOrders[o.addr][o.from:o.to] {
-			if r.Proc >= len(hist) || r.Index >= len(hist[r.Proc]) {
-				return fmt.Errorf("trace: line %d: order for %s references %s, which does not exist", o.line, p.names[o.addr], r)
+// checkOrders reports the first order reference, in file order, that
+// names no operation.
+func checkOrders(t *Trace, blocks []*block) error {
+	hist := t.Exec.Histories
+	for _, b := range blocks {
+		for _, o := range b.orders {
+			for _, r := range b.refs[o.from:o.to] {
+				if r.Proc >= len(hist) || r.Index >= len(hist[r.Proc]) {
+					return fmt.Errorf("trace: line %d: order for %s references %s, which does not exist", b.line+o.line, t.Names[b.addr(o.addr)], r)
+				}
 			}
 		}
 	}
@@ -463,8 +747,8 @@ func isASCII(b []byte) bool {
 // strings.Fields decodes it) replaced by ' ' and every other rune
 // copied byte for byte, so fields splits the copy as strings.Fields
 // splits the line.
-func (p *parser) respace(line []byte) []byte {
-	out := p.respaced[:0]
+func (b *block) respace(line []byte) []byte {
+	out := b.respaced[:0]
 	for len(line) > 0 {
 		r, w := utf8.DecodeRune(line)
 		if unicode.IsSpace(r) {
@@ -474,7 +758,7 @@ func (p *parser) respace(line []byte) []byte {
 		}
 		line = line[w:]
 	}
-	p.respaced = out
+	b.respaced = out
 	return out
 }
 
