@@ -96,9 +96,9 @@ type VerifyResponse struct {
 	// Timings is the per-stage latency breakdown (milliseconds), present
 	// only when the request asked for it with ?debug=timings.
 	Timings map[string]float64 `json:"timings,omitempty"`
-	// Degraded marks a brownout answer: the server was saturated (or
-	// chaos forced the path) and served this request with its own
-	// strategy under shrunken budgets. DegradeReason says why.
+	// Degraded marks a brownout answer: the server was saturated and
+	// served this request with its own strategy under shrunken budgets.
+	// DegradeReason says why.
 	Degraded      bool   `json:"degraded,omitempty"`
 	DegradeReason string `json:"degrade_reason,omitempty"`
 }

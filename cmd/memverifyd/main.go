@@ -14,9 +14,8 @@
 // and expired work is dropped before it burns a worker (504),
 // unserviceable requests are shed early (429), a queue-delay brownout
 // degrades new requests (their own strategy under shrunken budgets,
-// "degraded": true in the response) with hysteretic recovery, panics
-// anywhere are recovered into JSON 500s, and -chaos arms a seeded
-// fault-injection layer for proving all of it deterministically.
+// "degraded": true in the response) with hysteretic recovery, and panics
+// anywhere are recovered into JSON 500s.
 //
 // Endpoints:
 //
@@ -31,9 +30,10 @@
 //	GET  /debug/vars      expvar (the registry, search counters included)
 //	GET  /debug/pprof     pprof profiles
 //
-// The binary carries no load generator: perfbench's service workloads
-// measure it, and TestChaosAvailability holds its availability under
-// the seeded fault schedule.
+// The binary carries no load generator and no fault injector:
+// perfbench's service workloads measure it, and TestChaosAvailability
+// holds its availability under a seeded fault schedule that test code
+// injects.
 package main
 
 import (
@@ -72,11 +72,6 @@ func main() {
 		brownHold     = flag.Int("brownout-hold", 3, "consecutive calm observations before brownout closes")
 		degradeStates = flag.Int("degrade-max-states", 20000, "state budget clamped onto browned-out requests")
 		degradeTO     = flag.Duration("degrade-timeout", 250*time.Millisecond, "per-solve timeout clamped onto browned-out requests")
-
-		chaosOn   = flag.Bool("chaos", false, "enable the seeded fault-injection layer on /v1/verify")
-		chaosSeed = flag.Int64("chaos-seed", 1, "chaos: fault schedule seed")
-		chaosRate = flag.Float64("chaos-rate", 0, "chaos: server-side per-kind fault rate (0 = header-driven only)")
-		chaosSlow = flag.Duration("chaos-slow", 200*time.Millisecond, "chaos: stall injected by a slow-solve fault")
 	)
 	flag.Parse()
 
@@ -97,10 +92,6 @@ func main() {
 		brownoutHold:     *brownHold,
 		degradeMaxStates: *degradeStates,
 		degradeTimeout:   *degradeTO,
-		chaosEnabled:     *chaosOn,
-		chaosSeed:        *chaosSeed,
-		chaosRate:        *chaosRate,
-		chaosSlow:        *chaosSlow,
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)

@@ -13,8 +13,12 @@ import (
 // queue delay says the fleet is saturated.
 
 // drainAlpha is the EWMA smoothing factor for the fleet's shard
-// completion rate (per drain tick).
-const drainAlpha = 0.3
+// completion rate (per drain tick), and drainTick the estimator's
+// observation window.
+const (
+	drainAlpha = 0.3
+	drainTick  = 250 * time.Millisecond
+)
 
 // drainRate estimates the fleet's shard completion rate as an EWMA,
 // fed by the server's drain ticker (completions observed per tick).

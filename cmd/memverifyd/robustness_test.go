@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"memverify/internal/chaos"
 	"memverify/internal/client"
 	"memverify/internal/obs"
 	"memverify/internal/trace"
@@ -348,9 +347,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 // --- chaos injection over HTTP ----------------------------------------
 
 func TestChaosHeaderFaults(t *testing.T) {
-	s, ts := newTestServer(t, serverConfig{
-		workers: 2, chaosEnabled: true, chaosSeed: 7, chaosSlow: 50 * time.Millisecond,
-	})
+	s, ts, in := newChaosServer(t, serverConfig{workers: 2}, 50*time.Millisecond)
 
 	t.Run("500", func(t *testing.T) {
 		resp, _ := postWithHeaders(t, ts, map[string]string{"X-Chaos-Fault": "500"}, coherentTrace)
@@ -408,18 +405,30 @@ func TestChaosHeaderFaults(t *testing.T) {
 		}
 	})
 
-	if counts := s.chaosInj.Counts(); counts["500"] == 0 || counts["panic"] == 0 {
-		t.Errorf("injector bookkeeping missing faults: %v", counts)
+	if n500, npanic := in.fired[fault500].Load(), in.fired[faultPanic].Load(); n500 == 0 || npanic == 0 {
+		t.Errorf("injector bookkeeping missing faults: 500 fired %d, panic fired %d", n500, npanic)
 	}
 }
 
-// TestChaosDisabledIgnoresHeader: without -chaos the fault header is
-// inert — a stray header cannot take down a production server.
+// TestChaosDisabledIgnoresHeader: a production server has no fault
+// hook, so every fault header, and an unknown one, is inert — a stray
+// header cannot take down or degrade it.
 func TestChaosDisabledIgnoresHeader(t *testing.T) {
-	_, ts := newTestServer(t, serverConfig{workers: 2})
-	resp, vr := postWithHeaders(t, ts, map[string]string{"X-Chaos-Fault": "500"}, coherentTrace)
-	if resp.StatusCode != http.StatusOK || vr.Verdict != "coherent" {
-		t.Errorf("chaos header injected with chaos disabled: %d %+v", resp.StatusCode, vr)
+	s, ts := newTestServer(t, serverConfig{workers: 2})
+	if s.faults != nil {
+		t.Fatal("newServer installed a fault hook")
+	}
+	for _, name := range []string{"panic", "slow", "drop", "500", "degrade", "meteor"} {
+		resp, vr := postWithHeaders(t, ts, map[string]string{"X-Chaos-Fault": name}, coherentTrace)
+		if resp.StatusCode != http.StatusOK || vr.Verdict != "coherent" {
+			t.Errorf("%s: fault header acted on a production server: %d %+v", name, resp.StatusCode, vr)
+		}
+	}
+	if n := s.stats.WorkerPanics.Value(); n != 0 {
+		t.Errorf("%d worker panics recovered, want 0", n)
+	}
+	if n := s.stats.Degraded.Value(); n != 0 {
+		t.Errorf("%d requests degraded, want 0", n)
 	}
 }
 
@@ -437,12 +446,10 @@ func TestShutdownUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	jl := obs.NewJSONL(f)
-	s := newServer(serverConfig{
-		workers: 2, maxInflight: 16, queueDepth: 32,
-		chaosEnabled: true, chaosSeed: 3, chaosSlow: 80 * time.Millisecond,
-		traceSink: jl,
-	})
-	ts := httptest.NewServer(s.Handler())
+	s := newServer(serverConfig{workers: 2, maxInflight: 16, queueDepth: 32, traceSink: jl})
+	in := &faultInjector{slow: 80 * time.Millisecond}
+	s.faults = in
+	ts := httptest.NewServer(in.wrap(s.Handler()))
 
 	faults := []string{"", "slow", "500", "panic", "", "slow", "degrade", ""}
 	var wg sync.WaitGroup
@@ -553,7 +560,7 @@ func chaosPool(seed int64) []client.Request {
 
 // chaosCase configures one run of the gate.
 type chaosCase struct {
-	seed        int64 // chaos seed: the fault schedule and the server's injector
+	seed        int64 // the fault schedule's seed
 	requests    int
 	conc        int
 	rate        float64 // fraction of requests assigned a fault
@@ -576,11 +583,10 @@ type chaosOutcome struct {
 // retries land on a healthy path, which is what availability measures.
 func runChaos(t *testing.T, c chaosCase) chaosOutcome {
 	t.Helper()
-	srv, ts := newTestServer(t, serverConfig{workers: 4, maxInflight: c.maxInflight, cacheSize: 1024,
-		chaosEnabled: true, chaosSeed: c.seed, chaosSlow: c.slow})
+	srv, ts, _ := newChaosServer(t, serverConfig{workers: 4, maxInflight: c.maxInflight, cacheSize: 1024}, c.slow)
 	const seed = 1 // workload and client seed
 	pool := chaosPool(seed)
-	sched := chaos.BuildSchedule(c.seed, c.requests, c.rate, chaos.Kinds())
+	sched := buildSchedule(c.seed, c.requests, c.rate)
 	// One shared client: its retry budget and breaker guard the server
 	// from the whole run. The breaker threshold sits above any streak of
 	// consecutive faults a few-percent schedule plausibly produces, so
@@ -606,7 +612,7 @@ func runChaos(t *testing.T, c chaosCase) chaosOutcome {
 					return
 				}
 				var hook func(int, *http.Request)
-				if k := sched[i]; k != chaos.KindNone {
+				if k := sched[i]; k != faultNone {
 					hook = func(attempt int, hr *http.Request) {
 						if attempt == 0 {
 							hr.Header.Set("X-Chaos-Fault", k.String())
@@ -627,7 +633,7 @@ func runChaos(t *testing.T, c chaosCase) chaosOutcome {
 	}
 	wg.Wait()
 	out := chaosOutcome{
-		assigned:          chaos.CountSchedule(sched),
+		assigned:          countSchedule(sched),
 		successAfterRetry: cl.Stats().SuccessAfterRetry,
 		shed:              srv.stats.Shed.Value(),
 		degraded:          srv.stats.Degraded.Value(),
@@ -673,8 +679,8 @@ func TestChaosAvailability(t *testing.T) {
 				t.Fatalf("no faults assigned at rate %v over %d requests", tc.rate, tc.requests)
 			}
 			if tc.everyKind {
-				for _, k := range chaos.Kinds() {
-					if a.assigned[k.String()] == 0 {
+				for _, k := range faultNames[faultPanic:] {
+					if a.assigned[k] == 0 {
 						t.Errorf("seed %d assigned no %s fault: %v", tc.seed, k, a.assigned)
 					}
 				}

@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"memverify/internal/chaos"
 	"memverify/internal/coherence"
 	"memverify/internal/consistency"
 	"memverify/internal/memory"
@@ -73,17 +72,6 @@ type serverConfig struct {
 	// the request's ask, so degraded cache keys stay deterministic.
 	degradeMaxStates int
 	degradeTimeout   time.Duration
-	// drainTick is the drain-rate estimator's observation window.
-	drainTick time.Duration
-	// chaosEnabled turns on the seeded fault-injection layer on
-	// /v1/verify: faults arrive either on the X-Chaos-Fault header (a
-	// client's seeded schedule) or, when chaosRate > 0, from the
-	// server's own seeded injector. chaosSlow is the stall injected by a
-	// "slow" fault.
-	chaosEnabled bool
-	chaosSeed    int64
-	chaosRate    float64
-	chaosSlow    time.Duration
 }
 
 func (c serverConfig) withDefaults() serverConfig {
@@ -99,17 +87,11 @@ func (c serverConfig) withDefaults() serverConfig {
 	if c.retryAfterMax <= 0 {
 		c.retryAfterMax = 30 * time.Second
 	}
-	if c.drainTick <= 0 {
-		c.drainTick = 250 * time.Millisecond
-	}
 	if c.degradeMaxStates == 0 {
 		c.degradeMaxStates = 20000
 	}
 	if c.degradeTimeout == 0 {
 		c.degradeTimeout = 250 * time.Millisecond
-	}
-	if c.chaosSlow <= 0 {
-		c.chaosSlow = 200 * time.Millisecond
 	}
 	return c
 }
@@ -169,7 +151,7 @@ type Server struct {
 	cache    *resultCache
 	stats    serverStats
 	mux      *http.ServeMux
-	// root is the served handler: recovery and chaos middleware wrapped
+	// root is the served handler: the recovery middleware wrapped
 	// around the mux.
 	root http.Handler
 	stop chan struct{}
@@ -203,10 +185,24 @@ type Server struct {
 	// memverifyd_search_workers_effective and /v1/stats.
 	searchWorkersEff atomic.Int64
 
-	// Chaos: the seeded injector (nil unless cfg.chaosEnabled) and the
-	// per-kind fired counters in the registry.
-	chaosInj   *chaos.Injector
-	chaosFired map[chaos.Kind]obs.Counter
+	// faults injects faults into the request path for the chaos tests.
+	// It is nil in production, and every call site checks for nil.
+	faults faultHook
+}
+
+// faultHook is how a test injects faults into a request: a forced
+// degrade, a cache miss, and a panic or stall on the fleet worker. It
+// reads the fault a request carries from the request's context.
+type faultHook interface {
+	// degradeReason is why the request must be served degraded, or ""
+	// when it need not be.
+	degradeReason(ctx context.Context) string
+	// missCache reports whether the request carries a fault on its solve
+	// path, which a cache hit would skip.
+	missCache(ctx context.Context) bool
+	// beforeSolve runs on a fleet worker, inside runProtected's recover,
+	// before each solve; it may panic or stall.
+	beforeSolve(ctx context.Context)
 }
 
 // newServer builds the service and starts its worker fleet.
@@ -226,15 +222,6 @@ func newServer(cfg serverConfig) *Server {
 		tracer:   obs.NewTracer(cfg.traceSink),
 		drain:    &drainRate{},
 		brown:    newBrownout(cfg.brownoutHigh, cfg.brownoutLow, cfg.brownoutHold),
-	}
-	if cfg.chaosEnabled {
-		rates := make(map[chaos.Kind]float64)
-		if cfg.chaosRate > 0 {
-			for _, k := range chaos.Kinds() {
-				rates[k] = cfg.chaosRate
-			}
-		}
-		s.chaosInj = chaos.NewInjector(cfg.chaosSeed, rates)
 	}
 
 	// Registry: stage and request latency histograms, service counters,
@@ -281,11 +268,6 @@ func newServer(cfg serverConfig) *Server {
 	reg.SetHelp("memverifyd_solves_total", "Solver invocations actually started on fleet workers.")
 	reg.SetHelp("memverifyd_batched_solves_total",
 		"Addresses answered through the pooled batch driver (one fleet shard per burst of small addresses).")
-	reg.SetHelp("memverifyd_chaos_injected_total", "Chaos faults injected, by kind.")
-	s.chaosFired = make(map[chaos.Kind]obs.Counter, len(chaos.Kinds()))
-	for _, k := range chaos.Kinds() {
-		s.chaosFired[k] = reg.Counter("memverifyd_chaos_injected_total", obs.Label{Key: "kind", Value: k.String()})
-	}
 	reg.SetHelp("memverifyd_queue_depth", "Shards waiting in the fleet queue.")
 	reg.GaugeFunc("memverifyd_queue_depth", func() float64 { return float64(len(s.queue)) })
 	reg.SetHelp("memverifyd_in_flight", "Admitted requests not yet answered.")
@@ -337,7 +319,7 @@ func newServer(cfg serverConfig) *Server {
 	s.mux.Handle("/metrics", obs.PromHandler(reg))
 	s.mux.HandleFunc("/debug/requests", s.handleDebugRequests)
 	s.mux.Handle("/debug/", obs.DebugHandler(reg))
-	s.root = s.recoveryMiddleware(s.chaosMiddleware(s.mux))
+	s.root = s.recoveryMiddleware(s.mux)
 	for i := 0; i < cfg.workers; i++ {
 		s.wg.Add(1)
 		go func() {
@@ -359,7 +341,7 @@ func newServer(cfg serverConfig) *Server {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		t := time.NewTicker(cfg.drainTick)
+		t := time.NewTicker(drainTick)
 		defer t.Stop()
 		last := time.Now()
 		var seen int64
@@ -419,6 +401,26 @@ func (s *Server) Close() {
 
 // Handler returns the service's HTTP handler (middleware included).
 func (s *Server) Handler() http.Handler { return s.root }
+
+// recoveryMiddleware keeps a panicking handler from killing its
+// connection: the panic is recovered, counted, and answered as a JSON
+// 500, and the server stays serviceable. Worker-fleet panics are
+// recovered closer to the solve (see runShard and the shard closures);
+// this is the last line of defense for everything else on the mux.
+func (s *Server) recoveryMiddleware(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			if rec := recover(); rec != nil {
+				s.stats.Panics.Inc()
+				// Best-effort: if the handler already wrote a header,
+				// this is a no-op on the status line but the connection
+				// still survives.
+				writeError(w, http.StatusInternalServerError, "internal error: %v", rec)
+			}
+		}()
+		next.ServeHTTP(w, r)
+	})
+}
 
 // errShuttingDown marks enqueue failures caused by server shutdown, so
 // handlers can answer 503 instead of blaming the client.
@@ -512,9 +514,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"queue_delay_ewma_ms":      float64(ewma) / float64(time.Millisecond),
 		"drain_warm":               warm,
 		"drain_rate":               rate,
-	}
-	if s.chaosInj != nil {
-		stats["chaos"] = s.chaosInj.Counts()
 	}
 	writeJSON(w, http.StatusOK, stats)
 }
@@ -751,13 +750,12 @@ func (s *Server) verify(ctx context.Context, req *VerifyRequest, tm *reqTimings,
 	}
 	key := cacheKey(coherence.ExecutionFingerprint(tr.Exec), model.String(), strategy.String(),
 		maxStates, timeout, req.UseOrder, tr.WriteOrders)
-	// A worker-level chaos fault (panic, slow solve) is about the solve
-	// path, so the request must take it: bypass the cache lookup instead
-	// of letting the assigned fault dissolve on a hit. The verdict is
-	// unchanged and still cached afterwards — the fault alters how this
+	// An injected fault on the solve path (a test's worker panic or slow
+	// solve) must reach a fleet worker, so the request misses the cache
+	// instead of letting the fault dissolve on a hit. The verdict is
+	// unchanged and still cached afterwards: the fault alters how this
 	// request is served, not what the answer is.
-	plan := planFrom(ctx)
-	bypassCache := plan.is(chaos.KindWorkerPanic) || plan.is(chaos.KindSlowSolve)
+	bypassCache := s.faults != nil && s.faults.missCache(ctx)
 	t0 = time.Now()
 	resp, ok := s.cache.get(key)
 	tm.addCache(time.Since(t0))
@@ -813,11 +811,13 @@ func (s *Server) verify(ctx context.Context, req *VerifyRequest, tm *reqTimings,
 }
 
 // degradeFor decides whether this request is served degraded: either
-// the brownout controller is open, or chaos forced the path (so the
-// degraded response shape is exercised deterministically).
+// the brownout controller is open, or an injected fault forced the path
+// (so a test exercises the degraded response shape deterministically).
 func (s *Server) degradeFor(ctx context.Context) (bool, string) {
-	if planFrom(ctx).is(chaos.KindDegrade) {
-		return true, "chaos: forced degrade"
+	if s.faults != nil {
+		if reason := s.faults.degradeReason(ctx); reason != "" {
+			return true, reason
+		}
 	}
 	if s.brown.degrading() {
 		_, ewma, _ := s.brown.snapshot()
@@ -833,9 +833,9 @@ var errWorkerPanic = errors.New("worker panic")
 
 // runProtected is the robustness prologue of every fleet task: drop the
 // work if the request's context died while it sat in the queue (never
-// burn a worker on an expired deadline), inject any worker-level chaos
-// assigned to the request, and recover panics into an error so one bad
-// shard fails one request instead of a fleet goroutine.
+// burn a worker on an expired deadline), run the fault hook when a test
+// installed one, and recover panics into an error so one bad shard
+// fails one request instead of a fleet goroutine.
 func (s *Server) runProtected(ctx context.Context, run func() error) (err error) {
 	if cerr := ctx.Err(); cerr != nil {
 		s.stats.ExpiredDrops.Inc()
@@ -847,28 +847,11 @@ func (s *Server) runProtected(ctx context.Context, run func() error) (err error)
 			err = fmt.Errorf("%w: %v", errWorkerPanic, rec)
 		}
 	}()
-	plan := planFrom(ctx)
-	if plan.take(chaos.KindWorkerPanic) {
-		panic("chaos: injected worker panic")
-	}
-	if plan.take(chaos.KindSlowSolve) {
-		sleepCtx(ctx, s.cfg.chaosSlow)
+	if s.faults != nil {
+		s.faults.beforeSolve(ctx)
 	}
 	s.stats.Solves.Inc()
 	return run()
-}
-
-// sleepCtx sleeps d or until the context dies, whichever is first.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
 }
 
 // batchMaxOps / batchMinAddrs bound the server's batch plan: an address

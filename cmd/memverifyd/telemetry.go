@@ -116,10 +116,12 @@ type liveReq struct {
 // requestTable tracks every in-flight request and keeps the N slowest
 // completed ones (with their stage breakdowns) — the data behind
 // GET /debug/requests, so a stuck or slow request can be found and
-// blamed on a stage without restarting the server.
+// blamed on a stage without restarting the server. In-flight entries
+// are keyed by the request itself, not its id: a client may send the
+// same X-Request-ID on two requests at once.
 type requestTable struct {
 	mu       sync.Mutex
-	inflight map[string]*liveReq
+	inflight map[*liveReq]struct{}
 	slowest  []reqRecord // sorted by DurationMS descending
 	keep     int
 }
@@ -128,14 +130,14 @@ func newRequestTable(keep int) *requestTable {
 	if keep <= 0 {
 		keep = 32
 	}
-	return &requestTable{inflight: make(map[string]*liveReq), keep: keep}
+	return &requestTable{inflight: make(map[*liveReq]struct{}), keep: keep}
 }
 
 // start admits a request into the in-flight table.
 func (t *requestTable) start(id, remote string) *liveReq {
 	lr := &liveReq{id: id, remote: remote, start: time.Now(), stage: "parse"}
 	t.mu.Lock()
-	t.inflight[id] = lr
+	t.inflight[lr] = struct{}{}
 	t.mu.Unlock()
 	return lr
 }
@@ -169,7 +171,7 @@ func (t *requestTable) finish(lr *liveReq, verdict string, timings map[string]fl
 	dur := time.Since(lr.start)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	delete(t.inflight, lr.id)
+	delete(t.inflight, lr)
 	durMS := ms(int64(dur))
 	if len(t.slowest) == t.keep && durMS <= t.slowest[len(t.slowest)-1].DurationMS {
 		return
@@ -197,7 +199,7 @@ func (t *requestTable) snapshot() (inflight, slowest []reqRecord) {
 	defer t.mu.Unlock()
 	now := time.Now()
 	inflight = make([]reqRecord, 0, len(t.inflight))
-	for _, lr := range t.inflight {
+	for lr := range t.inflight {
 		inflight = append(inflight, reqRecord{
 			ID:     lr.id,
 			Remote: lr.remote,

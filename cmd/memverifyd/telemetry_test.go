@@ -344,6 +344,22 @@ func TestDebugRequestsInflight(t *testing.T) {
 	}
 }
 
+// TestRequestTableDuplicateIDs: two in-flight requests may carry the
+// same client X-Request-ID; finishing one must leave the other listed.
+func TestRequestTableDuplicateIDs(t *testing.T) {
+	tab := newRequestTable(4)
+	first := tab.start("same", "first")
+	tab.start("same", "second")
+	tab.finish(first, "coherent", nil)
+	inflight, slowest := tab.snapshot()
+	if len(inflight) != 1 || inflight[0].Remote != "second" {
+		t.Errorf("in-flight after one of two same-id requests finished: %+v, want the second", inflight)
+	}
+	if len(slowest) != 1 || slowest[0].Remote != "first" {
+		t.Errorf("slowest table %+v, want the first", slowest)
+	}
+}
+
 // TestStatsGauges checks /v1/stats carries the live saturation gauges.
 func TestStatsGauges(t *testing.T) {
 	_, ts := newTestServer(t, serverConfig{workers: 3})

@@ -60,14 +60,25 @@ func FuzzRead(f *testing.F) {
 	f.Add("   # indented comment\n\t#tab\nP0: W x 1 # not a comment\n")
 	f.Add("order y P0[0] P3[1]\norder x P0[5]\nP0: W x 1\n")
 	f.Fuzz(func(t *testing.T, input string) {
+		// Read promises that every trace it returns passes Validate.
+		valid := func(tr *Trace, err error) {
+			if err == nil {
+				if verr := tr.Exec.Validate(); verr != nil {
+					t.Fatalf("returned trace fails Validate: %v", verr)
+				}
+			}
+		}
 		whole, wholeErr := readOneBlock(input)
+		valid(whole, wholeErr)
 		for _, c := range []struct{ size, workers int }{{1, 1}, {2, 4}, {5, 2}, {13, 3}} {
 			got, gotErr := read(strings.NewReader(input), c.size, c.workers)
+			valid(got, gotErr)
 			if d := sameRead(got, gotErr, whole, wholeErr); d != "" {
 				t.Fatalf("blocks of %d bytes, %d workers: %s", c.size, c.workers, d)
 			}
 		}
 		tr, err := Read(strings.NewReader(input))
+		valid(tr, err)
 		ref, refErr := referenceRead(strings.NewReader(input))
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("Read error %v, reference error %v", err, refErr)
@@ -99,6 +110,7 @@ func FuzzRead(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-read of written trace failed: %v\n%s", err, buf.String())
 		}
+		valid(tr2, nil)
 		var buf2 bytes.Buffer
 		if err := Write(&buf2, tr2); err != nil {
 			t.Fatal(err)

@@ -92,8 +92,9 @@ const (
 // Read parses the text format. Malformed input of any shape — garbage
 // bytes, truncated lines, out-of-range numbers — is reported as an
 // error carrying the offending line number; Read never panics. The
-// execution of a returned trace passes memory.Execution.Validate, and
-// its write orders reference only operations it has.
+// execution of a returned trace passes memory.Execution.Validate (the
+// parser builds only operation kinds Validate accepts, so Read need not
+// run it), and its write orders reference only operations it has.
 //
 // Read tokenizes the bytes of each line in place, allocating nothing
 // per line: a line of ASCII splits at ASCII spaces, and a line holding
@@ -585,9 +586,6 @@ func merge(blocks []*block, readErr error, workers int) (*Trace, error) {
 	}
 	if ops > 0 {
 		carve(t, blocks, counts, ops, workers)
-	}
-	if err := t.Exec.Validate(); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
 	}
 	if err := checkOrders(t, blocks); err != nil {
 		return nil, err
